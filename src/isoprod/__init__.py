@@ -41,7 +41,6 @@ from .metric import (
     max_ultrametric,
     metric_preserving_verdict,
     product_metric,
-    sup_metric,
     unbounded_gauge,
     unbounded_witness,
     verify_metric,

@@ -24,6 +24,14 @@ from .errors import (
 from .points import RationalLike, rat
 
 
+def _base3_value(digits: Iterable[int]) -> int:
+    """The integer written by base-3 digits, most significant first."""
+    value = 0
+    for d in digits:
+        value = value * 3 + d
+    return value
+
+
 @dataclass(frozen=True)
 class Base3Expansion:
     """An eventually periodic base-3 representation of a rational >= 0.
@@ -44,19 +52,13 @@ class Base3Expansion:
             raise ValueError("integer digits must not have leading zeros")
 
     def to_fraction(self) -> Fraction:
-        value = Fraction(0)
-        for d in self.integer_digits:
-            value = value * 3 + d
+        value = Fraction(_base3_value(self.integer_digits))
         scale = Fraction(1)
         for d in self.preperiod:
             scale /= 3
             value += d * scale
         if self.period:
-            length = len(self.period)
-            block = 0
-            for d in self.period:
-                block = block * 3 + d
-            value += Fraction(block, 3**length - 1) * scale
+            value += Fraction(_base3_value(self.period), 3 ** len(self.period) - 1) * scale
         return value
 
     def all_digits(self) -> tuple[int, ...]:
@@ -126,24 +128,14 @@ def to_base3(t: RationalLike) -> Base3Expansion:
     return Base3Expansion(tuple(integer_digits), tuple(digits[:cut]), tuple(digits[cut:]))
 
 
-def _has_two_zero_expansion(t: Fraction) -> bool:
-    expansion = to_base3(t)
-    if expansion.uses_only():
-        return True
-    alternate = expansion.alternate()
-    return alternate is not None and alternate.uses_only()
-
-
 def in_cantor(t: RationalLike) -> bool:
     """Membership of a rational in the middle-thirds Cantor set.
 
     True when t lies in [0, 1] and at least one of its base-3
-    expansions avoids the digit 1.
+    expansions avoids the digit 1.  The dilation union of
+    :func:`in_scaled_cantor` meets [0, 1] in the Cantor set itself.
     """
-    t = rat(t)
-    if t < 0 or t > 1:
-        return False
-    return _has_two_zero_expansion(t)
+    return rat(t) <= 1 and in_scaled_cantor(t)
 
 
 def in_scaled_cantor(t: RationalLike) -> bool:
@@ -155,24 +147,31 @@ def in_scaled_cantor(t: RationalLike) -> bool:
     t = rat(t)
     if t < 0:
         return False
-    return _has_two_zero_expansion(t)
+    expansion = to_base3(t)
+    if expansion.uses_only():
+        return True
+    alternate = expansion.alternate()
+    return alternate is not None and alternate.uses_only()
 
 
-def _require_triadic(t: Fraction) -> int:
-    """The exponent k with denominator 3^k, or an error."""
+def _require_triadic(t: Fraction) -> None:
+    """Raise unless the reduced denominator of t is a power of three."""
     den = t.denominator
-    k = 0
     while den % 3 == 0:
         den //= 3
-        k += 1
     if den != 1:
         raise NonTriadicDenominatorError(
             f"denominator of {t} is not a power of three"
         )
-    return k
 
 
 _AVERAGE_DIGIT_SPLIT = {0: (0, 0), 1: (2, 0), 2: (2, 2)}
+
+
+def _split_digits(digits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two digit strings over {0, 2} whose digitwise average is ``digits``."""
+    pairs = [_AVERAGE_DIGIT_SPLIT[d] for d in digits]
+    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
 def cantor_decompose(t: RationalLike) -> tuple[Fraction, Fraction]:
@@ -194,20 +193,15 @@ def cantor_decompose(t: RationalLike) -> tuple[Fraction, Fraction]:
 
     w = (1 + t) / 2
     expansion = to_base3(w)
-    assert not expansion.integer_digits
-    pre_u, pre_v, per_u, per_v = [], [], [], []
-    for d in expansion.preperiod:
-        a, b = _AVERAGE_DIGIT_SPLIT[d]
-        pre_u.append(a)
-        pre_v.append(b)
-    for d in expansion.period:
-        a, b = _AVERAGE_DIGIT_SPLIT[d]
-        per_u.append(a)
-        per_v.append(b)
-    u = Base3Expansion((), tuple(pre_u), tuple(per_u)).to_fraction()
-    v = Base3Expansion((), tuple(pre_v), tuple(per_v)).to_fraction()
+    if expansion.integer_digits:
+        raise AssertionError(f"(1 + {t}) / 2 has integer digits")
+    pre_u, pre_v = _split_digits(expansion.preperiod)
+    per_u, per_v = _split_digits(expansion.period)
+    u = Base3Expansion((), pre_u, per_u).to_fraction()
+    v = Base3Expansion((), pre_v, per_v).to_fraction()
     x, y = u, 1 - v
-    assert x - y == t and in_cantor(x) and in_cantor(y)
+    if not (x - y == t and in_cantor(x) and in_cantor(y)):
+        raise AssertionError(f"decomposition {x}, {y} of {t} is wrong")
     return x, y
 
 
@@ -229,7 +223,8 @@ def scaled_cantor_distance_witness(t: RationalLike) -> tuple[Fraction, Fraction]
         power += 1
     x0, y0 = cantor_decompose(scaled)
     x, y = x0 * 3**power, y0 * 3**power
-    assert x - y == t and in_scaled_cantor(x) and in_scaled_cantor(y)
+    if not (x - y == t and in_scaled_cantor(x) and in_scaled_cantor(y)):
+        raise AssertionError(f"witness {x}, {y} of {t} is wrong")
     return x, y
 
 
@@ -237,13 +232,7 @@ def cantor_level_starts(level: int) -> list[int]:
     """Left endpoints of the level-k Cantor intervals, in units of 3^-k."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    starts = []
-    for digits in itertools.product((0, 2), repeat=level):
-        value = 0
-        for d in digits:
-            value = value * 3 + d
-        starts.append(value)
-    return starts
+    return [_base3_value(digits) for digits in itertools.product((0, 2), repeat=level)]
 
 
 def scaled_cantor_level_set(level: int, upper: int = 3) -> list[Fraction]:
@@ -345,10 +334,12 @@ def scaled_cantor_triple_refutation(level: int = 10) -> TripleRefutationReport:
 
     rejections = []
     for z in (Fraction(-1, 6), Fraction(7, 6)):
-        assert not (0 <= z <= 1)
+        if 0 <= z <= 1:
+            raise AssertionError(f"{z} lies in [0, 1]")
         rejections.append((z, "outside [0, 1]"))
     for z in (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)):
-        assert not in_cantor(z)
+        if in_cantor(z):
+            raise AssertionError(f"{z} lies in the Cantor set")
         rejections.append((z, "no digit-{0,2} expansion"))
     rejections.sort(key=lambda item: item[0])
 

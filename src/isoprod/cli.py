@@ -10,6 +10,8 @@ timing field.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -40,7 +42,6 @@ from .fixtures import GENERATOR_KINDS, fixture_generate
 from .metric import (
     ProductSpec,
     extract_product_function,
-    metric_preserving_verdict,
     product_metric,
     unbounded_gauge,
     unbounded_witness,
@@ -63,36 +64,42 @@ def _default_level(fallback: int) -> int:
         raise IsoprodError(f"{LEVEL_ENV_VAR}={raw!r} is not an integer") from None
 
 
+def _add_verb(subparsers, command: str, run, **kwargs) -> argparse.ArgumentParser:
+    """Add the parser of one command (its last word), bound to its handler."""
+    parser = subparsers.add_parser(command.rsplit(" ", 1)[-1], **kwargs)
+    parser.set_defaults(command=command, run=run)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; every verb binds its report name and ``_run_*`` handler."""
     parser = argparse.ArgumentParser(
         prog="isoprod",
         description="exact checks and constructions for isotone/subadditive "
         "functions, metric products, grid moduli and Cantor-set distances",
     )
     parser.add_argument("--csv", action="store_true", help="emit the verdict table as CSV")
-    parser.add_argument("--json", action="store_true", help="emit the JSON report (default)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("check", help="isotone / amenable / subadditive verdicts")
+    p = _add_verb(sub, "check", _run_check, help="isotone / amenable / subadditive verdicts")
     p.add_argument("--function", required=True)
 
-    for verb in ("extend-sup", "extend-amenable"):
-        p = sub.add_parser(verb, help=f"evaluate the {verb.replace('-', ' ')} continuation")
+    for verb, run, text in (
+        ("extend-sup", _run_extend_sup, "evaluate the extend sup continuation"),
+        ("extend-amenable", _run_extend_amenable, "evaluate the extend amenable continuation"),
+        ("envelope", _run_envelope, "subadditive envelope values with certificates"),
+    ):
+        p = _add_verb(sub, verb, run, help=text)
         p.add_argument("--function", required=True)
         p.add_argument("--probe", action="append", default=[])
         p.add_argument("--probes", help="JSON file with an array of point arrays")
+    sub.choices["envelope"].add_argument("--c", default="1", help="axis constant for unsupported axes")
 
-    p = sub.add_parser("envelope", help="subadditive envelope values with certificates")
-    p.add_argument("--function", required=True)
-    p.add_argument("--probe", action="append", default=[])
-    p.add_argument("--probes")
-    p.add_argument("--c", default="1", help="axis constant for unsupported axes")
-
-    p = sub.add_parser("verify-metric", help="metric axioms on a candidate matrix")
+    p = _add_verb(sub, "verify-metric", _run_verify_metric, help="metric axioms on a candidate matrix")
     p.add_argument("--space", required=True)
     p.add_argument("--tol", default="0")
 
-    p = sub.add_parser("product", help="product matrix from factors and a combiner")
+    p = _add_verb(sub, "product", _run_product, help="product matrix from factors and a combiner")
     p.add_argument("--spec", help="product spec file")
     p.add_argument("--factor", action="append", default=[])
     p.add_argument("--combiner", choices=COMBINER_NAMES)
@@ -100,53 +107,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", default="1")
     p.add_argument("--verify", action="store_true", help="also verify the metric axioms")
 
-    p = sub.add_parser("extract", help="recover the combiner of a product metric")
+    p = _add_verb(sub, "extract", _run_extract, help="recover the combiner of a product metric")
     p.add_argument("--product", required=True)
     p.add_argument("--factor", action="append", default=[], required=False)
     p.add_argument("--out")
 
-    p = sub.add_parser("witness-unbounded", help="pair exceeding a bound under the gauged ultrametric")
+    p = _add_verb(sub, "witness-unbounded", _run_witness_unbounded,
+                  help="pair exceeding a bound under the gauged ultrametric")
     p.add_argument("bound")
 
-    p = sub.add_parser("omega", help="grid modulus of continuity at a box")
+    p = _add_verb(sub, "omega", _run_omega, help="grid modulus of continuity at a box")
     p.add_argument("--grid", required=True)
     p.add_argument("--eps", required=True)
 
-    p = sub.add_parser("fixed-point", help="is the grid function its own modulus")
+    p = _add_verb(sub, "fixed-point", _run_fixed_point, help="is the grid function its own modulus")
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("lemma42", help="check |F(x)-F(y)| <= F(|x-y|) on the lattice")
+    p = _add_verb(sub, "lemma42", _run_lemma42, help="check |F(x)-F(y)| <= F(|x-y|) on the lattice")
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("nonconstant", help="nonconstancy w.r.t. one variable")
+    p = _add_verb(sub, "nonconstant", _run_nonconstant, help="nonconstancy w.r.t. one variable")
     p.add_argument("--grid", required=True)
     p.add_argument("--var", type=int, required=True)
 
     cantor = sub.add_parser("cantor", help="Cantor set membership and decompositions")
     cantor_sub = cantor.add_subparsers(dest="cantor_verb", required=True)
-    p = cantor_sub.add_parser("member")
-    p.add_argument("value")
-    p = cantor_sub.add_parser("ce-member")
-    p.add_argument("value")
-    p = cantor_sub.add_parser("decompose")
-    p.add_argument("value")
-    p = cantor_sub.add_parser("ce-decompose")
-    p.add_argument("value")
-    p = cantor_sub.add_parser("refute-ce-triple")
+    for verb, run in (
+        ("member", _run_cantor_member),
+        ("ce-member", _run_ce_member),
+        ("decompose", _run_cantor_decompose),
+        ("ce-decompose", _run_ce_decompose),
+    ):
+        p = _add_verb(cantor_sub, f"cantor {verb}", run)
+        p.add_argument("value")
+    p = _add_verb(cantor_sub, "cantor refute-ce-triple", _run_refute_ce_triple)
     p.add_argument("--level", type=int, default=None)
 
     universal = sub.add_parser("universal", help="three-point line embeddings")
     universal_sub = universal.add_subparsers(dest="universal_verb", required=True)
-    p = universal_sub.add_parser("search")
+    p = _add_verb(universal_sub, "universal search", _run_universal)
     p.add_argument("--set", dest="set_file")
     p.add_argument("--ce-level", type=int, default=None)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = sub.add_parser("embed", help="isometric shift of rationals into transcendentals")
+    p = _add_verb(sub, "embed", _run_embed, help="isometric shift of rationals into transcendentals")
     p.add_argument("--set", dest="set_file", required=True)
 
-    p = sub.add_parser("fixture", help="deterministic fixture generation")
+    p = _add_verb(sub, "fixture", _run_fixture, help="deterministic fixture generation")
     p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -158,6 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=4)
     p.add_argument("--mode", default="raw", choices=("raw", "isotone", "amenable"))
     return parser
+
+
+def _load(loader, path, inputs):
+    """Load one input file and record its digest under the path as given."""
+    value = loader(path)
+    inputs[str(path)] = fileio.file_digest(path)
+    return value
 
 
 def _probes_from_args(args) -> list[PointN]:
@@ -181,9 +196,21 @@ def _tolerance(text: str):
         return float(text)
 
 
+def _metric_axioms_entry(matrix, tol, label_of) -> dict:
+    """The metric-axioms verdict; a violation names its points by label_of(index)."""
+    ok, violation = verify_metric(matrix, tol)
+    entry = {"check": "metric-axioms", "ok": ok}
+    if violation is not None:
+        entry["witness"] = {
+            "kind": violation.kind,
+            "labels": [label_of(i) for i in violation.indices],
+            "detail": violation.detail,
+        }
+    return entry
+
+
 def _run_check(args, inputs):
-    f = fileio.load_sampled_function(args.function)
-    inputs[args.function] = fileio.file_digest(args.function)
+    f = _load(fileio.load_sampled_function, args.function, inputs)
     verdicts = []
     iso_ok, iso_witness = is_isotone(f)
     verdicts.append(
@@ -214,41 +241,44 @@ def _run_check(args, inputs):
     return verdicts
 
 
-def _run_extension(args, inputs, verb):
-    f = fileio.load_sampled_function(args.function)
-    inputs[args.function] = fileio.file_digest(args.function)
+def _run_continuation(args, inputs, continuation):
+    f = _load(fileio.load_sampled_function, args.function, inputs)
     verdicts = []
     for probe in _probes_from_args(args):
-        if verb == "extend-sup":
-            value = sup_continuation(f, probe)
-            entry = {"check": f"extend-sup{probe}", "ok": True, "value": fileio.format_rational(value)}
-        elif verb == "extend-amenable":
-            value = amenable_isotone_continuation(f, probe)
-            entry = {"check": f"extend-amenable{probe}", "ok": True, "value": fileio.format_rational(value)}
-        else:
-            value, cert = subadditive_envelope(f, probe, fileio.parse_rational(args.c))
-            entry = {
+        value = continuation(f, probe)
+        verdicts.append(
+            {"check": f"{args.command}{probe}", "ok": True, "value": fileio.format_rational(value)}
+        )
+    return verdicts
+
+
+def _run_extend_sup(args, inputs):
+    return _run_continuation(args, inputs, sup_continuation)
+
+
+def _run_extend_amenable(args, inputs):
+    return _run_continuation(args, inputs, amenable_isotone_continuation)
+
+
+def _run_envelope(args, inputs):
+    f = _load(fileio.load_sampled_function, args.function, inputs)
+    verdicts = []
+    for probe in _probes_from_args(args):
+        value, cert = subadditive_envelope(f, probe, fileio.parse_rational(args.c))
+        verdicts.append(
+            {
                 "check": f"envelope{probe}",
                 "ok": True,
                 "value": fileio.format_rational(value),
                 "certificate": fileio.certificate_jsonable(cert),
             }
-        verdicts.append(entry)
+        )
     return verdicts
 
 
 def _run_verify_metric(args, inputs):
-    labels, matrix = fileio.load_matrix(args.space)
-    inputs[args.space] = fileio.file_digest(args.space)
-    ok, violation = verify_metric(matrix, _tolerance(args.tol))
-    entry = {"check": "metric-axioms", "ok": ok}
-    if violation is not None:
-        entry["witness"] = {
-            "kind": violation.kind,
-            "labels": [labels[i] for i in violation.indices],
-            "detail": violation.detail,
-        }
-    return [entry]
+    labels, matrix = _load(fileio.load_matrix, args.space, inputs)
+    return [_metric_axioms_entry(matrix, _tolerance(args.tol), labels.__getitem__)]
 
 
 def _load_product_inputs(args, inputs):
@@ -259,13 +289,9 @@ def _load_product_inputs(args, inputs):
         return spec
     if not args.factor:
         raise IsoprodError("give --spec or at least one --factor")
-    factors = []
-    for path in args.factor:
-        factors.append(fileio.load_metric_space(path))
-        inputs[path] = fileio.file_digest(path)
+    factors = [_load(fileio.load_metric_space, path, inputs) for path in args.factor]
     if args.combiner_file:
-        combiner = fileio.load_sampled_function(args.combiner_file)
-        inputs[args.combiner_file] = fileio.file_digest(args.combiner_file)
+        combiner = _load(fileio.load_sampled_function, args.combiner_file, inputs)
     elif args.combiner:
         combiner = named_combiner(args.combiner, fileio.parse_rational(args.cap))
     else:
@@ -285,25 +311,13 @@ def _run_product(args, inputs):
     ]
     if args.verify:
         tol = 0 if getattr(spec.combiner, "exact", True) else 1e-12
-        ok, violation = verify_metric(matrix, tol)
-        entry = {"check": "metric-axioms", "ok": ok}
-        if violation is not None:
-            entry["witness"] = {
-                "kind": violation.kind,
-                "labels": ["|".join(labels[i]) for i in violation.indices],
-                "detail": violation.detail,
-            }
-        verdicts.append(entry)
+        verdicts.append(_metric_axioms_entry(matrix, tol, lambda i: "|".join(labels[i])))
     return verdicts
 
 
 def _run_extract(args, inputs):
-    labels, matrix = fileio.load_matrix(args.product)
-    inputs[args.product] = fileio.file_digest(args.product)
-    factors = []
-    for path in args.factor:
-        factors.append(fileio.load_metric_space(path))
-        inputs[path] = fileio.file_digest(path)
+    labels, matrix = _load(fileio.load_matrix, args.product, inputs)
+    factors = [_load(fileio.load_metric_space, path, inputs) for path in args.factor]
     if not factors:
         raise IsoprodError("extract needs the factor files (--factor)")
     expected = 1
@@ -339,65 +353,84 @@ def _run_witness_unbounded(args, inputs):
     ]
 
 
-def _run_grid(args, inputs, verb):
-    g = fileio.load_grid_function(args.grid)
-    inputs[args.grid] = fileio.file_digest(args.grid)
-    if verb == "omega":
-        eps = fileio.parse_point_string(args.eps)
-        value = modulus(g, eps)
-        return [
-            {"check": f"omega{eps}", "ok": True, "value": fileio.format_rational(value)}
-        ]
-    if verb == "fixed-point":
-        ok, report = is_fixed_point(g)
-        entry = {
-            "check": "fixed-point",
-            "ok": ok,
-            "max_deviation": fileio.format_rational(report.max_deviation),
-        }
-        if report.at is not None:
-            entry["at"] = fileio.format_point(report.at)
-        return [entry]
-    if verb == "lemma42":
-        ok, witness = difference_bound_holds(g)
-        entry = {"check": "difference-bound", "ok": ok}
-        if witness is not None:
-            entry["witness"] = _point_witness(witness)
-        return [entry]
+def _run_omega(args, inputs):
+    g = _load(fileio.load_grid_function, args.grid, inputs)
+    eps = fileio.parse_point_string(args.eps)
+    value = modulus(g, eps)
+    return [
+        {"check": f"omega{eps}", "ok": True, "value": fileio.format_rational(value)}
+    ]
+
+
+def _run_fixed_point(args, inputs):
+    g = _load(fileio.load_grid_function, args.grid, inputs)
+    ok, report = is_fixed_point(g)
+    entry = {
+        "check": "fixed-point",
+        "ok": ok,
+        "max_deviation": fileio.format_rational(report.max_deviation),
+    }
+    if report.at is not None:
+        entry["at"] = fileio.format_point(report.at)
+    return [entry]
+
+
+def _run_lemma42(args, inputs):
+    g = _load(fileio.load_grid_function, args.grid, inputs)
+    ok, witness = difference_bound_holds(g)
+    entry = {"check": "difference-bound", "ok": ok}
+    if witness is not None:
+        entry["witness"] = _point_witness(witness)
+    return [entry]
+
+
+def _run_nonconstant(args, inputs):
+    g = _load(fileio.load_grid_function, args.grid, inputs)
     ok = nonconstant_wrt(g, args.var)
     return [{"check": f"nonconstant[{args.var}]", "ok": ok}]
 
 
-def _run_cantor(args, inputs):
-    verb = args.cantor_verb
-    if verb == "refute-ce-triple":
-        level = args.level if args.level is not None else _default_level(10)
-        report = scaled_cantor_triple_refutation(level)
-        return [
-            {"check": f"refute-ce-triple[level={level}]", "ok": report.ok, "report": report.to_jsonable()}
-        ]
+def _run_refute_ce_triple(args, inputs):
+    level = args.level if args.level is not None else _default_level(10)
+    report = scaled_cantor_triple_refutation(level)
+    return [
+        {"check": f"refute-ce-triple[level={level}]", "ok": report.ok, "report": report.to_jsonable()}
+    ]
+
+
+def _run_cantor_member(args, inputs):
     t = fileio.parse_rational(args.value)
-    if verb == "member":
-        return [{"check": f"cantor-member[{t}]", "ok": in_cantor(t)}]
-    if verb == "ce-member":
-        return [{"check": f"ce-member[{t}]", "ok": in_scaled_cantor(t)}]
-    if verb == "decompose":
-        x, y = cantor_decompose(t)
-    else:
-        x, y = scaled_cantor_distance_witness(t)
+    return [{"check": f"cantor-member[{t}]", "ok": in_cantor(t)}]
+
+
+def _run_ce_member(args, inputs):
+    t = fileio.parse_rational(args.value)
+    return [{"check": f"ce-member[{t}]", "ok": in_scaled_cantor(t)}]
+
+
+def _difference_witness(verb, t, pair):
     return [
         {
             "check": f"cantor-{verb}[{t}]",
             "ok": True,
-            "witness": [fileio.format_rational(x), fileio.format_rational(y)],
+            "witness": [fileio.format_rational(v) for v in pair],
         }
     ]
 
 
+def _run_cantor_decompose(args, inputs):
+    t = fileio.parse_rational(args.value)
+    return _difference_witness("decompose", t, cantor_decompose(t))
+
+
+def _run_ce_decompose(args, inputs):
+    t = fileio.parse_rational(args.value)
+    return _difference_witness("ce-decompose", t, scaled_cantor_distance_witness(t))
+
+
 def _run_universal(args, inputs):
     if args.set_file:
-        values = fileio.load_rational_set(args.set_file)
-        inputs[args.set_file] = fileio.file_digest(args.set_file)
+        values = _load(fileio.load_rational_set, args.set_file, inputs)
         source = args.set_file
     else:
         level = args.ce_level if args.ce_level is not None else _default_level(8)
@@ -413,8 +446,7 @@ def _run_universal(args, inputs):
 
 
 def _run_embed(args, inputs):
-    values = fileio.load_rational_set(args.set_file)
-    inputs[args.set_file] = fileio.file_digest(args.set_file)
+    values = _load(fileio.load_rational_set, args.set_file, inputs)
     images = transcendental_embed(values)
     original = sorted(abs(a - b) for a in values for b in values)
     shifted = sorted(
@@ -440,7 +472,9 @@ def _run_embed(args, inputs):
 
 
 def _run_fixture(args, inputs):
-    params = {}
+    # each generator reads only its own parameters and treats dim=None and
+    # size=None as not given
+    params = {"dim": args.dim, "size": args.size, "max_points": args.max_points, "mode": args.mode}
     if args.level is not None:
         params["level"] = args.level
     elif args.kind == "ce-level-set":
@@ -448,14 +482,6 @@ def _run_fixture(args, inputs):
     if args.kind == "named-combiner-grid":
         params["combiner"] = args.combiner
         params["cap"] = fileio.parse_rational(args.cap)
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.size is not None:
-        params["size"] = args.size
-    if args.kind == "random-metric-space":
-        params["max_points"] = args.max_points
-    if args.kind == "random-sampled-function":
-        params["mode"] = args.mode
     paths = fixture_generate(args.kind, args.seed, args.out, **params)
     return [
         {"check": f"fixture[{args.kind}]", "ok": True, "files": [str(p) for p in paths]}
@@ -463,44 +489,22 @@ def _run_fixture(args, inputs):
 
 
 def dispatch(argv) -> tuple[int, dict]:
-    """Run one CLI invocation and return (exit code, run report)."""
+    """Run one CLI invocation and return (exit code, run report).
+
+    ``--help`` prints the usage text and raises SystemExit(0), as argparse does.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 2), {"command": " ".join(argv), "error": "unrecognized arguments"}
+        if exc.code == 0:
+            raise
+        return 2, {"command": " ".join(argv), "error": "unrecognized arguments"}
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    command = args.verb
-    if getattr(args, "cantor_verb", None):
-        command = f"cantor {args.cantor_verb}"
-    if getattr(args, "universal_verb", None):
-        command = f"universal {args.universal_verb}"
+    command = args.command
     try:
-        if args.verb == "check":
-            verdicts = _run_check(args, inputs)
-        elif args.verb in ("extend-sup", "extend-amenable", "envelope"):
-            verdicts = _run_extension(args, inputs, args.verb)
-        elif args.verb == "verify-metric":
-            verdicts = _run_verify_metric(args, inputs)
-        elif args.verb == "product":
-            verdicts = _run_product(args, inputs)
-        elif args.verb == "extract":
-            verdicts = _run_extract(args, inputs)
-        elif args.verb == "witness-unbounded":
-            verdicts = _run_witness_unbounded(args, inputs)
-        elif args.verb in ("omega", "fixed-point", "lemma42", "nonconstant"):
-            verdicts = _run_grid(args, inputs, args.verb)
-        elif args.verb == "cantor":
-            verdicts = _run_cantor(args, inputs)
-        elif args.verb == "universal":
-            verdicts = _run_universal(args, inputs)
-        elif args.verb == "embed":
-            verdicts = _run_embed(args, inputs)
-        elif args.verb == "fixture":
-            verdicts = _run_fixture(args, inputs)
-        else:  # pragma: no cover - argparse enforces the verb set
-            raise IsoprodError(f"unknown verb {args.verb!r}")
+        verdicts = args.run(args, inputs)
     except (IsoprodError, ValueError, IndexError, OSError, KeyError, json.JSONDecodeError) as exc:
         report = {
             "command": command,
@@ -522,15 +526,18 @@ def dispatch(argv) -> tuple[int, dict]:
 def render(report: dict, as_csv: bool = False) -> str:
     if not as_csv:
         return json.dumps(report, indent=2)
-    lines = ["check,ok,detail"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["check", "ok", "detail"])
     for v in report.get("verdicts", []):
         detail = {k: val for k, val in v.items() if k not in ("check", "ok")}
         blob = json.dumps(detail, separators=(",", ":")) if detail else ""
-        blob = '"' + blob.replace('"', '""') + '"' if blob else ""
-        lines.append(f"{v['check']},{str(v['ok']).lower()},{blob}")
+        writer.writerow([v["check"], str(v["ok"]).lower(), blob])
     if "error" in report:
-        lines.append(f"error,false,\"{report['error']}\"")
-    return "\n".join(lines)
+        # quoted whatever it holds, as it always was, so error rows keep their bytes
+        out.write("error,false,")
+        csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL).writerow([report["error"]])
+    return out.getvalue().rstrip("\n")
 
 
 def main(argv=None) -> int:

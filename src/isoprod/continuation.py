@@ -26,23 +26,20 @@ from .errors import (
     DominanceViolationError,
     ExtensionMismatchError,
     NotAmenableError,
-    NotIsotoneError,
-    PrecheckFailedError,
 )
 from .points import PointN, axis_vector, leq, origin, rat, sort_key
-from .sampled import SampledFunction, is_amenable, is_isotone, projection_support
+from .sampled import SampledFunction, is_amenable, projection_support, require_isotone
 
 
-def _require_isotone(f: SampledFunction) -> None:
-    ok, pair = is_isotone(f)
-    if not ok:
-        raise NotIsotoneError(f"not isotone: f{pair[0]} > f{pair[1]}")
-
-
-def _require_amenable(f: SampledFunction) -> None:
-    ok, witness = is_amenable(f)
-    if not ok:
-        raise NotAmenableError(f"not amenable: offending point {witness}")
+def lower_cone_max(f: SampledFunction, y: PointN) -> Fraction:
+    """The maximum of f over the sample points below y; the empty maximum is 0."""
+    if y.dim != f.dim:
+        raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
+    best = Fraction(0)
+    for a, v in f.items():
+        if leq(a, y) and v > best:
+            best = v
+    return best
 
 
 def sup_continuation(f: SampledFunction, y: PointN) -> Fraction:
@@ -51,14 +48,8 @@ def sup_continuation(f: SampledFunction, y: PointN) -> Fraction:
     The maximum of f over the sample points below y, with the empty
     maximum taken to be 0.  Agrees with f on its own domain.
     """
-    _require_isotone(f)
-    if y.dim != f.dim:
-        raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
-    best = Fraction(0)
-    for a, v in f.items():
-        if leq(a, y) and v > best:
-            best = v
-    return best
+    require_isotone(f)
+    return lower_cone_max(f, y)
 
 
 def minimality_check(
@@ -71,7 +62,7 @@ def minimality_check(
     The candidate must agree with f on the sample set; any isotone
     extension is then at least the sup-continuation at every probe.
     """
-    _require_isotone(f)
+    require_isotone(f)
     for a, v in f.items():
         if rat(candidate(a)) != v:
             raise ExtensionMismatchError(f"candidate({a}) != f({a})")
@@ -83,12 +74,15 @@ def amenable_continuation_precheck(f: SampledFunction) -> tuple[bool, dict]:
 
     For a finite amenable function the condition reduces to: every
     subset of samples whose minimum value is 0 contains the origin, and
-    the origin projects to 0 on every axis.  The reduction is confirmed
-    by an exhaustive subset scan when the domain is small.
+    the origin projects to 0 on every axis.  The reduction holds for
+    every isotone amenable f, so the check is those two requirements;
+    no subset is scanned and ``subsets_scanned`` is always 0.
     """
-    _require_isotone(f)
-    _require_amenable(f)
-    diagnostics = {
+    require_isotone(f)
+    ok, witness = is_amenable(f)
+    if not ok:
+        raise NotAmenableError(f"not amenable: offending point {witness}")
+    return True, {
         "reduction": (
             "the origin is the unique zero of an amenable function, so any "
             "sample subset with infimum value 0 contains it and all its "
@@ -96,18 +90,6 @@ def amenable_continuation_precheck(f: SampledFunction) -> tuple[bool, dict]:
         ),
         "subsets_scanned": 0,
     }
-    pts = f.domain
-    if len(pts) <= 12:
-        scanned = 0
-        for mask in range(1, 1 << len(pts)):
-            subset = [pts[i] for i in range(len(pts)) if mask >> i & 1]
-            scanned += 1
-            if min(f.value(p) for p in subset) == 0:
-                for j in range(1, f.dim + 1):
-                    if min(p.coords[j - 1] for p in subset) != 0:
-                        return False, diagnostics
-        diagnostics["subsets_scanned"] = scanned
-    return True, diagnostics
 
 
 class AxisRule(enum.Enum):
@@ -134,7 +116,7 @@ class AxisExtendedFunction:
     def __post_init__(self):
         object.__setattr__(self, "c", rat(self.c))
         if self.c <= 0:
-            raise ValueError(f"axis constant must be positive, got {self.c}")
+            raise ValueError(f"the axis constant must be positive, got {self.c}")
         support = projection_support(self.base)
         for j, rule in self.rules.items():
             if not 1 <= j <= self.base.dim:
@@ -171,8 +153,9 @@ class AxisExtendedFunction:
     @classmethod
     def for_envelope(cls, f: SampledFunction, c) -> "AxisExtendedFunction":
         """Constant rule on unsupported axes only."""
-        rules = {j: AxisRule.CONSTANT for j in range(1, f.dim + 1) if j not in projection_support(f)}
-        return cls(f, rules, rat(c))
+        support = projection_support(f)
+        rules = {j: AxisRule.CONSTANT for j in range(1, f.dim + 1) if j not in support}
+        return cls(f, rules, c)
 
     def axis_value(self, j: int, t) -> Fraction:
         """Value at the axis point with coordinate t > 0 on axis j."""
@@ -205,30 +188,13 @@ class AxisExtendedFunction:
 
     def sup_below(self, y: PointN) -> Fraction:
         """Lower-cone sup of the extension: max over samples and axis rays below y."""
-        if y.dim != self.base.dim:
-            raise DimensionMismatchError(f"probe dimension {y.dim} != {self.base.dim}")
-        best = Fraction(0)
-        for a, v in self.base.items():
-            if leq(a, y) and v > best:
-                best = v
-        caps = self.axis_caps
-        for j in range(1, self.base.dim + 1):
+        best = lower_cone_max(self.base, y)
+        for j in self.rules:
+            # every rule values its ray nondecreasingly, so the sup over the
+            # ray points below y is the value at y's own coordinate
             t = y.coords[j - 1]
-            if t == 0 or j not in self.rules:
-                continue
-            rule = self.rules[j]
-            if rule is AxisRule.IDENTITY:
-                contrib = t
-            elif rule is AxisRule.CONSTANT:
-                contrib = self.c
-            else:
-                # the ray's step function is nondecreasing, so the sup over
-                # ray points below y is its value at min(t, cap)
-                if caps[j] == 0:
-                    continue
-                contrib = self.axis_value(j, min(t, caps[j]))
-            if contrib > best:
-                best = contrib
+            if t > 0:
+                best = max(best, self.axis_value(j, t))
         return best
 
 
@@ -240,9 +206,7 @@ def amenable_isotone_continuation(f: SampledFunction, y: PointN) -> Fraction:
     lower-cone sup of the extended sample set.  Restricts to f on its
     domain and is strictly positive at every y above the origin.
     """
-    ok, _diag = amenable_continuation_precheck(f)
-    if not ok:
-        raise PrecheckFailedError("zero-level condition failed")
+    amenable_continuation_precheck(f)
     extension = AxisExtendedFunction.for_amenable_continuation(f)
     return extension.sup_below(y)
 
@@ -367,23 +331,20 @@ def subadditive_envelope(
     """
     if y.dim != f.dim:
         raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
-    c = rat(c)
-    if c <= 0:
-        raise ValueError(f"the axis constant must be positive, got {c}")
+    extension = AxisExtendedFunction.for_envelope(f, c)
     if y.is_origin():
         return Fraction(0), CoverCertificate(y, (), Fraction(0))
 
-    n = f.dim
-    support = projection_support(f)
     ground: list[tuple[PointN, Fraction]] = []
     for a, v in f.items():
         if a.is_origin():
             continue
         if any(aj > 0 and yj > 0 for aj, yj in zip(a.coords, y.coords)):
             ground.append((a, v))
-    for j in range(1, n + 1):
-        if j not in support and y.coords[j - 1] > 0:
-            ground.append((axis_vector(j, y.coords[j - 1], n), c))
+    for j in extension.rules:
+        t = y.coords[j - 1]
+        if t > 0:
+            ground.append((axis_vector(j, t, f.dim), extension.axis_value(j, t)))
     ground.sort(key=lambda item: sort_key(item[0]))
 
     coord_den = lcm(

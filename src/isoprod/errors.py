@@ -33,10 +33,6 @@ class NotAmenableError(IsoprodError):
     """The operation requires an amenable function."""
 
 
-class PrecheckFailedError(IsoprodError):
-    """The amenable-continuation precheck did not pass."""
-
-
 class ExtensionMismatchError(IsoprodError):
     """A candidate continuation disagrees with the base function."""
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .combiners import named_combiner
 from .continuation import CoverCertificate
@@ -92,27 +92,29 @@ def sampled_function_jsonable(f: SampledFunction) -> dict:
 def load_sampled_function(path: PathLike) -> SampledFunction:
     """Load a sampled function from .json or .csv (n+1 columns)."""
     path = Path(path)
+    dim = None  # a CSV file declares no dimension
     if path.suffix.lower() == ".csv":
-        return _load_sampled_function_csv(path)
-    data = _read_json(path)
-    try:
-        entries = [
-            (parse_point(e["point"]), parse_rational(e["value"]))
-            for e in data["entries"]
-        ]
-        dim = int(data["dim"])
-    except (KeyError, TypeError) as exc:
-        raise LoadError(f"{path}: malformed sampled function: {exc!r}") from None
+        entries = _sampled_function_csv_rows(path)
+    else:
+        data = _read_json(path)
+        try:
+            entries = [
+                (parse_point(e["point"]), parse_rational(e["value"]))
+                for e in data["entries"]
+            ]
+            dim = int(data["dim"])
+        except (KeyError, TypeError) as exc:
+            raise LoadError(f"{path}: malformed sampled function: {exc!r}") from None
     try:
         f = SampledFunction(entries)
     except ValueError as exc:
         raise LoadError(f"{path}: {exc}") from None
-    if f.dim != dim:
+    if dim is not None and f.dim != dim:
         raise LoadError(f"{path}: declared dim {dim} but points have dim {f.dim}")
     return f
 
 
-def _load_sampled_function_csv(path: Path) -> SampledFunction:
+def _sampled_function_csv_rows(path: Path) -> list[tuple[PointN, Fraction]]:
     entries = []
     with open(path, newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
@@ -124,10 +126,7 @@ def _load_sampled_function_csv(path: Path) -> SampledFunction:
             entries.append((PointN(tuple(coords)), parse_rational(row[-1].strip())))
     if not entries:
         raise LoadError(f"{path}: no rows")
-    try:
-        return SampledFunction(entries)
-    except ValueError as exc:
-        raise LoadError(f"{path}: {exc}") from None
+    return entries
 
 
 def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:

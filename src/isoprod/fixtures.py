@@ -15,6 +15,7 @@ from pathlib import Path
 from . import fileio
 from .cantor import scaled_cantor_level_set
 from .combiners import named_combiner
+from .continuation import lower_cone_max
 from .metric import FiniteMetricSpace
 from .modulus import GridFunction, grid_from_combiner
 from .points import PointN, origin, rat
@@ -68,13 +69,10 @@ def random_sampled_function(
         attempts += 1
     ordered = sorted(points, key=lambda p: p.coords)
     value_pool = POSITIVE_GRID if mode == "amenable" else grid
-    raw = {p: rng.choice(value_pool) for p in ordered}
+    raw = SampledFunction({p: rng.choice(value_pool) for p in ordered})
     if mode == "raw":
-        return SampledFunction(raw)
-    values = {}
-    for p in ordered:
-        below = [raw[q] for q in ordered if all(a <= b for a, b in zip(q.coords, p.coords))]
-        values[p] = max(below)
+        return raw
+    values = {p: lower_cone_max(raw, p) for p in ordered}
     if mode == "amenable":
         values[origin(dim)] = Fraction(0)
     return SampledFunction(values)

@@ -12,18 +12,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
 from .errors import (
     CombinerDomainGapError,
     InvalidMetricError,
-    MissingOriginError,
-    NotIsotoneError,
     NotWellDefinedError,
 )
-from .points import PointN, leq, rat
-from .sampled import SampledFunction, is_amenable, is_isotone, is_subadditive
+from .points import PointN, rat
+from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
 
 @dataclass(frozen=True)
@@ -171,10 +169,8 @@ class ProductSpec:
 
 def _apply_combiner(combiner: CombinerLike, values: tuple[Fraction, ...]):
     if isinstance(combiner, SampledFunction):
-        p = PointN(values)
-        if p not in combiner:
-            raise CombinerDomainGapError(f"sampled combiner lacks distance tuple {p}")
-        return combiner.value(p)
+        # ProductSpec checked that every distance tuple is a sample point
+        return combiner.value(PointN(values))
     return combiner(values)
 
 
@@ -215,19 +211,6 @@ def product_metric(spec: ProductSpec) -> tuple[list[tuple[str, ...]], list[list]
     return product_labels(factors), matrix
 
 
-def sup_metric(factors: Sequence[FiniteMetricSpace]) -> tuple[list[tuple[str, ...]], list[list]]:
-    """The max-of-coordinate-distances metric on the product."""
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("a product needs at least one factor")
-    pts = _product_points(factors)
-    matrix = [
-        [max(_distance_tuple(factors, p, q)) for q in pts]
-        for p in pts
-    ]
-    return product_labels(factors), matrix
-
-
 @dataclass(frozen=True)
 class DistanceIncreaseViolation:
     """Two product pairs whose distances invert a tuple comparison."""
@@ -247,18 +230,14 @@ def is_distance_increasing(
     factors = tuple(factors)
     pts = _product_points(factors)
     labels = product_labels(factors)
-    seen: dict[tuple, tuple] = {}
-    records = []
+    # the first pair realizing each (tuple, distance), in scan order
+    records: dict[tuple, tuple] = {}
     for i in range(len(pts)):
         for j in range(i, len(pts)):
-            tup = _distance_tuple(factors, pts[i], pts[j])
-            val = matrix[i][j]
-            key = (tup, val)
-            if key not in seen:
-                seen[key] = (labels[i], labels[j])
-                records.append((tup, val, (labels[i], labels[j])))
-    for tup_a, val_a, pair_a in records:
-        for tup_b, val_b, pair_b in records:
+            key = (_distance_tuple(factors, pts[i], pts[j]), matrix[i][j])
+            records.setdefault(key, (labels[i], labels[j]))
+    for (tup_a, val_a), pair_a in records.items():
+        for (tup_b, val_b), pair_b in records.items():
             if all(x <= y for x, y in zip(tup_a, tup_b)) and val_a > val_b:
                 return False, DistanceIncreaseViolation(
                     small_pair=pair_a,
@@ -301,7 +280,8 @@ def extract_product_function(
                 table[tup] = val
                 witness[tup] = (labels[i], labels[j])
     for tup in itertools.product(*(sp.distance_set() for sp in factors)):
-        assert PointN(tup) in table, "distance grid tuple not realized"
+        if PointN(tup) not in table:
+            raise AssertionError(f"distance grid tuple {tup} not realized")
     return SampledFunction(table)
 
 
@@ -320,11 +300,7 @@ def metric_preserving_verdict(f: SampledFunction) -> tuple[bool, MetricPreservin
     True means the samples extend to a function that turns any factor
     metrics into a product metric.
     """
-    ok, pair = is_isotone(f)
-    if not ok:
-        raise NotIsotoneError(f"not isotone: f{pair[0]} > f{pair[1]}")
-    if not f.has_origin():
-        raise MissingOriginError("the origin is not a sample point")
+    require_isotone(f)
     amen_ok, amen_witness = is_amenable(f)
     sub_ok, sub_cert = is_subadditive(f)
     report = MetricPreservingReport(
@@ -362,5 +338,6 @@ def unbounded_witness(bound) -> tuple[Fraction, Fraction]:
         raise ValueError(f"bound must be positive, got {m}")
     x = Fraction(0)
     y = (2 * m + 1) / (2 * m + 2)
-    assert unbounded_gauge(max_ultrametric(x, y)) > m
+    if unbounded_gauge(max_ultrametric(x, y)) <= m:
+        raise AssertionError(f"gauged distance of {x}, {y} does not exceed {m}")
     return x, y

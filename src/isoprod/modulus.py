@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .errors import OffLatticeError
@@ -105,17 +107,12 @@ class GridFunction:
         for idx in self.indices():
             yield self.point(idx), self._values[idx]
 
-    def same_lattice(self, other: "GridFunction") -> bool:
-        return (
-            self._n == other._n
-            and self._bound == other._bound
-            and self._step == other._step
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, GridFunction)
-            and self.same_lattice(other)
+            and self._n == other._n
+            and self._bound == other._bound
+            and self._step == other._step
             and self._values == other._values
         )
 
@@ -135,20 +132,11 @@ def _index_of(p: PointN, n: int, bound: Fraction, step: Fraction) -> tuple[int, 
 def modulus(g: GridFunction, eps: PointN) -> Fraction:
     """Largest value gap over lattice pairs within the coordinatewise box eps.
 
-    Zero when eps is the origin.  Direct enumeration of all pairs; the
-    table route below must agree with it everywhere.
+    Zero when eps is the origin.  eps must be a lattice point; the
+    value is read from :func:`modulus_table`.
     """
     eps_idx = _index_of(eps, g.n, g.bound, g.step)
-    best = Fraction(0)
-    indices = list(g.indices())
-    for x in indices:
-        gx = g.value_at(x)
-        for y in indices:
-            if all(abs(a - b) <= e for a, b, e in zip(x, y, eps_idx)):
-                gap = abs(gx - g.value_at(y))
-                if gap > best:
-                    best = gap
-    return best
+    return modulus_table(g).value_at(eps_idx)
 
 
 def modulus_table(g: GridFunction) -> GridFunction:
@@ -159,24 +147,24 @@ def modulus_table(g: GridFunction) -> GridFunction:
     differences into boxes.
     """
     indices = list(g.indices())
-    cells = g.cells
-    exact: dict[tuple[int, ...], Fraction] = {
-        idx: Fraction(0) for idx in itertools.product(range(cells + 1), repeat=g.n)
-    }
+    # the scan compares integers: values times the common denominator
+    den = lcm(*(g.value_at(x).denominator for x in indices))
+    values = [int(g.value_at(x) * den) for x in indices]
+    exact = dict.fromkeys(indices, 0)
     for i, x in enumerate(indices):
-        gx = g.value_at(x)
-        for y in indices[i:]:
-            d = tuple(abs(a - b) for a, b in zip(x, y))
-            gap = abs(gx - g.value_at(y))
+        gx = values[i]
+        for y, gy in zip(indices[i:], values[i:]):
+            d = tuple(map(abs, map(sub, x, y)))
+            gap = abs(gx - gy)
             if gap > exact[d]:
                 exact[d] = gap
     for axis in range(g.n):
-        for idx in itertools.product(range(cells + 1), repeat=g.n):
+        for idx in indices:  # lexicographic, so idx comes after its predecessor on the axis
             if idx[axis] > 0:
                 prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
                 if exact[prev] > exact[idx]:
                     exact[idx] = exact[prev]
-    return GridFunction(g.n, g.bound, g.step, exact)
+    return GridFunction(g.n, g.bound, g.step, {idx: Fraction(v, den) for idx, v in exact.items()})
 
 
 def difference_bound_holds(

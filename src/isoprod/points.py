@@ -117,10 +117,6 @@ def leq(x: PointN, y: PointN) -> bool:
     return all(a <= b for a, b in zip(x.coords, y.coords))
 
 
-def geq(x: PointN, y: PointN) -> bool:
-    return leq(y, x)
-
-
 def abs_diff(x: PointN, y: PointN) -> PointN:
     """Coordinatewise absolute difference of two points."""
     _require_same_dim(x, y)
@@ -148,7 +144,7 @@ def cone_select(points: Iterable[PointN], a: PointN, direction: Cone) -> set[Poi
         _require_same_dim(x, a)
         if direction is Cone.LOWER and leq(x, a):
             out.add(x)
-        elif direction is Cone.UPPER and geq(x, a):
+        elif direction is Cone.UPPER and leq(a, x):
             out.add(x)
     return out
 

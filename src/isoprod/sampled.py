@@ -26,7 +26,7 @@ class SampledFunction:
     are exact nonnegative rationals, and the domain is never empty.
     """
 
-    __slots__ = ("_dim", "_entries", "_sorted_domain")
+    __slots__ = ("_dim", "_entries", "_sorted_domain", "_isotone")
 
     def __init__(self, entries: dict[PointN, Fraction] | Iterable[tuple[PointN, RationalLike]]):
         if isinstance(entries, dict):
@@ -51,11 +51,7 @@ class SampledFunction:
         self._dim = dim
         self._entries = table
         self._sorted_domain = tuple(sorted(table, key=sort_key))
-
-    @classmethod
-    def from_items(cls, items: Iterable[tuple[Iterable[RationalLike], RationalLike]]) -> "SampledFunction":
-        """Build from ((coords...), value) pairs of rational-likes."""
-        return cls([(PointN(tuple(rat(c) for c in coords)), v) for coords, v in items])
+        self._isotone = None  # filled by is_isotone on its first call
 
     @property
     def dim(self) -> int:
@@ -94,9 +90,6 @@ class SampledFunction:
         body = ", ".join(f"{p}: {v}" for p, v in self.items())
         return f"SampledFunction({{{body}}})"
 
-    def has_origin(self) -> bool:
-        return origin(self._dim) in self._entries
-
     def restrict(self, keep: Iterable[PointN]) -> "SampledFunction":
         subset = {p: self._entries[p] for p in keep}
         return SampledFunction(subset)
@@ -106,8 +99,16 @@ def is_isotone(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]
     """Check order preservation on every comparable pair of samples.
 
     Returns (True, None) or (False, (x, y)) with x <= y but f(x) > f(y);
-    the reported pair is the lexicographically least violation.
+    the reported pair is the lexicographically least violation.  A
+    sampled function is immutable, so the pair scan runs on the first
+    call only and its verdict is kept on f.
     """
+    if f._isotone is None:
+        f._isotone = _isotone_scan(f)
+    return f._isotone
+
+
+def _isotone_scan(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]]]:
     pts = f.domain
     for x in pts:
         fx = f.value(x)
@@ -117,6 +118,12 @@ def is_isotone(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]
             if leq(x, y) and fx > f.value(y):
                 return False, (x, y)
     return True, None
+
+
+def require_isotone(f: SampledFunction) -> None:
+    ok, pair = is_isotone(f)
+    if not ok:
+        raise NotIsotoneError(f"not isotone: f{pair[0]} > f{pair[1]}")
 
 
 def is_amenable(f: SampledFunction) -> tuple[bool, Optional[PointN]]:
@@ -149,9 +156,7 @@ def is_subadditive(f: SampledFunction):
 
     Returns (bool, Optional[CoverCertificate]).
     """
-    ok, pair = is_isotone(f)
-    if not ok:
-        raise NotIsotoneError(f"not isotone: f{pair[0]} > f{pair[1]}")
+    require_isotone(f)
     from .continuation import subadditive_envelope
 
     for a in f.domain:

@@ -86,7 +86,7 @@ def test_minimality_check():
 def test_precheck():
     f = sf([((0, 0), 0), ((1, 1), 4)])
     ok, diagnostics = amenable_continuation_precheck(f)
-    assert ok and diagnostics["subsets_scanned"] == 3
+    assert ok and diagnostics["subsets_scanned"] == 0
     ok, _ = amenable_continuation_precheck(sf([((0, 0), 0)]))
     assert ok
     with pytest.raises(NotAmenableError):

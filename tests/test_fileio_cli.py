@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -296,6 +298,35 @@ def test_csv_rendering(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "check,ok,detail"
     assert lines[1].startswith("isotone,true")
+
+
+def test_csv_fields_read_back_through_the_csv_module(tmp_path):
+    path = tmp_path / "f.json"
+    write_sum_function(path)
+    argv = ["--csv", "extend-sup", "--function", str(path), "--probe", "(1,1)", "--probe", "(2,1/2)"]
+    code, report = dispatch(argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(render(report, as_csv=True))))
+    assert rows == [
+        ["check", "ok", "detail"],
+        ["extend-sup(1, 1)", "true", '{"value":"2"}'],
+        ["extend-sup(2, 1/2)", "true", '{"value":"2"}'],
+    ]
+    # an error text holding a quote and a comma stays one field
+    code, report = dispatch(["--csv", "cantor", "member", 'a"b,c'])
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(render(report, as_csv=True))))
+    assert rows[1:] == [["error", "false", report["error"]]]
+
+
+def test_help_exits_zero_with_the_usage_text_only():
+    result = subprocess.run(
+        [sys.executable, "-m", "isoprod", "--help"], capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: isoprod")
+    assert "unrecognized arguments" not in result.stdout
+    assert result.stderr == ""
 
 
 # -- fixtures -----------------------------------------------------------

@@ -25,7 +25,6 @@ from isoprod.metric import (
     max_ultrametric,
     metric_preserving_verdict,
     product_metric,
-    sup_metric,
     unbounded_gauge,
     unbounded_witness,
     verify_metric,
@@ -114,12 +113,12 @@ def test_product_metric_sampled_combiner_and_domain_gap():
 
 def test_sup_metric():
     factors = (two_point_space("a", 1), two_point_space("b", 2))
-    labels, matrix = sup_metric(factors)
+    labels, matrix = product_metric(ProductSpec(factors, named_combiner("MAX")))
     entries = {v for row in matrix for v in row}
     assert entries == {F(0), F(1), F(2)}
     assert verify_metric(matrix) == (True, None)
     one = two_point_space("a", "3/2")
-    _, matrix = sup_metric((one,))
+    _, matrix = product_metric(ProductSpec((one,), named_combiner("MAX")))
     assert matrix[0][1] == F(3, 2)
     assert matrix[0][0] == 0
 

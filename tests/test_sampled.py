@@ -3,15 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import isoprod.sampled as sampled
 from oracles import isotone_pairs_hold, subadditive_violation
+from isoprod.continuation import sup_continuation
 from isoprod.errors import (
     DimensionMismatchError,
     EmptyDomainError,
     MissingOriginError,
     NotIsotoneError,
 )
-from isoprod.fixtures import random_sampled_function
-from isoprod.points import origin, point
+from isoprod.fixtures import random_point, random_sampled_function
+from isoprod.points import leq, origin, point
 from isoprod.sampled import (
     SampledFunction,
     is_amenable,
@@ -119,3 +121,34 @@ def test_subadditive_agrees_with_enumeration_oracle():
             values = dict(f.items())
             assert certificate.verify(lambda p: values[p])
     assert not disagreements
+
+
+def test_isotone_verdict_is_cached_and_matches_a_fresh_scan():
+    rng = random.Random(4242)
+    seen = set()
+    for trial in range(80):
+        f = random_sampled_function(rng, mode=("raw", "isotone")[trial % 2])
+        verdict = is_isotone(f)
+        assert is_isotone(f) is verdict  # the kept verdict, not a new scan
+        assert verdict[0] == isotone_pairs_hold(f)
+        assert sampled._isotone_scan(SampledFunction(dict(f.items()))) == verdict
+        if not verdict[0]:
+            x, y = verdict[1]
+            assert leq(x, y) and f.value(x) > f.value(y)
+        seen.add(verdict[0])
+    assert seen == {True, False}
+
+
+def test_isotone_scan_runs_once_per_function(monkeypatch):
+    scans = []
+    scan = sampled._isotone_scan
+    monkeypatch.setattr(sampled, "_isotone_scan", lambda f: scans.append(f) or scan(f))
+    rng = random.Random(17)
+    f = random_sampled_function(rng, dim=2, size=5, mode="isotone")
+    for _ in range(25):
+        sup_continuation(f, random_point(rng, 2))
+    is_subadditive(f)
+    assert scans == [f]
+    g = SampledFunction(dict(f.items()))  # an equal but new object scans again
+    sup_continuation(g, random_point(rng, 2))
+    assert len(scans) == 2 and scans[1] is g

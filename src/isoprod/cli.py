@@ -2,7 +2,9 @@
 
 Every invocation prints one JSON run report (or a CSV verdict table
 with --csv) and exits 0 when all verdicts hold, 1 when some verdict is
-false (the report then carries a witness), and 2 on input errors.
+false (the report then carries a witness), 2 on input errors, and 3
+on an internal error (an exception no input error explains; its
+report carries "internal error: <type>: <message>").
 Reports are stable: identical inputs give identical output up to the
 timing field.
 """
@@ -512,6 +514,12 @@ def dispatch(argv) -> tuple[int, dict]:
             "error": f"{type(exc).__name__}: {exc}",
         }
         return 2, report
+    except Exception as exc:
+        import traceback  # only a crash pays for the import, not every start
+
+        traceback.print_exc(file=sys.stderr)
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        return 3, {"command": command, "inputs": inputs, "error": error}
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     report = {
         "command": command,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     ExtensionMismatchError,
     NotAmenableError,
 )
-from .points import PointN, axis_vector, leq, origin, rat, sort_key
+from .points import PointN, axis_vector, leq, origin, rat, scale_to_integers, sort_key
 from .sampled import SampledFunction, is_amenable, projection_support, require_isotone
 
 
@@ -347,21 +346,11 @@ def subadditive_envelope(
             ground.append((axis_vector(j, t, f.dim), extension.axis_value(j, t)))
     ground.sort(key=lambda item: sort_key(item[0]))
 
-    coord_den = lcm(
-        1,
-        *(co.denominator for p, _ in ground for co in p.coords),
-        *(co.denominator for co in y.coords),
-    )
-    value_den = lcm(1, *(v.denominator for _, v in ground))
-    elements = [
-        (
-            tuple(int(co * coord_den) for co in p.coords),
-            int(v * value_den),
-            idx,
-        )
-        for idx, (p, v) in enumerate(ground)
-    ]
-    target = tuple(int(co * coord_den) for co in y.coords)
+    n = f.dim
+    _, coords = scale_to_integers([co for p, _ in ground for co in p.coords] + list(y.coords))
+    _, values = scale_to_integers(v for _, v in ground)
+    elements = [(tuple(coords[k * n:(k + 1) * n]), v, k) for k, v in enumerate(values)]
+    target = tuple(coords[-n:])
 
     _, chosen = _min_cover(elements, target)
     parts = tuple((ground[idx][0], mult) for idx, mult in chosen)

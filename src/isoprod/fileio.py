@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -32,16 +33,36 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(value) -> Fraction:
+    """An int, a Fraction or a Fraction string, as an exact Fraction.
+
+    Refuses a value whose numerator or denominator has more digits than
+    the interpreter converts to text (``sys.get_int_max_str_digits()``);
+    a string whose exponent is beyond that limit is refused unexpanded.
+    """
     if isinstance(value, bool):
         raise LoadError(f"expected a rational, got boolean {value}")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LoadError(f"bad rational {value!r}: {exc}") from None
-    if isinstance(value, Fraction):
-        return value
-    raise LoadError(f"expected a rational string, got {value!r}")
+    if not isinstance(value, (int, str)):
+        if isinstance(value, Fraction):
+            return value
+        raise LoadError(f"expected a rational string, got {value!r}")
+    limit = sys.get_int_max_str_digits()
+    # Fraction refuses a longer digit string itself; an int, an exponent or
+    # a decimal point can make a longer numerator or denominator
+    unbounded = limit and (isinstance(value, int) or "." in value or "e" in value or "E" in value)
+    if unbounded and isinstance(value, str):
+        digits = value.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+            raise LoadError(f"bad rational {value!r}: exponent beyond {limit}")
+    try:
+        result = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LoadError(f"bad rational {value!r}: {exc}") from None
+    if unbounded:
+        big = max(abs(result.numerator), result.denominator)
+        # below 2 ** (3 * limit) < 10 ** limit, big has at most limit digits
+        if big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise LoadError(f"bad rational: more than {limit} digits")
+    return result
 
 
 def format_point(p: PointN) -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import getitem
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
@@ -20,7 +20,7 @@ from .errors import (
     InvalidMetricError,
     NotWellDefinedError,
 )
-from .points import PointN, rat
+from .points import PointN, rat, scale_to_integers
 from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
 
@@ -65,17 +65,11 @@ def verify_metric(matrix, tol=0) -> tuple[bool, Optional[MetricViolation]]:
                     "identity", (i, j), f"d({i},{j})={matrix[i][j]} vanishes off the diagonal"
                 )
 
-    exact = tol == 0 and all(
-        isinstance(matrix[i][j], (Fraction, int)) for i in range(n) for j in range(n)
-    )
-    if exact:
+    m, bound = matrix, tol
+    if tol == 0 and all(isinstance(v, (Fraction, int)) for row in matrix for v in row):
         # hoist to integers so the cubic scan stays cheap
-        den = lcm(1, *(Fraction(matrix[i][j]).denominator for i in range(n) for j in range(n)))
-        m = [[int(Fraction(matrix[i][j]) * den) for j in range(n)] for i in range(n)]
-        bound = 0
-    else:
-        m = matrix
-        bound = tol
+        _, flat = scale_to_integers(v for row in matrix for v in row)
+        m, bound = [flat[i * n:(i + 1) * n] for i in range(n)], 0
     for i in range(n):
         for j in range(n):
             row_j = m[j]
@@ -223,19 +217,30 @@ class DistanceIncreaseViolation:
     large_value: Fraction
 
 
+def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...]):
+    """Yield each (distance tuple, entry) with the first product pair realizing it.
+
+    A pair is two product labels.  Pairs are scanned row by row over
+    i <= j, lazily, so a caller that stops early reads no further.
+    """
+    pts = _product_points(factors)
+    labels = product_labels(factors)
+    seen = set()
+    for i, p in enumerate(pts):
+        rows = [sp.dist[a] for sp, a in zip(factors, p)]
+        row = matrix[i]
+        for j in range(i, len(pts)):
+            key = (tuple(map(getitem, rows, pts[j])), row[j])
+            if key not in seen:
+                seen.add(key)
+                yield key, (labels[i], labels[j])
+
+
 def is_distance_increasing(
     matrix, factors: Sequence[FiniteMetricSpace]
 ) -> tuple[bool, Optional[DistanceIncreaseViolation]]:
     """Check monotonicity of the product distance in the tuple of coordinate distances."""
-    factors = tuple(factors)
-    pts = _product_points(factors)
-    labels = product_labels(factors)
-    # the first pair realizing each (tuple, distance), in scan order
-    records: dict[tuple, tuple] = {}
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            key = (_distance_tuple(factors, pts[i], pts[j]), matrix[i][j])
-            records.setdefault(key, (labels[i], labels[j]))
+    records = dict(_first_pairs(matrix, tuple(factors)))
     for (tup_a, val_a), pair_a in records.items():
         for (tup_b, val_b), pair_b in records.items():
             if all(x <= y for x, y in zip(tup_a, tup_b)) and val_a > val_b:
@@ -257,32 +262,27 @@ def extract_product_function(
 
     Every pair of product points with the same coordinate-distance
     tuple must carry the same distance, otherwise the matrix is no
-    product and NotWellDefinedError reports the conflicting pairs.
+    product and NotWellDefinedError reports the conflicting pairs: the
+    first record of a tuple met again is its first pair with another
+    distance, and the earliest such record is the first conflict.
     """
     factors = tuple(factors)
-    pts = _product_points(factors)
-    labels = product_labels(factors)
-    table: dict[PointN, Fraction] = {}
-    witness: dict[PointN, tuple] = {}
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            tup = PointN(_distance_tuple(factors, pts[i], pts[j]))
-            val = rat(matrix[i][j])
-            if tup in table:
-                if table[tup] != val:
-                    raise NotWellDefinedError(
-                        f"pairs {witness[tup]} and {(labels[i], labels[j])} share the "
-                        f"distance tuple {tup} but have distances {table[tup]} and {val}",
-                        pair_a=witness[tup],
-                        pair_b=(labels[i], labels[j]),
-                    )
-            else:
-                table[tup] = val
-                witness[tup] = (labels[i], labels[j])
+    table: dict[tuple, Fraction] = {}
+    witness: dict[tuple, tuple] = {}
+    for (tup, val), pair in _first_pairs(matrix, factors):
+        if tup in table:
+            raise NotWellDefinedError(
+                f"pairs {witness[tup]} and {pair} share the distance tuple "
+                f"{PointN(tup)} but have distances {table[tup]} and {rat(val)}",
+                pair_a=witness[tup],
+                pair_b=pair,
+            )
+        table[tup] = rat(val)
+        witness[tup] = pair
     for tup in itertools.product(*(sp.distance_set() for sp in factors)):
-        if PointN(tup) not in table:
+        if tup not in table:
             raise AssertionError(f"distance grid tuple {tup} not realized")
-    return SampledFunction(table)
+    return SampledFunction((PointN(tup), val) for tup, val in table.items())
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .errors import OffLatticeError
-from .points import PointN, RationalLike, rat
+from .points import PointN, RationalLike, rat, scale_to_integers
 
 
 class GridFunction:
@@ -139,6 +138,14 @@ def modulus(g: GridFunction, eps: PointN) -> Fraction:
     return modulus_table(g).value_at(eps_idx)
 
 
+def _pair_rows(indices, values):
+    """Per index x, the indices y >= x (lexicographic), each |x - y| and each |v(x) - v(y)|."""
+    for i, x in enumerate(indices):
+        vx = values[i]
+        ys = indices[i:]
+        yield x, ys, [tuple(map(abs, map(sub, x, y))) for y in ys], [abs(vx - vy) for vy in values[i:]]
+
+
 def modulus_table(g: GridFunction) -> GridFunction:
     """The modulus at every lattice box, as one grid function.
 
@@ -147,15 +154,10 @@ def modulus_table(g: GridFunction) -> GridFunction:
     differences into boxes.
     """
     indices = list(g.indices())
-    # the scan compares integers: values times the common denominator
-    den = lcm(*(g.value_at(x).denominator for x in indices))
-    values = [int(g.value_at(x) * den) for x in indices]
+    den, values = scale_to_integers(map(g.value_at, indices))
     exact = dict.fromkeys(indices, 0)
-    for i, x in enumerate(indices):
-        gx = values[i]
-        for y, gy in zip(indices[i:], values[i:]):
-            d = tuple(map(abs, map(sub, x, y)))
-            gap = abs(gx - gy)
+    for _, _, diffs, gaps in _pair_rows(indices, values):
+        for d, gap in zip(diffs, gaps):
             if gap > exact[d]:
                 exact[d] = gap
     for axis in range(g.n):
@@ -175,14 +177,15 @@ def difference_bound_holds(
     The hallmark inequality of isotone metric-preserving functions; the
     difference vector of two lattice points is again a lattice point,
     so the check is exact.  Returns the lexicographically first
-    violating pair on failure.
+    violating ordered pair on failure; it has x < y, as the inequality
+    is symmetric and holds at x = y.
     """
     indices = list(f.indices())
-    for x in indices:
-        fx = f.value_at(x)
-        for y in indices:
-            d = tuple(abs(a - b) for a, b in zip(x, y))
-            if abs(fx - f.value_at(y)) > f.value_at(d):
+    _, values = scale_to_integers(map(f.value_at, indices))
+    scaled = dict(zip(indices, values))
+    for x, ys, diffs, gaps in _pair_rows(indices, values):
+        for y, d, gap in zip(ys, diffs, gaps):
+            if gap > scaled[d]:
                 return False, (f.point(x), f.point(y))
     return True, None
 

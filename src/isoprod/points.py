@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import DimensionMismatchError
@@ -26,6 +27,13 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def scale_to_integers(values: Iterable[Union[Fraction, int]]) -> tuple[int, list[int]]:
+    """The least common denominator of exact values, and each value times it."""
+    values = list(values)
+    den = lcm(1, *(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class Comparison(enum.Enum):

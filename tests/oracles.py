@@ -124,3 +124,65 @@ def isotone_pairs_hold(f: SampledFunction) -> bool:
         for y in f.domain
         if leq(x, y)
     )
+
+
+def difference_bound_enumerate(g):
+    """First ordered lattice pair, x-major, with |g(x) - g(y)| > g(|x - y|), or None.
+
+    Scans the full square of index pairs in Fractions.
+    """
+    indices = list(g.indices())
+    for x in indices:
+        for y in indices:
+            d = tuple(abs(a - b) for a, b in zip(x, y))
+            if abs(g.value_at(x) - g.value_at(y)) > g.value_at(d):
+                return g.point(x), g.point(y)
+    return None
+
+
+def product_pairs(matrix, factors):
+    """(pair of labels, distance tuple, entry) for product pairs i <= j, row by row."""
+    pts = list(itertools.product(*(range(sp.size) for sp in factors)))
+    for i, p in enumerate(pts):
+        for j in range(i, len(pts)):
+            q = pts[j]
+            labels = (
+                tuple(sp.labels[a] for sp, a in zip(factors, p)),
+                tuple(sp.labels[b] for sp, b in zip(factors, q)),
+            )
+            tup = tuple(sp.distance(a, b) for sp, a, b in zip(factors, p, q))
+            yield labels, tup, Fraction(matrix[i][j])
+
+
+def product_conflict(matrix, factors):
+    """The first product pair whose distance differs from the first pair of its tuple.
+
+    Returns (first pair, conflicting pair, tuple, first value, value), or None.
+    """
+    first = {}
+    for pair, tup, value in product_pairs(matrix, factors):
+        if tup not in first:
+            first[tup] = (pair, value)
+        elif first[tup][1] != value:
+            return first[tup][0], pair, tup, first[tup][1], value
+    return None
+
+
+def distance_increase_violation(matrix, factors):
+    """First (small, large) pair of first-realizing pairs that inverts a tuple comparison.
+
+    The candidates are, in scan order, the first pair realizing each
+    (tuple, distance); returns (small pair, large pair, small tuple,
+    large tuple, small value, large value), or None.
+    """
+    seen = set()
+    firsts = []
+    for pair, tup, value in product_pairs(matrix, factors):
+        if (tup, value) not in seen:
+            seen.add((tup, value))
+            firsts.append((pair, tup, value))
+    for pair_a, tup_a, val_a in firsts:
+        for pair_b, tup_b, val_b in firsts:
+            if all(x <= y for x, y in zip(tup_a, tup_b)) and val_a > val_b:
+                return pair_a, pair_b, tup_a, tup_b, val_a, val_b
+    return None

@@ -278,6 +278,62 @@ def test_exit_code_2_cases(tmp_path):
     assert code == 2
 
 
+def test_internal_error_exits_3(tmp_path, monkeypatch):
+    from isoprod import cli
+
+    def broken(args, inputs):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setattr(cli, "_run_check", broken)
+    path = tmp_path / "f.json"
+    write_sum_function(path)
+    code, report = dispatch(["check", "--function", str(path)])
+    assert code == 3
+    assert report == {
+        "command": "check",
+        "inputs": {},
+        "error": "internal error: RuntimeError: broken handler",
+    }
+
+
+def test_deep_cover_search_is_no_false_verdict(tmp_path):
+    # 1,200 ground elements take the cover search past the recursion limit;
+    # whatever the outcome, it must not read as a false verdict
+    path = tmp_path / "line.json"
+    fileio.dump_sampled_function(SampledFunction([(point(t), t) for t in range(1200)]), path)
+    code, report = dispatch(["envelope", "--function", str(path), "--probe", "1199"])
+    assert code != 1
+    if code == 0:
+        assert report["verdicts"][0]["value"] == "1199"
+    else:
+        assert "error" in report
+
+
+def test_oversized_rationals_are_input_errors(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        _check_oversized_rationals(tmp_path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _check_oversized_rationals(tmp_path):
+    for text in ("1e5000", "1E+5000", "1e-5000", "1e4300", "0." + "0" * 4300 + "1"):
+        with pytest.raises(LoadError):
+            fileio.parse_rational(text)
+    assert fileio.parse_rational("1e4299") == 10 ** 4299
+    code, report = dispatch(["cantor", "member", "1e5000"])
+    assert code == 2
+    assert report["error"] == "LoadError: bad rational '1e5000': exponent beyond 4300"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 1, "entries": [
+        {"point": ["0"], "value": "0"}, {"point": ["1"], "value": "1e5000"}]}))
+    code, report = dispatch(["check", "--function", str(path)])
+    assert code == 2
+    assert report["error"].startswith("LoadError: bad rational '1e5000'")
+
+
 def test_reports_are_stable(tmp_path):
     path = tmp_path / "f.json"
     write_sum_function(path)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import distance_increase_violation, product_conflict, product_pairs
 from isoprod.combiners import named_combiner
 from isoprod.errors import (
     CombinerDomainGapError,
@@ -29,7 +30,7 @@ from isoprod.metric import (
     unbounded_witness,
     verify_metric,
 )
-from isoprod.points import point
+from isoprod.points import PointN, point
 from isoprod.sampled import SampledFunction
 
 
@@ -185,6 +186,63 @@ def test_distance_increasing_iff_extractable_isotone():
         extracted = extract_product_function(matrix, factors)
         assert increasing == is_isotone(extracted)[0]
         assert increasing
+
+
+def _perturbed_products(seed, count):
+    """Random 1-3 factor products, most with a few entries moved off the combiner."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        factors = tuple(
+            random_metric_space(rng, max_points=3) for _ in range(rng.randint(1, 3))
+        )
+        combiner = named_combiner(rng.choice(["SUM", "MAX", "CAPPED_SUM", "SQUARE_SUM"]))
+        _, matrix = product_metric(ProductSpec(factors, combiner))
+        n = len(matrix)
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                matrix[i][j] = F(rng.randint(1, 12), rng.choice([1, 2, 4]))
+                if rng.random() < 0.7:  # else the matrix is left asymmetric
+                    matrix[j][i] = matrix[i][j]
+        yield factors, matrix
+
+
+def test_extract_agrees_with_direct_pair_scan():
+    # the conflict pairs and message against a direct i <= j scan
+    outcomes = set()
+    for factors, matrix in _perturbed_products(5150, 220):
+        conflict = product_conflict(matrix, factors)
+        outcomes.add(conflict is None)
+        if conflict is None:
+            extracted = extract_product_function(matrix, factors)
+            for _, tup, value in product_pairs(matrix, factors):
+                assert extracted.value(PointN(tup)) == value
+            continue
+        pair_a, pair_b, tup, val_a, val_b = conflict
+        with pytest.raises(NotWellDefinedError) as err:
+            extract_product_function(matrix, factors)
+        assert (err.value.pair_a, err.value.pair_b) == (pair_a, pair_b)
+        assert str(err.value) == (
+            f"pairs {pair_a} and {pair_b} share the distance tuple {PointN(tup)} "
+            f"but have distances {val_a} and {val_b}"
+        )
+    assert outcomes == {True, False}
+
+
+def test_distance_increasing_agrees_with_direct_pair_scan():
+    outcomes = set()
+    for factors, matrix in _perturbed_products(6160, 220):
+        expected = distance_increase_violation(matrix, factors)
+        ok, violation = is_distance_increasing(matrix, factors)
+        assert ok == (expected is None)
+        outcomes.add(ok)
+        if violation is not None:
+            assert (
+                violation.small_pair, violation.large_pair,
+                violation.small_tuple, violation.large_tuple,
+                violation.small_value, violation.large_value,
+            ) == expected
+    assert outcomes == {True, False}
 
 
 def test_metric_preserving_verdict():

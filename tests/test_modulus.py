@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import modulus_enumerate
+from oracles import difference_bound_enumerate, modulus_enumerate
 from isoprod.combiners import named_combiner
 from isoprod.errors import OffLatticeError
 from isoprod.fixtures import combiner_grid, sampled_combiner
@@ -98,6 +98,32 @@ def test_difference_bound_examples():
     from isoprod.points import abs_diff
 
     assert abs(fx - fy) > square.value(abs_diff(x, y))
+
+
+def test_difference_bound_agrees_with_full_square_scan():
+    # verdict and witness against the x-major Fraction scan of every ordered pair
+    rng = random.Random(4242)
+    cells_of = {1: 8, 2: 4, 3: 2}
+    outcomes = set()
+    for k in range(240):
+        n = rng.randint(1, 3)
+        cells = rng.randint(1, cells_of[n])
+        step = F(1, rng.choice([1, 2, 3]))
+        idxs = list(itertools.product(range(cells + 1), repeat=n))
+        if k % 3 == 0:  # arbitrary values: mostly violating
+            values = {idx: F(rng.randint(0, 12), rng.choice([1, 2, 3, 4])) for idx in idxs}
+        else:  # a combiner that satisfies the bound, then a few nudged values
+            name = rng.choice(["SUM", "MAX", "CAPPED_SUM"])
+            g = combiner_grid(name, n=n, bound=cells * step, step=step, cap=step * rng.randint(1, 3))
+            values = {idx: g.value_at(idx) for idx in idxs}
+            for _ in range(rng.randint(0, 2)):
+                idx = rng.choice(idxs)
+                values[idx] = max(F(0), values[idx] + F(rng.randint(-2, 2), rng.choice([2, 5])))
+        g = GridFunction(n, cells * step, step, values)
+        witness = difference_bound_enumerate(g)
+        assert difference_bound_holds(g) == (witness is None, witness)
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
 
 
 def test_fixed_point_examples():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from isoprod.points import (
     origin,
     point,
     projection,
+    scale_to_integers,
 )
 
 rationals = st.builds(F, st.integers(0, 12), st.integers(1, 4))
@@ -131,3 +133,12 @@ def test_lower_cones_nest(triple):
         inner = cone_select(pool, a, Cone.LOWER)
         outer = cone_select(pool, b, Cone.LOWER)
         assert inner <= outer
+
+
+@given(st.lists(st.one_of(st.builds(F, st.integers(-50, 50), st.integers(1, 36)), st.integers(-9, 9))))
+def test_scale_to_integers(values):
+    den, ints = scale_to_integers(values)
+    assert den == lcm(1, *(F(v).denominator for v in values))
+    assert len(ints) == len(values)
+    for k, v in enumerate(values):
+        assert type(ints[k]) is int and F(ints[k], den) == v

@@ -28,8 +28,6 @@ from .continuation import (
     CoverCertificate,
     amenable_continuation_precheck,
     amenable_isotone_continuation,
-    envelope_maximality_check,
-    minimality_check,
     subadditive_envelope,
     sup_continuation,
 )
@@ -55,16 +53,10 @@ from .modulus import (
     nonconstant_wrt,
 )
 from .points import (
-    Comparison,
-    Cone,
     PointN,
-    abs_diff,
     axis_vector,
-    compare,
-    cone_select,
     origin,
     point,
-    projection,
     rat,
 )
 from .sampled import (

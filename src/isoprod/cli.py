@@ -39,7 +39,7 @@ from .continuation import (
     subadditive_envelope,
     sup_continuation,
 )
-from .errors import IsoprodError
+from .errors import IsoprodError, OutOfRangeError
 from .fixtures import GENERATOR_KINDS, fixture_generate
 from .metric import (
     ProductSpec,
@@ -191,11 +191,12 @@ def _point_witness(pair) -> list:
     return [fileio.format_point(p) for p in pair]
 
 
-def _tolerance(text: str):
-    try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
+def _tolerance(text: str) -> Fraction:
+    """An exact nonnegative tolerance; nan, infinities and negatives are input errors."""
+    tol = fileio.parse_rational(text)
+    if tol < 0:
+        raise OutOfRangeError(f"the tolerance must be nonnegative, got {text}")
+    return tol
 
 
 def _metric_axioms_entry(matrix, tol, label_of) -> dict:

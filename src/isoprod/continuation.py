@@ -8,9 +8,13 @@ Three constructions, all exact:
   coordinate axes (identity rule on axes with no positive samples,
   upper-cone infimum on the rest) and then takes lower-cone sups;
 * the subadditive envelope, the greatest isotone subadditive function
-  dominated by the samples, computed as an exact minimum-cost covering
-  problem with integer multiplicities and returned together with a
-  covering certificate.
+  dominated by the samples, computed as an exact minimum-cost cover of
+  the probe by sample points and returned together with a covering
+  certificate.
+
+Cheapest covers come from one table over the residual demands left
+after each part (``_min_cover``), filled bottom-up without recursion;
+``sampled.is_subadditive`` asks one such table for every sample at once.
 """
 
 from __future__ import annotations
@@ -18,14 +22,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from itertools import groupby
+from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    DominanceViolationError,
-    ExtensionMismatchError,
-    NotAmenableError,
-)
+from .errors import DimensionMismatchError, NotAmenableError
 from .points import PointN, axis_vector, leq, origin, rat, scale_to_integers, sort_key
 from .sampled import SampledFunction, is_amenable, projection_support, require_isotone
 
@@ -49,23 +49,6 @@ def sup_continuation(f: SampledFunction, y: PointN) -> Fraction:
     """
     require_isotone(f)
     return lower_cone_max(f, y)
-
-
-def minimality_check(
-    f: SampledFunction,
-    candidate: Callable[[PointN], object],
-    probes: Iterable[PointN],
-) -> bool:
-    """Check that an isotone extension dominates the sup-continuation.
-
-    The candidate must agree with f on the sample set; any isotone
-    extension is then at least the sup-continuation at every probe.
-    """
-    require_isotone(f)
-    for a, v in f.items():
-        if rat(candidate(a)) != v:
-            raise ExtensionMismatchError(f"candidate({a}) != f({a})")
-    return all(rat(candidate(p)) >= sup_continuation(f, p) for p in probes)
 
 
 def amenable_continuation_precheck(f: SampledFunction) -> tuple[bool, dict]:
@@ -134,10 +117,6 @@ class AxisExtendedFunction:
                 if coord > caps[j]:
                     caps[j] = coord
         return caps
-
-    @property
-    def zero_axes(self) -> set[int]:
-        return set(range(1, self.base.dim + 1)) - projection_support(self.base)
 
     @classmethod
     def for_amenable_continuation(cls, f: SampledFunction) -> "AxisExtendedFunction":
@@ -243,77 +222,71 @@ class CoverCertificate:
         )
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _min_cover(
-    elements: list[tuple[tuple[int, ...], int, int]],
-    target: tuple[int, ...],
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Exact min-cost cover of an integer target by integer ground points.
+    ground: list[tuple[PointN, Fraction]], targets: Sequence[PointN]
+) -> tuple[list[Fraction], Callable[[int], CoverCertificate]]:
+    """Exact cheapest covers of several targets by multisets of ground points.
 
-    ``elements`` holds (coords, value, index) triples sorted by coords;
-    returns (cost, ((index, multiplicity), ...)) for the cheapest cover,
-    ties broken toward the lexicographically least part multiset.
-    Memoized search over (element index, clamped residual demand):
-    clamping residuals at zero collapses equivalent subproblems, which
-    keeps equal-cost plateaus (many optimal covers) from exploding, and
-    a suffix coverage mask kills branches that can no longer touch a
-    still-uncovered coordinate.
+    ``ground`` holds distinct nonzero (point, value) pairs in lexicographic
+    order of their points, and every target must be coverable by them.
+    Coordinates and values are scaled to integers, and one table holds,
+    for every residual demand r reachable from a target, the least
+    (value(e) + cost of clamp(r - e), index of e) over the ground points e
+    that touch a positive coordinate of r.  Every such move lowers r, so
+    the table is filled in lexicographic order of the residuals with each
+    lookup already solved.  The least cheapest cover of r is its least
+    cheapest first part followed by the least cheapest cover of what that
+    part leaves, so the chain of chosen first parts is the cheapest cover
+    with the lexicographically least part sequence.
+
+    Returns the cost of every target and a function building the covering
+    certificate of the i-th target.
     """
-    n = len(target)
-    count = len(elements)
-    suffix_mask = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        mask = suffix_mask[i + 1]
-        for j in range(n):
-            if elements[i][0][j] > 0:
-                mask |= 1 << j
-        suffix_mask[i] = mask
+    n = targets[0].dim
+    _, coords = scale_to_integers(
+        [co for p, _ in ground for co in p.coords] + [co for t in targets for co in t.coords]
+    )
+    den, values = scale_to_integers(v for _, v in ground)
+    points = [tuple(coords[k:k + n]) for k in range(0, n * len(ground), n)]
+    demands = [tuple(coords[k:k + n]) for k in range(n * len(ground), len(coords), n)]
+    masks = [sum(1 << j for j, c in enumerate(p) if c) for p in points]
 
-    # memo value: (cost, parts, chosen) for the best cover of the residual
-    # by elements i.., or None when none exists
-    memo: dict[tuple[int, tuple[int, ...]], Optional[tuple]] = {}
+    def moves(r):
+        """Each ground index touching a positive coordinate of r, with what it leaves."""
+        need = sum(1 << j for j, x in enumerate(r) if x)
+        for k, p in enumerate(points):
+            if masks[k] & need:
+                yield k, tuple(x - c if x > c else 0 for x, c in zip(r, p))
 
-    def solve(i: int, residual: tuple[int, ...]) -> Optional[tuple]:
-        if not any(residual):
-            return 0, (), ()
-        if i == count:
-            return None
-        key = (i, residual)
-        if key in memo:
-            return memo[key]
-        need = 0
-        for j in range(n):
-            if residual[j] > 0:
-                need |= 1 << j
-        if need & ~suffix_mask[i]:
-            memo[key] = None
-            return None
-        coords, value, index = elements[i]
-        bound = 0
-        for j in range(n):
-            if coords[j] > 0 and residual[j] > 0:
-                bound = max(bound, _ceil_div(residual[j], coords[j]))
-        best: Optional[tuple] = None
-        for mult in range(bound + 1):
-            nxt = tuple(max(0, r - mult * c) for r, c in zip(residual, coords))
-            sub = solve(i + 1, nxt)
-            if sub is None:
-                continue
-            cost = mult * value + sub[0]
-            parts = (coords,) * mult + sub[1]
-            chosen = (((index, mult),) if mult else ()) + sub[2]
-            if best is None or (cost, parts) < (best[0], best[1]):
-                best = (cost, parts, chosen)
-        memo[key] = best
-        return best
+    reachable = set(demands)
+    stack = list(reachable)
+    while stack:
+        for _, left in moves(stack.pop()):
+            if left not in reachable:
+                reachable.add(left)
+                stack.append(left)
+    best: dict[tuple[int, ...], tuple[int, int]] = {}
+    for r in sorted(reachable):
+        if any(r):
+            options = [(values[k] + best[left][0], k) for k, left in moves(r)]
+            if not options:
+                raise AssertionError("no cover exists; ground set construction is broken")
+            best[r] = min(options)
+        else:
+            best[r] = (0, -1)
+    costs = [Fraction(best[d][0], den) for d in demands]
 
-    answer = solve(0, target)
-    if answer is None:
-        raise AssertionError("no cover exists; ground set construction is broken")
-    return answer[0], answer[2]
+    def certificate(i: int) -> CoverCertificate:
+        chain = []
+        r = demands[i]
+        while any(r):
+            k = best[r][1]
+            chain.append(k)
+            r = tuple(x - c if x > c else 0 for x, c in zip(r, points[k]))
+        parts = tuple((ground[k][0], len(list(run))) for k, run in groupby(chain))
+        return CoverCertificate(targets[i], parts, costs[i])
+
+    return costs, certificate
 
 
 def subadditive_envelope(
@@ -323,10 +296,12 @@ def subadditive_envelope(
 
     The exact minimum, over finite multisets of sample points whose sum
     dominates y, of the total sampled value; the infimum is attained
-    because multiplicities are bounded.  Axes carrying no positive
-    sample are first extended by axis points of constant value c > 0 so
-    a cover always exists.  Returns the value and the cheapest covering
-    certificate (lexicographically least on ties).
+    because only parts touching a still uncovered coordinate count.
+    Axes carrying no positive sample are first extended by axis points
+    of constant value c > 0 so a cover always exists.  Returns the value
+    and the cheapest covering certificate (lexicographically least on
+    ties), read from the cover table of ``_min_cover`` for this one
+    target.
     """
     if y.dim != f.dim:
         raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
@@ -346,41 +321,5 @@ def subadditive_envelope(
             ground.append((axis_vector(j, t, f.dim), extension.axis_value(j, t)))
     ground.sort(key=lambda item: sort_key(item[0]))
 
-    n = f.dim
-    _, coords = scale_to_integers([co for p, _ in ground for co in p.coords] + list(y.coords))
-    _, values = scale_to_integers(v for _, v in ground)
-    elements = [(tuple(coords[k * n:(k + 1) * n]), v, k) for k, v in enumerate(values)]
-    target = tuple(coords[-n:])
-
-    _, chosen = _min_cover(elements, target)
-    parts = tuple((ground[idx][0], mult) for idx, mult in chosen)
-    cost = sum((ground[idx][1] * mult for idx, mult in chosen), Fraction(0))
-    return cost, CoverCertificate(y, parts, cost)
-
-
-def envelope_maximality_check(
-    f: SampledFunction,
-    candidate: Callable[[PointN], object],
-    probes: Iterable[PointN],
-    c=Fraction(1),
-) -> bool:
-    """Check that an isotone subadditive minorant stays below the envelope.
-
-    The candidate must be dominated by f on the sample set; isotonicity
-    and subadditivity are spot-checked on the probe pairs.
-    """
-    for a, v in f.items():
-        if rat(candidate(a)) > v:
-            raise DominanceViolationError(f"candidate({a}) > f({a})")
-    probe_list = sorted(set(probes), key=sort_key)
-    for p in probe_list:
-        fp = rat(candidate(p))
-        for q in probe_list:
-            fq = rat(candidate(q))
-            if leq(p, q) and fp > fq:
-                raise ValueError(f"candidate is not isotone on probes {p}, {q}")
-            if rat(candidate(p + q)) > fp + fq:
-                raise ValueError(f"candidate is not subadditive on probes {p}, {q}")
-    return all(
-        rat(candidate(p)) <= subadditive_envelope(f, p, c)[0] for p in probe_list
-    )
+    costs, certificate = _min_cover(ground, [y])
+    return costs[0], certificate(0)

@@ -33,14 +33,6 @@ class NotAmenableError(IsoprodError):
     """The operation requires an amenable function."""
 
 
-class ExtensionMismatchError(IsoprodError):
-    """A candidate continuation disagrees with the base function."""
-
-
-class DominanceViolationError(IsoprodError):
-    """A candidate minorant exceeds the base function on its domain."""
-
-
 class CombinerDomainGapError(IsoprodError):
     """A sampled combiner lacks a distance tuple the product needs."""
 

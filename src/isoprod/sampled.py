@@ -90,10 +90,6 @@ class SampledFunction:
         body = ", ".join(f"{p}: {v}" for p, v in self.items())
         return f"SampledFunction({{{body}}})"
 
-    def restrict(self, keep: Iterable[PointN]) -> "SampledFunction":
-        subset = {p: self._entries[p] for p in keep}
-        return SampledFunction(subset)
-
 
 def is_isotone(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]]]:
     """Check order preservation on every comparable pair of samples.
@@ -149,20 +145,23 @@ def is_subadditive(f: SampledFunction):
     f is subadditive when no sample point can be covered by a multiset
     of sample points of strictly smaller total value; the empty
     multiset covers the origin, so a positive value there counts as a
-    violation.  Decided exactly by comparing f with its subadditive
-    envelope at every sample point; on failure returns the cheapest
-    covering certificate for the lexicographically least violated
-    point.
+    violation.  Decided exactly by one cheapest-cover table over all
+    non-origin samples (``continuation._min_cover``) whose targets are
+    every sample; each cost is the subadditive envelope at that sample,
+    as no sample reaches an axis without a positive sample.  On failure
+    returns the cheapest covering certificate for the lexicographically
+    least violated point.
 
     Returns (bool, Optional[CoverCertificate]).
     """
     require_isotone(f)
-    from .continuation import subadditive_envelope
+    from .continuation import _min_cover
 
-    for a in f.domain:
-        value, certificate = subadditive_envelope(f, a)
-        if value < f.value(a):
-            return False, certificate
+    ground = [(a, v) for a, v in f.items() if not a.is_origin()]
+    costs, certificate = _min_cover(ground, f.domain)
+    for i, a in enumerate(f.domain):
+        if costs[i] < f.value(a):
+            return False, certificate(i)
     return True, None
 
 

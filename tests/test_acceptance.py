@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from extremality import envelope_maximality_check
 from oracles import cover_enumerate_min
 from isoprod.cantor import (
     SymbolicAffine,
@@ -28,7 +29,6 @@ from isoprod.cantor import (
 from isoprod.combiners import named_combiner
 from isoprod.continuation import (
     amenable_isotone_continuation,
-    envelope_maximality_check,
     subadditive_envelope,
     sup_continuation,
 )

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from extremality import envelope_maximality_check, minimality_check
 from oracles import cover_enumerate_min
 from isoprod.continuation import (
     AxisExtendedFunction,
@@ -10,15 +11,11 @@ from isoprod.continuation import (
     CoverCertificate,
     amenable_continuation_precheck,
     amenable_isotone_continuation,
-    envelope_maximality_check,
-    minimality_check,
     subadditive_envelope,
     sup_continuation,
 )
 from isoprod.errors import (
     DimensionMismatchError,
-    DominanceViolationError,
-    ExtensionMismatchError,
     MissingOriginError,
     NotAmenableError,
     NotIsotoneError,
@@ -77,7 +74,7 @@ def test_minimality_check():
         return sup_continuation(f, p) - 1 if sup_continuation(f, p) >= 1 else F(0)
 
     assert not minimality_check(f, too_small, [point(3)])
-    with pytest.raises(ExtensionMismatchError):
+    with pytest.raises(ValueError, match="!="):
         minimality_check(f, lambda p: F(99), [point(3)])
 
 
@@ -121,7 +118,6 @@ def test_amenable_continuation_restricts_and_is_positive():
 def test_axis_extended_function_rules():
     f = sf([((0, 0), 0), ((1, 0), 2), ((2, 0), 5)])
     ext = AxisExtendedFunction.for_amenable_continuation(f)
-    assert ext.zero_axes == {2}
     assert ext.axis_caps == {1: F(2), 2: F(0)}
     assert ext.rules[1] is AxisRule.UPPER_CONE_INF
     assert ext.rules[2] is AxisRule.IDENTITY
@@ -259,7 +255,7 @@ def test_envelope_maximality_check():
     assert envelope_maximality_check(
         f, lambda p: scale * sum(p.coords, F(0)), probes
     )
-    with pytest.raises(DominanceViolationError):
+    with pytest.raises(ValueError, match=">"):
         envelope_maximality_check(f, lambda p: F(10), probes)
     with pytest.raises(ValueError, match="subadditive"):
         envelope_maximality_check(

@@ -297,16 +297,36 @@ def test_internal_error_exits_3(tmp_path, monkeypatch):
 
 
 def test_deep_cover_search_is_no_false_verdict(tmp_path):
-    # 1,200 ground elements take the cover search past the recursion limit;
-    # whatever the outcome, it must not read as a false verdict
+    # 1,200 ground elements once took the recursive cover search past the
+    # recursion limit; the residual table answers with the all-ones cover
     path = tmp_path / "line.json"
     fileio.dump_sampled_function(SampledFunction([(point(t), t) for t in range(1200)]), path)
     code, report = dispatch(["envelope", "--function", str(path), "--probe", "1199"])
-    assert code != 1
-    if code == 0:
-        assert report["verdicts"][0]["value"] == "1199"
-    else:
-        assert "error" in report
+    assert code == 0
+    verdict = report["verdicts"][0]
+    assert verdict["value"] == "1199"
+    assert verdict["certificate"]["parts"] == [{"point": ["1"], "count": 1199}]
+
+
+def test_tolerance_is_an_exact_nonnegative_input(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "labels": ["x", "y", "z"],
+        "dist": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]],
+    }))
+    for tol, error in (
+        ("nan", "LoadError"), ("inf", "LoadError"), ("-inf", "LoadError"),
+        ("-1", "OutOfRangeError"), ("-1/10", "OutOfRangeError"),
+        ("1e4000000", "LoadError: bad rational '1e4000000': exponent beyond"),
+    ):
+        code, report = dispatch(["verify-metric", "--space", str(path), f"--tol={tol}"])
+        assert code == 2 and "verdicts" not in report, tol
+        assert report["error"].startswith(error), tol
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({"labels": ["x", "y"], "dist": [["0", "1"], ["21/20", "0"]]}))
+    assert dispatch(["verify-metric", "--space", str(near), "--tol", "1/10"])[0] == 0
+    assert dispatch(["verify-metric", "--space", str(near), "--tol", "1/25"])[0] == 1
+    assert dispatch(["verify-metric", "--space", str(near)])[0] == 1
 
 
 def test_oversized_rationals_are_input_errors(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import isoprod.sampled as sampled
 from oracles import isotone_pairs_hold, subadditive_violation
-from isoprod.continuation import sup_continuation
+from isoprod.continuation import subadditive_envelope, sup_continuation
 from isoprod.errors import (
     DimensionMismatchError,
     EmptyDomainError,
@@ -96,7 +96,7 @@ def test_restriction_keeps_isotone_and_amenable():
         keep = [p for i, p in enumerate(f.domain) if i % 2 == 0 or p.is_origin()]
         if origin(f.dim) not in keep:
             keep.append(origin(f.dim))
-        g = f.restrict(keep)
+        g = SampledFunction({p: f.value(p) for p in keep})
         assert is_isotone(g)[0]
         assert is_amenable(g)[0]
 
@@ -121,6 +121,32 @@ def test_subadditive_agrees_with_enumeration_oracle():
             values = dict(f.items())
             assert certificate.verify(lambda p: values[p])
     assert not disagreements
+
+
+def test_subadditive_certificate_is_the_envelope_certificate():
+    # the one table over every sample answers as the envelope asked at each
+    # sample in turn: same verdict, same first violated sample, same certificate
+    rng = random.Random(60217)
+    seen = set()
+    for trial in range(180):
+        dim, den = 1 + trial % 3, (2, 3)[trial // 3 % 2]
+        grid = [F(k, den) for k in range(2 * den + 1)]
+        f = random_sampled_function(rng, dim=dim, size=rng.randint(1, 6), grid=grid, mode="isotone")
+        verdict, certificate = is_subadditive(f)
+        expected = None
+        for a in f.domain:
+            value, envelope_certificate = subadditive_envelope(f, a)
+            if value < f.value(a):
+                expected = envelope_certificate
+                break
+        assert verdict == (expected is None)
+        assert certificate == expected
+        zero = origin(dim)
+        seen.add((dim, den, verdict))
+        seen.add(("zero off the origin", any(v == 0 for a, v in f.items() if a != zero)))
+        seen.add(("positive origin", zero in f and f.value(zero) > 0))
+    assert {(d, q, v) for d in (1, 2, 3) for q in (2, 3) for v in (True, False)} <= seen
+    assert {("zero off the origin", True), ("positive origin", True)} <= seen
 
 
 def test_isotone_verdict_is_cached_and_matches_a_fresh_scan():

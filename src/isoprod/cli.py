@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -168,6 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=4)
     p.add_argument("--mode", default="raw", choices=("raw", "isotone", "amenable"))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first dispatch rather than at import."""
+    return build_parser()
 
 
 def _load(loader, path, inputs):
@@ -496,9 +503,8 @@ def dispatch(argv) -> tuple[int, dict]:
 
     ``--help`` prints the usage text and raises SystemExit(0), as argparse does.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:
             raise

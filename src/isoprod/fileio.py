@@ -38,7 +38,16 @@ def parse_rational(value) -> Fraction:
     Refuses a value whose numerator or denominator has more digits than
     the interpreter converts to text (``sys.get_int_max_str_digits()``);
     a string whose exponent is beyond that limit is refused unexpanded.
+    A plain "p" or "p/q" of ASCII digits skips the Fraction string parser.
     """
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            try:
+                # int() and Fraction() raise here what Fraction(value) would raise
+                return Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LoadError(f"bad rational {value!r}: {exc}") from None
     if isinstance(value, bool):
         raise LoadError(f"expected a rational, got boolean {value}")
     if not isinstance(value, (int, str)):

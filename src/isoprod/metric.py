@@ -2,8 +2,10 @@
 
 The matrices here are plain nested sequences so a candidate can be fed
 to :func:`verify_metric` before anyone promises it is a metric.  All
-checks are exact on rational entries; a tolerance argument exists only
-for the one inexact closed form (the Euclidean-style combiner).
+checks are exact on rational entries and an exact tolerance (the
+``verify-metric --tol`` option); only float entries or a float
+tolerance, which the inexact Euclidean-style combiner needs, are
+compared in floating point.
 """
 
 from __future__ import annotations
@@ -36,53 +38,93 @@ class MetricViolation:
 def verify_metric(matrix, tol=0) -> tuple[bool, Optional[MetricViolation]]:
     """Check the metric axioms on a square nonnegative matrix.
 
-    Exact when tol is 0 (the default).  Returns the first violation in
-    axiom order (symmetry, identity of indiscernibles, triangle), each
-    scanned in lexicographic index order.
+    Returns the first violation in axiom order (symmetry, identity of
+    indiscernibles, triangle), each scanned in lexicographic index
+    order.  A tolerance relaxes every axiom by tol: the triangle
+    d(i,k) <= d(i,j) + d(j,k) may then exceed by up to tol; tol = 0 (the
+    default) is the exact check.
+
+    Exact entries and an exact tol are scaled to integers together, and
+    the triangles (i, j, .) of one row pair are asked at once: with every
+    row packed into one int, one field per column, a sum and a mask over
+    rows i and j test every k (see :func:`_packed_triangle_failures`).
+    Only the first failing pair is scanned over k for its witness.  Float
+    entries or a float tol (the inexact SQRT_SUM_SQ closed form) scan
+    every pair over k.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] < 0:
-                raise ValueError(f"negative entry at ({i}, {j})")
+    if tol == 0:
+        tol = 0  # a float zero is still the exact check
+    m, bound = matrix, tol
+    exact = isinstance(tol, (Fraction, int)) and all(
+        isinstance(v, (Fraction, int)) for row in matrix for v in row
+    )
+    if exact:
+        _, (bound, *flat) = scale_to_integers([tol, *(v for row in matrix for v in row)])
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
 
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if v < 0:
+                raise ValueError(f"negative entry at ({i}, {j})")
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(matrix[i][j] - matrix[j][i]) > tol:
+            if abs(m[i][j] - m[j][i]) > bound:
                 return False, MetricViolation(
                     "symmetry", (i, j), f"d({i},{j})={matrix[i][j]} != d({j},{i})={matrix[j][i]}"
                 )
     for i in range(n):
-        if matrix[i][i] > tol:
+        if m[i][i] > bound:
             return False, MetricViolation("identity", (i, i), f"d({i},{i})={matrix[i][i]} != 0")
-    for i in range(n):
-        for j in range(n):
-            if i != j and matrix[i][j] <= tol:
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if i != j and v <= bound:
                 return False, MetricViolation(
                     "identity", (i, j), f"d({i},{j})={matrix[i][j]} vanishes off the diagonal"
                 )
 
-    m, bound = matrix, tol
-    if tol == 0 and all(isinstance(v, (Fraction, int)) for row in matrix for v in row):
-        # hoist to integers so the cubic scan stays cheap
-        _, flat = scale_to_integers(v for row in matrix for v in row)
-        m, bound = [flat[i * n:(i + 1) * n] for i in range(n)], 0
-    for i in range(n):
-        for j in range(n):
-            row_j = m[j]
-            dij = m[i][j]
-            for k in range(n):
-                if m[i][k] > dij + row_j[k] + bound:
-                    return False, MetricViolation(
-                        "triangle",
-                        (i, j, k),
-                        f"d({i},{k})={matrix[i][k]} > d({i},{j})+d({j},{k})"
-                        f"={matrix[i][j]}+{matrix[j][k]}",
-                    )
+    pairs = _packed_triangle_failures(m, bound) if exact else itertools.product(range(n), repeat=2)
+    for i, j in pairs:
+        row_i, row_j, dij = m[i], m[j], m[i][j]
+        for k in range(n):
+            if row_i[k] > dij + row_j[k] + bound:
+                return False, MetricViolation(
+                    "triangle",
+                    (i, j, k),
+                    f"d({i},{k})={matrix[i][k]} > d({i},{j})+d({j},{k})"
+                    f"={matrix[i][j]}+{matrix[j][k]}",
+                )
+        if exact:
+            raise AssertionError(f"packed triangle test failed row pair ({i}, {j}) without a witness")
     return True, None
+
+
+def _packed_triangle_failures(m: list[list[int]], bound: int):
+    """The row pairs (i, j), in i-major order, where some triangle (i, j, k) fails.
+
+    m is a square nonnegative integer matrix and bound >= 0.
+    Row i is packed into one int with a w-bit field per column k, least
+    significant first.  Field k of lifted[j] + m[i][j] * ones - packed[i]
+    is s + 2**(w-1), with s = m[i][j] + m[j][k] + bound - m[i][k].  With
+    every entry in [0, top], s lies in [-top, 2*top + bound], and w keeps
+    2*top + bound below 2**(w-1); so every field lies in [0, 2**w), no
+    field borrows from its neighbour, and its top bit is set exactly when
+    s >= 0, that is, when the triangle (i, j, k) holds.
+    """
+    n = len(m)
+    w = (2 * max(map(max, m), default=0) + bound).bit_length() + 1
+    ones = sum(1 << (w * k) for k in range(n))
+    high = ones << (w - 1)
+    packed = [sum(d << (w * k) for k, d in enumerate(row)) for row in m]
+    lifted = [p + bound * ones + high for p in packed]
+    for i, row in enumerate(m):
+        neg = -packed[i]
+        for j, dij in enumerate(row):
+            if (lifted[j] + dij * ones + neg) & high != high:
+                yield i, j
 
 
 class FiniteMetricSpace:
@@ -180,29 +222,28 @@ def product_labels(factors: Sequence[FiniteMetricSpace]) -> list[tuple[str, ...]
     ]
 
 
-def _distance_tuple(
-    factors: Sequence[FiniteMetricSpace], p: tuple[int, ...], q: tuple[int, ...]
-) -> tuple[Fraction, ...]:
-    return tuple(sp.distance(a, b) for sp, a, b in zip(factors, p, q))
-
-
 def product_metric(spec: ProductSpec) -> tuple[list[tuple[str, ...]], list[list]]:
     """Candidate distance matrix on the product point set.
 
     Entry (p, q) is the combiner applied to the coordinate distances.
-    The result is not guaranteed to satisfy the metric axioms; pair it
-    with :func:`verify_metric`.
+    The combiner is called once per tuple of the factor distance grid,
+    in ``itertools.product`` order, into a flat table.  Each factor
+    distance is coded by its index in that factor's distance set times
+    the factor's stride (the grid size of the factors after it), so
+    entry (p, q) reads the table at the sum of its factor codes.  The
+    result is not guaranteed to satisfy the metric axioms; pair it with
+    :func:`verify_metric`.
     """
     factors = spec.factors
-    pts = _product_points(factors)
-    matrix = [
-        [
-            _apply_combiner(spec.combiner, _distance_tuple(factors, p, q))
-            for q in pts
-        ]
-        for p in pts
-    ]
-    return product_labels(factors), matrix
+    grids = [sp.distance_set() for sp in factors]
+    table = [_apply_combiner(spec.combiner, tup) for tup in itertools.product(*grids)]
+    rows, stride = [[0]], 1  # table codes of the factors after the current one
+    for sp, grid in zip(reversed(factors), reversed(grids)):
+        code = {d: c * stride for c, d in enumerate(grid)}
+        coded = [[code[d] for d in row] for row in sp.dist]
+        rows = [[x + y for x in head for y in tail] for head in coded for tail in rows]
+        stride *= len(grid)
+    return product_labels(factors), [[table[c] for c in row] for row in rows]
 
 
 @dataclass(frozen=True)

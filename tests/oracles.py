@@ -186,3 +186,36 @@ def distance_increase_violation(matrix, factors):
             if all(x <= y for x, y in zip(tup_a, tup_b)) and val_a > val_b:
                 return pair_a, pair_b, tup_a, tup_b, val_a, val_b
     return None
+
+
+def metric_violation(matrix, tol=0):
+    """The first failed metric axiom by direct scan, as (kind, indices, detail), or None.
+
+    Axioms in order: a square shape and nonnegative entries (ValueError
+    otherwise), symmetry over i < j, a zero diagonal, positive entries
+    off it, then d(i,k) <= d(i,j) + d(j,k) over every (i, j, k); each
+    relaxed by tol and scanned in lexicographic order.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    for i, j in itertools.product(range(n), repeat=2):
+        if matrix[i][j] < 0:
+            raise ValueError(f"negative entry at ({i}, {j})")
+    for i, j in itertools.combinations(range(n), 2):
+        if abs(matrix[i][j] - matrix[j][i]) > tol:
+            return "symmetry", (i, j), f"d({i},{j})={matrix[i][j]} != d({j},{i})={matrix[j][i]}"
+    for i in range(n):
+        if matrix[i][i] > tol:
+            return "identity", (i, i), f"d({i},{i})={matrix[i][i]} != 0"
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j and matrix[i][j] <= tol:
+            return "identity", (i, j), f"d({i},{j})={matrix[i][j]} vanishes off the diagonal"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if matrix[i][k] > matrix[i][j] + matrix[j][k] + tol:
+            detail = (
+                f"d({i},{k})={matrix[i][k]} > d({i},{j})+d({j},{k})"
+                f"={matrix[i][j]}+{matrix[j][k]}"
+            )
+            return "triangle", (i, j, k), detail
+    return None

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isoprod import fileio
 from isoprod.cli import dispatch, render
@@ -37,6 +38,51 @@ def test_rational_round_trip():
         fileio.parse_rational("eleven")
     with pytest.raises(LoadError):
         fileio.parse_rational("1/0")
+
+
+LIMIT = sys.get_int_max_str_digits() or 4300
+OVER_LIMIT = "9" * (LIMIT + 1)
+
+
+def _fraction_parse(text):
+    """Fraction(text), or its error wrapped as parse_rational wraps it."""
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational {text!r}: {exc}"
+
+
+_DIGIT_RUNS = st.sampled_from(["", "0", "00", "7", "12", "0460", "1_0", "\u0663", "\U0001d7d9", "\u00b2"])
+_RATIONAL_TEXTS = st.one_of(
+    st.builds(
+        "".join,
+        st.lists(st.one_of(_DIGIT_RUNS, st.sampled_from(["/", "+", "-", "_", " ", "\t"])), max_size=6),
+    ),
+    st.builds(
+        lambda num, den: num + den,
+        st.sampled_from(["1", "9" * LIMIT, OVER_LIMIT, "0" * LIMIT + "1"]),
+        st.sampled_from(["", "/0", "/3", "/" + OVER_LIMIT, "/" + "9" * LIMIT]),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(_RATIONAL_TEXTS)
+@example("-3/4")
+@example(" 3/4 ")
+@example("1_000/3")
+@example("\u0663/4")
+@example("12/0")
+@example("0/00")
+@example(OVER_LIMIT + "/0")
+@example("1/" + OVER_LIMIT)
+def test_parse_rational_matches_the_fraction_parser(text):
+    try:
+        parsed = fileio.parse_rational(text)
+    except LoadError as exc:
+        parsed = str(exc)
+    expected = _fraction_parse(text)
+    assert parsed == expected and type(parsed) is type(expected)
 
 
 def test_point_string_parsing():
@@ -281,10 +327,11 @@ def test_exit_code_2_cases(tmp_path):
 def test_internal_error_exits_3(tmp_path, monkeypatch):
     from isoprod import cli
 
-    def broken(args, inputs):
+    def broken(*args):
         raise RuntimeError("broken handler")
 
-    monkeypatch.setattr(cli, "_run_check", broken)
+    # the handler itself is bound when the process builds its parser
+    monkeypatch.setattr(cli, "_load", broken)
     path = tmp_path / "f.json"
     write_sum_function(path)
     code, report = dispatch(["check", "--function", str(path)])
@@ -294,6 +341,23 @@ def test_internal_error_exits_3(tmp_path, monkeypatch):
         "inputs": {},
         "error": "internal error: RuntimeError: broken handler",
     }
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    from isoprod import cli
+
+    path = tmp_path / "f.json"
+    write_sum_function(path)
+    runs = [
+        dispatch(["extend-sup", "--function", str(path), "--probe", "(1,1)", "--probe", "(2,0)"]),
+        dispatch(["extend-sup", "--function", str(path), "--probe", "(0,2)"]),
+        dispatch(["extend-sup", "--function", str(path)]),
+    ]
+    checks = [[v["check"] for v in report.get("verdicts", [])] for _, report in runs]
+    assert checks == [["extend-sup(1, 1)", "extend-sup(2, 0)"], ["extend-sup(0, 2)"], []]
+    # no --probe is left over from the earlier calls
+    assert runs[2][1]["error"] == "IsoprodError: no probes given; use --probe or --probes"
+    assert cli._parser() is cli._parser()
 
 
 def test_deep_cover_search_is_no_false_verdict(tmp_path):

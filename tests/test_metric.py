@@ -1,10 +1,17 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import distance_increase_violation, product_conflict, product_pairs
-from isoprod.combiners import named_combiner
+from oracles import (
+    distance_increase_violation,
+    metric_violation,
+    product_conflict,
+    product_pairs,
+)
+from isoprod.combiners import COMBINER_NAMES, named_combiner
 from isoprod.errors import (
     CombinerDomainGapError,
     InvalidMetricError,
@@ -68,6 +75,108 @@ def test_verify_metric_tolerance():
     assert ok
     ok, violation = verify_metric(matrix, tol=1e-14)
     assert not ok and violation.kind == "triangle"
+
+
+def _candidate_matrices(seed, count):
+    """Random (matrix, tol) pairs, most of them near the triangle boundary.
+
+    Each starts from a shortest-path metric on 0-14 points, so many
+    triangles are tight, scaled by up to 3**50 over a denominator up to
+    10**9 + 7.  Most then get one entry pair raised, or one entry
+    broken, by a rational of another denominator, and tol is 0 or a
+    rational close to that change.  Some hold their integral entries as
+    ints, and a few become floats with tol 1e-12, the inexact path.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(15)
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = rng.randint(1, 12)
+        for k, i, j in itertools.product(range(n), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        scale = rng.choice([1, 1, 2**64, 3**50])
+        den = rng.choice([1, 2, 6, 35, 10**9 + 7])
+        matrix = [[F(v * scale, den) for v in row] for row in d]
+        delta = F(rng.randint(1, 3) * scale, den * rng.choice([1, 4, 5, 97]))
+        tol = rng.choice([0, 0, 0, delta, delta / 2, delta / 3, 2 * delta])
+        move = rng.random()
+        if n >= 2:
+            i, k = rng.sample(range(n), 2)
+            if move < 0.5:
+                matrix[i][k] = matrix[k][i] = matrix[i][k] + delta
+            elif move < 0.6:
+                matrix[i][k] += delta
+            elif move < 0.7:
+                # symmetric within tol, so a failed triangle of the last row
+                # need not fail in the mirrored row k
+                i, k, tol = n - 1, rng.randrange(n - 1), delta / 2
+                matrix[i][k] += delta
+                matrix[k][i] += delta / 2
+            elif move < 0.75:
+                matrix[i][k] = matrix[k][i] = F(0)
+            elif move < 0.78:
+                matrix[i][i] = delta
+            elif move < 0.8:
+                matrix[i][k] = -delta
+        shape = rng.random()
+        if shape < 0.05:
+            matrix = [[float(v) for v in row] for row in matrix]
+            tol = 1e-12
+        elif shape < 0.15:
+            matrix = [[v.numerator if v.denominator == 1 else v for v in row] for row in matrix]
+        yield matrix, tol
+
+
+def _library_violation(matrix, tol):
+    ok, violation = verify_metric(matrix, tol)
+    return None if ok else (violation.kind, violation.indices, violation.detail)
+
+
+def _outcome(check, matrix, tol):
+    try:
+        return check(matrix, tol)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_verify_metric_agrees_with_direct_scan():
+    kinds = Counter()
+    for matrix, tol in _candidate_matrices(7070, 2000):
+        expected = _outcome(metric_violation, matrix, tol)
+        assert _outcome(_library_violation, matrix, tol) == expected
+        kinds[expected[0] if expected else "metric", len(matrix) > 1] += 1
+    assert kinds["triangle", True] >= 250
+    assert kinds["metric", True] >= 250
+    assert kinds["metric", False] >= 20  # n = 0 and n = 1
+    assert {"symmetry", "identity", "error"} <= {kind for kind, _ in kinds}
+
+
+def test_product_metric_agrees_with_per_pair_combiner():
+    # every named combiner and a sampled one with arbitrary grid values,
+    # so a misplaced table code shows as a wrong entry
+    rng = random.Random(8080)
+    for _ in range(40):
+        factors = tuple(
+            random_metric_space(rng, max_points=4) for _ in range(rng.randint(1, 3))
+        )
+        grid = itertools.product(*(sp.distance_set() for sp in factors))
+        values = {PointN(tup): F(rng.randint(0, 9), rng.choice([1, 3])) for tup in grid}
+        values[PointN((0,) * len(factors))] = F(0)
+        cap = F(rng.randint(1, 8), 2)
+        combiners = [named_combiner(name, cap) for name in COMBINER_NAMES]
+        combiners.append(SampledFunction(values))
+        for combiner in combiners:
+            labels, matrix = product_metric(ProductSpec(factors, combiner))
+            if isinstance(combiner, SampledFunction):
+                apply = lambda tup: combiner.value(PointN(tup))  # noqa: E731
+            else:
+                apply = combiner
+            assert labels == list(itertools.product(*(sp.labels for sp in factors)))
+            for pair, tup, value in product_pairs(matrix, factors):
+                assert value == F(apply(tup)), (combiner, pair)
+            assert all(row == list(col) for row, col in zip(matrix, zip(*matrix)))
 
 
 def test_finite_metric_space_validation():
@@ -338,7 +447,7 @@ def test_uniform_continuity_floor():
     f = sampled_combiner("SUM", grid, n=2)
     factors = (line_space(grid), line_space(grid))
     labels, matrix = product_metric(ProductSpec(factors, f))
-    from isoprod.metric import _distance_tuple, _product_points
+    from isoprod.metric import _product_points
 
     pts = _product_points(factors)
     for axis in (0, 1):
@@ -349,7 +458,7 @@ def test_uniform_continuity_floor():
                 matrix[i][j]
                 for i in range(len(pts))
                 for j in range(len(pts))
-                if _distance_tuple(factors, pts[i], pts[j])[axis] >= eps
+                if factors[axis].distance(pts[i][axis], pts[j][axis]) >= eps
             ]
             assert min(relevant) >= floor
 

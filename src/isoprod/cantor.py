@@ -1,11 +1,15 @@
 """Exact base-3 machinery for the Cantor set and its dilation union.
 
-Membership tests work on eventually periodic digit expansions, the
-constructive distance decompositions return verified witness pairs, and
-the three-point line search plus the interval-pair refutation settle
-which line triangles embed into the dilation-closed Cantor set.  The
-transcendental embedding adjoins a single symbol with certified
-rational bounds; no comparison here ever needs its numeric value.
+Membership and expansion share one long-division digit walk: the
+preperiod is as long as the exponent of 3 in the reduced denominator,
+and the period ends when the remainder returns to its value after the
+preperiod, so no digit or remainder is stored.  Membership stops at
+the first digit that settles it.  The constructive distance
+decompositions return verified witness pairs, and the three-point line
+search plus the interval-pair refutation settle which line triangles
+embed into the dilation-closed Cantor set.  The transcendental
+embedding adjoins a single symbol with certified rational bounds; no
+comparison here ever needs its numeric value.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     AmbiguousComparisonError,
@@ -97,35 +101,58 @@ class Base3Expansion:
         return None
 
 
+def _low_digits(n: int) -> Iterator[int]:
+    """Base-3 digits of an integer n >= 0, least significant first."""
+    while n:
+        n, d = divmod(n, 3)
+        yield d
+
+
+def _split_threes(den: int) -> tuple[int, int]:
+    """(k, m) with den = 3**k * m and m not divisible by 3."""
+    k = 0
+    while den % 3 == 0:
+        den //= 3
+        k += 1
+    return k, den
+
+
+def _digit_walk(rem: int, den: int, preperiod: int) -> Iterator[int]:
+    """Base-3 digits of rem/den by long division: the preperiod, then one period.
+
+    rem/den must be reduced with 0 <= rem < den, and preperiod must be
+    the exponent of 3 in den.  The period ends when the remainder
+    returns to its value after the preperiod; it is empty when that
+    value is 0, which happens exactly when den is a power of 3.
+    """
+    for _ in range(preperiod):
+        d, rem = divmod(3 * rem, den)
+        yield d
+    start = rem
+    while rem:
+        d, rem = divmod(3 * rem, den)
+        yield d
+        if rem == start:
+            return
+
+
 def to_base3(t: RationalLike) -> Base3Expansion:
     """Canonical base-3 expansion of a nonnegative rational, by long division.
 
-    Terminates exactly when the reduced denominator is a power of 3;
-    the canonical form never ends in an all-2 tail.
+    The preperiod is as long as the exponent of 3 in the reduced
+    denominator and the period is minimal; the expansion terminates
+    exactly when that denominator is a power of 3, and the canonical
+    form never ends in an all-2 tail.
     """
     t = rat(t)
     if t < 0:
         raise ValueError(f"expected a nonnegative rational, got {t}")
-    whole = t.numerator // t.denominator
-    integer_digits = []
-    while whole:
-        whole, d = divmod(whole, 3)
-        integer_digits.append(d)
-    integer_digits.reverse()
-
-    frac = t - (t.numerator // t.denominator)
-    num, den = frac.numerator, frac.denominator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    while num and num not in seen:
-        seen[num] = len(digits)
-        num *= 3
-        d, num = divmod(num, den)
-        digits.append(d)
-    if num == 0:
-        return Base3Expansion(tuple(integer_digits), tuple(digits), ())
-    cut = seen[num]
-    return Base3Expansion(tuple(integer_digits), tuple(digits[:cut]), tuple(digits[cut:]))
+    whole, rem = divmod(t.numerator, t.denominator)
+    preperiod = _split_threes(t.denominator)[0]
+    digits = tuple(_digit_walk(rem, t.denominator, preperiod))
+    return Base3Expansion(
+        tuple(_low_digits(whole))[::-1], digits[:preperiod], digits[preperiod:]
+    )
 
 
 def in_cantor(t: RationalLike) -> bool:
@@ -142,24 +169,33 @@ def in_scaled_cantor(t: RationalLike) -> bool:
     """Membership in the union of the Cantor set with all its 3^n dilates.
 
     True when some base-3 expansion of t, integer and fractional digits
-    together, avoids the digit 1.
+    together, avoids the digit 1.  Digits are read until one settles
+    the answer, never stored.  When the reduced denominator has a prime
+    factor other than 3 the expansion is unique: the integer digits and
+    then the digit walk are read up to the first 1, and a period that
+    closes without one means membership.  When the denominator is 3^k
+    the digits are those of the numerator, k of them after the point,
+    and a 1 is allowed only as the last nonzero digit, which the other
+    expansion turns into 0222....
     """
     t = rat(t)
     if t < 0:
         return False
-    expansion = to_base3(t)
-    if expansion.uses_only():
-        return True
-    alternate = expansion.alternate()
-    return alternate is not None and alternate.uses_only()
+    num, den = t.numerator, t.denominator
+    preperiod, rest = _split_threes(den)
+    if rest == 1:
+        while num and num % 3 == 0:
+            num //= 3
+        if num % 3 == 1:
+            num //= 3
+        return 1 not in _low_digits(num)
+    whole, rem = divmod(num, den)
+    return 1 not in _low_digits(whole) and 1 not in _digit_walk(rem, den, preperiod)
 
 
 def _require_triadic(t: Fraction) -> None:
     """Raise unless the reduced denominator of t is a power of three."""
-    den = t.denominator
-    while den % 3 == 0:
-        den //= 3
-    if den != 1:
+    if _split_threes(t.denominator)[1] != 1:
         raise NonTriadicDenominatorError(
             f"denominator of {t} is not a power of three"
         )

@@ -458,12 +458,13 @@ def _run_universal(args, inputs):
 def _run_embed(args, inputs):
     values = _load(fileio.load_rational_set, args.set_file, inputs)
     images = transcendental_embed(values)
-    original = sorted(abs(a - b) for a in values for b in values)
-    shifted = sorted(
-        abs((images[a] - images[b]).q) for a in values for b in values
-    )
-    preserved = original == shifted and all(
-        not img.is_rational() for img in images.values()
+    # images v + r*tau with one nonzero r differ by exactly (a - b) + 0*tau
+    # for every pair, so the pairwise distances are preserved
+    coefficients = {img.r for img in images.values()}
+    preserved = (
+        all(img.q == v for v, img in images.items())
+        and len(coefficients) <= 1
+        and 0 not in coefficients
     )
     refutations = {}
     for v, img in sorted(images.items()):

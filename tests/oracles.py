@@ -117,6 +117,31 @@ def naive_three_point(values, a, b):
     return None
 
 
+def cantor_orbit_member(t) -> bool:
+    """Membership in the dilated Cantor union by the orbit of the tent maps.
+
+    t >= 0 is divided by 3 until it is at most 1; then x -> 3x (for
+    x <= 1/3) or x -> 3x - 2 (for x >= 2/3) is iterated.  A point of
+    the open middle third (1/3, 2/3) leaves the Cantor set, and an
+    orbit that repeats stays in it forever.
+    """
+    x = Fraction(t)
+    if x < 0:
+        return False
+    while x > 1:
+        x /= 3
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        if 3 * x <= 1:
+            x = 3 * x
+        elif 3 * x >= 2:
+            x = 3 * x - 2
+        else:
+            return False
+    return True
+
+
 def isotone_pairs_hold(f: SampledFunction) -> bool:
     return all(
         f.value(x) <= f.value(y)

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_three_point
+from oracles import cantor_orbit_member, naive_three_point
 from isoprod.cantor import (
     Base3Expansion,
     SymbolicAffine,
@@ -104,6 +105,97 @@ def test_in_scaled_cantor_examples():
 @settings(max_examples=300, deadline=None)
 def test_dilation_closure(value):
     assert in_scaled_cantor(value) == in_scaled_cantor(3 * value)
+
+
+def _value_of_digits(integer, pre, period):
+    """The rational written integer.pre(period) in base 3."""
+    value = F(0)
+    for d in integer:
+        value = 3 * value + d
+    scale = F(1)
+    for d in pre:
+        scale /= 3
+        value += d * scale
+    if period:
+        repeat = 0
+        for d in period:
+            repeat = 3 * repeat + d
+        value += F(repeat, 3 ** len(period) - 1) * scale
+    return value
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
+    return [i for i in range(n) if sieve[i]]
+
+
+def test_membership_agrees_with_orbit_oracle():
+    rng = random.Random(20260318)
+    values = []
+    for k in range(0, 9):
+        values += [F(rng.randint(0, 3 ** (k + 2)), 3**k) for _ in range(60)]
+    for _ in range(600):
+        digits = lambda n, allowed: [rng.choice(allowed) for _ in range(n)]
+        allowed = (0, 2) if rng.random() < 0.6 else (0, 1, 2)
+        value = _value_of_digits(
+            digits(rng.randint(0, 4), allowed),
+            digits(rng.randint(0, 5), allowed),
+            digits(rng.randint(0, 9), allowed),
+        )
+        values += [value, -value]
+    values += [F(rng.randint(0, 10**6)) for _ in range(300)]
+    values += [F(int("1" + "".join(rng.choice("02") for _ in range(12)), 3))]
+    values += [F(-rng.randint(1, 10**4), rng.randint(1, 500)) for _ in range(100)]
+    primes = _primes_below(100_000)
+    for p in rng.sample(primes, 120) + [2, 5, 7, 13, 41, 61, 73, 99_991]:
+        values += [F(k, p) for k in rng.sample(range(0, 3 * p), min(3 * p, 8))]
+    values += [F(1, 4), F(3, 4), F(1, 10), F(3, 10), F(9, 4), F(1, 3), F(2, 3), F(1), F(3)]
+    members = 0
+    for t in values:
+        expected = cantor_orbit_member(t)
+        members += expected
+        assert in_scaled_cantor(t) == expected, t
+        assert in_cantor(t) == (t <= 1 and expected), t
+    assert members > 400 and len(values) - members > 400
+
+
+triadic_or_not = st.builds(
+    lambda num, unit, threes: F(num, unit * 3**threes),
+    st.integers(0, 10**6),
+    st.integers(1, 400),
+    st.integers(0, 8),
+)
+
+
+@given(triadic_or_not)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_to_base3_preperiod_is_the_three_adic_valuation_and_period_is_minimal(value):
+    expansion = to_base3(value)
+    den, threes = value.denominator, 0
+    while den % 3 == 0:
+        den //= 3
+        threes += 1
+    assert len(expansion.preperiod) == threes
+    period = expansion.period
+    assert (len(period) == 0) == (den == 1)
+    for shorter in range(1, len(period)):
+        if len(period) % shorter == 0:
+            assert period != period[shorter:] + period[:shorter]
+    assert expansion.to_fraction() == value
+
+
+def test_long_period_non_members_stop_early():
+    # 3 is a primitive root of each prime, so k/p has period p - 1
+    cases = [(in_cantor, F(1, 10000019))]
+    cases += [(in_scaled_cantor, F(k, p)) for k, p in ((1, 300007), (5, 300017), (2, 300043))]
+    for member, t in cases:
+        started = time.perf_counter()
+        assert not member(t)
+        assert time.perf_counter() - started < 0.5, t
 
 
 def test_cantor_decompose_examples():

@@ -17,7 +17,7 @@ from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
 from isoprod.points import point
 from isoprod.sampled import SampledFunction
-from isoprod.cantor import three_point_search
+from isoprod.cantor import three_point_search, transcendental_embed
 import random
 
 
@@ -284,6 +284,23 @@ def test_universal_and_embed_verbs(tmp_path):
     assert code == 0
     images = report["verdicts"][0]["images"]
     assert images["1/3"] == {"q": "1/3", "r": "1"}
+
+
+def test_embed_verdict_matches_sorted_pairwise_distances(tmp_path):
+    rng = random.Random(808)
+    set_path = tmp_path / "set.json"
+    for size in (0, 1, 2, 5, 17, 56):
+        values = [F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(size)]
+        values += values[: size // 4]  # repeated values
+        set_path.write_text(json.dumps([str(v) for v in values]), encoding="utf-8")
+        code, report = dispatch(["embed", "--set", str(set_path)])
+        images = transcendental_embed(values)
+        original = sorted(abs(a - b) for a in values for b in values)
+        shifted = sorted(abs((images[a] - images[b]).q) for a in values for b in values)
+        reference = original == shifted and all(not img.is_rational() for img in images.values())
+        verdict = report["verdicts"][0]
+        assert code == 0 and verdict["ok"] is reference is True
+        assert list(verdict["images"]) == [str(v) for v in sorted(set(values))]
 
 
 def test_level_env_var(tmp_path, monkeypatch):

@@ -139,13 +139,12 @@ def test_membership_agrees_with_orbit_oracle():
     for k in range(0, 9):
         values += [F(rng.randint(0, 3 ** (k + 2)), 3**k) for _ in range(60)]
     for _ in range(600):
-        digits = lambda n, allowed: [rng.choice(allowed) for _ in range(n)]
+        # members from digits 0 and 2, non-members mostly from digits with a 1
         allowed = (0, 2) if rng.random() < 0.6 else (0, 1, 2)
-        value = _value_of_digits(
-            digits(rng.randint(0, 4), allowed),
-            digits(rng.randint(0, 5), allowed),
-            digits(rng.randint(0, 9), allowed),
+        integer, pre, period = (
+            [rng.choice(allowed) for _ in range(rng.randint(0, n))] for n in (4, 5, 9)
         )
+        value = _value_of_digits(integer, pre, period)
         values += [value, -value]
     values += [F(rng.randint(0, 10**6)) for _ in range(300)]
     values += [F(int("1" + "".join(rng.choice("02") for _ in range(12)), 3))]
@@ -189,7 +188,8 @@ def test_to_base3_preperiod_is_the_three_adic_valuation_and_period_is_minimal(va
 
 
 def test_long_period_non_members_stop_early():
-    # 3 is a primitive root of each prime, so k/p has period p - 1
+    # 1/10000019 has period 5,000,009; 3 is a primitive root of the other
+    # primes, so each k/p has period p - 1
     cases = [(in_cantor, F(1, 10000019))]
     cases += [(in_scaled_cantor, F(k, p)) for k, p in ((1, 300007), (5, 300017), (2, 300043))]
     for member, t in cases:

@@ -299,7 +299,8 @@ def test_embed_verdict_matches_sorted_pairwise_distances(tmp_path):
         shifted = sorted(abs((images[a] - images[b]).q) for a in values for b in values)
         reference = original == shifted and all(not img.is_rational() for img in images.values())
         verdict = report["verdicts"][0]
-        assert code == 0 and verdict["ok"] is reference is True
+        assert reference
+        assert code == 0 and verdict["ok"] == reference
         assert list(verdict["images"]) == [str(v) for v in sorted(set(values))]
 
 

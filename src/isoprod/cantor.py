@@ -15,7 +15,6 @@ comparison here ever needs its numeric value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -25,7 +24,7 @@ from .errors import (
     OutOfRangeError,
     RationalInputError,
 )
-from .points import RationalLike, rat
+from .points import RationalLike, Record, rat
 
 
 def _base3_value(digits: Iterable[int]) -> int:
@@ -36,8 +35,7 @@ def _base3_value(digits: Iterable[int]) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Base3Expansion:
+class Base3Expansion(Record):
     """An eventually periodic base-3 representation of a rational >= 0.
 
     integer_digits are most significant first with no leading zeros;
@@ -67,9 +65,6 @@ class Base3Expansion:
 
     def all_digits(self) -> tuple[int, ...]:
         return self.integer_digits + self.preperiod + self.period
-
-    def uses_only(self, allowed: frozenset[int] = frozenset({0, 2})) -> bool:
-        return all(d in allowed for d in self.all_digits())
 
     def is_terminating(self) -> bool:
         return not self.period
@@ -313,8 +308,7 @@ def three_point_search(
     return None
 
 
-@dataclass(frozen=True)
-class ComboEvidence:
+class ComboEvidence(Record):
     """Interval pairs clustering at one limit combination."""
 
     x_star: Fraction
@@ -323,8 +317,7 @@ class ComboEvidence:
     example: tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class TripleRefutationReport:
+class TripleRefutationReport(Record):
     level: int
     candidate_rejections: tuple[tuple[Fraction, str], ...]
     combos: tuple[ComboEvidence, ...]
@@ -444,8 +437,7 @@ TAU_LOWER = Fraction(314159, 100000)
 TAU_UPPER = Fraction(31416, 10000)
 
 
-@dataclass(frozen=True)
-class SymbolicAffine:
+class SymbolicAffine(Record):
     """A value q + r*tau for one fixed transcendental symbol tau.
 
     Addition and subtraction act componentwise; the value is rational
@@ -530,8 +522,7 @@ def transcendental_embed(values: Iterable[RationalLike]) -> dict[Fraction, Symbo
     return {rat(v): SymbolicAffine(rat(v), Fraction(1)) for v in values}
 
 
-@dataclass(frozen=True)
-class RationalSubspaceRefutation:
+class RationalSubspaceRefutation(Record):
     """Certificate that a distance with nonzero symbol part is never realized by rationals."""
 
     value: SymbolicAffine

@@ -8,17 +8,15 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .points import rat
+from .points import Record, rat
 
 COMBINER_NAMES = ("SUM", "MAX", "SQRT_SUM_SQ", "CAPPED_SUM", "SQUARE_SUM")
 
 
-@dataclass(frozen=True)
-class Combiner:
+class Combiner(Record):
     name: str
     fn: Callable[[Sequence[Fraction]], object]
     exact: bool = True

@@ -20,13 +20,12 @@ after each part (``_min_cover``), filled bottom-up without recursion;
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotAmenableError
-from .points import PointN, axis_vector, leq, origin, rat, scale_to_integers, sort_key
+from .points import PointN, Record, axis_vector, leq, origin, rat, scale_to_integers, sort_key
 from .sampled import SampledFunction, is_amenable, projection_support, require_isotone
 
 
@@ -82,8 +81,7 @@ class AxisRule(enum.Enum):
     CONSTANT = "CONSTANT"
 
 
-@dataclass(frozen=True)
-class AxisExtendedFunction:
+class AxisExtendedFunction(Record):
     """A sampled function together with per-axis ray extensions.
 
     ``rules`` assigns each 1-based axis the rule valuing its ray points;
@@ -189,8 +187,7 @@ def amenable_isotone_continuation(f: SampledFunction, y: PointN) -> Fraction:
     return extension.sup_below(y)
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     """A multiset of ground points covering a target, with its exact cost.
 
     The coordinatewise sum of the parts dominates the target; the empty

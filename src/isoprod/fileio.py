@@ -7,7 +7,6 @@ reports and fixtures are bit-stable across platforms and locales.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -96,6 +95,7 @@ def parse_point_string(text: str) -> PointN:
 
 
 def file_digest(path: PathLike) -> str:
+    import hashlib  # here, not at module top: only a job that reads a file pays for it
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return f"sha256:{digest}"
 

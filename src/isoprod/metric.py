@@ -11,7 +11,6 @@ compared in floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
 from typing import Optional, Sequence, Union
@@ -22,12 +21,11 @@ from .errors import (
     InvalidMetricError,
     NotWellDefinedError,
 )
-from .points import PointN, rat, scale_to_integers
+from .points import PointN, Record, rat, scale_to_integers
 from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
 
-@dataclass(frozen=True)
-class MetricViolation:
+class MetricViolation(Record):
     """One failed metric axiom: kind is symmetry, identity or triangle."""
 
     kind: str
@@ -180,8 +178,7 @@ class FiniteMetricSpace:
 CombinerLike = Union[Combiner, SampledFunction]
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(Record):
     """Factor spaces plus the combiner applied to coordinate distances."""
 
     factors: tuple[FiniteMetricSpace, ...]
@@ -246,8 +243,7 @@ def product_metric(spec: ProductSpec) -> tuple[list[tuple[str, ...]], list[list]
     return product_labels(factors), [[table[c] for c in row] for row in rows]
 
 
-@dataclass(frozen=True)
-class DistanceIncreaseViolation:
+class DistanceIncreaseViolation(Record):
     """Two product pairs whose distances invert a tuple comparison."""
 
     small_pair: tuple[tuple[str, ...], tuple[str, ...]]
@@ -326,8 +322,7 @@ def extract_product_function(
     return SampledFunction((PointN(tup), val) for tup, val in table.items())
 
 
-@dataclass(frozen=True)
-class MetricPreservingReport:
+class MetricPreservingReport(Record):
     isotone: bool
     amenable: bool
     amenable_witness: Optional[PointN]

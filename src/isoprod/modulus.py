@@ -10,13 +10,12 @@ certified lower bound of the continuous modulus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .errors import OffLatticeError
-from .points import PointN, RationalLike, rat, scale_to_integers
+from .points import PointN, RationalLike, Record, rat, scale_to_integers
 
 
 class GridFunction:
@@ -190,8 +189,7 @@ def difference_bound_holds(
     return True, None
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(Record):
     max_deviation: Fraction
     at: Optional[PointN]
 

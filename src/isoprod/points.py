@@ -7,7 +7,6 @@ there is no tolerance anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
@@ -35,23 +34,66 @@ def scale_to_integers(values: Iterable[Union[Fraction, int]]) -> tuple[int, list
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-@dataclass(frozen=True)
-class PointN:
+class Record:
+    """A frozen value record with the contract of ``@dataclass(frozen=True)``: the fields are
+    the class annotations in order, a class attribute of a field's name is its default, and
+    ``__post_init__``, where a record defines it, runs once the fields are set."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names, owned = tuple(type(self).__annotations__), vars(type(self))
+        given = dict(**dict(zip(names, args)), **kwargs)  # a field given twice raises TypeError
+        values = {**{n: owned[n] for n in names if n in owned}, **given}
+        if len(args) > len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes each of the fields {names} once")
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PointN(Record):
     """An immutable point of the nonnegative rational orthant.
 
     Suitable as a dictionary key: equality and hashing are structural.
     """
 
+    __slots__ = ("coords",)
     coords: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        coords = tuple(rat(c) for c in self.coords)
+    def __init__(self, coords):
+        coords = tuple(rat(c) for c in coords)
         if not coords:
             raise ValueError("a point needs at least one coordinate")
         for c in coords:
             if c < 0:
                 raise ValueError(f"negative coordinate {c} not allowed")
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):  # the record's, unrolled: points are the key of every hot loop
+        return self.coords == other.coords if other.__class__ is PointN else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def dim(self) -> int:

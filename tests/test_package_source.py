@@ -77,7 +77,9 @@ def _modules_imported(args: list[str]) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "args", [["-c", "import isoprod.cli"], ["-m", "isoprod", "cantor", "member", "1/4"]], ids=["import", "run"]
+    "args",
+    [["-c", "import isoprod.cli"], ["-m", "isoprod", "cantor", "member", "1/4"]],
+    ids=["import", "run"],
 )
 def test_cli_start_skips_heavy_stdlib_modules(args, monkeypatch):
     # dataclasses brings inspect (and ast, dis, tokenize) with it; hashlib is

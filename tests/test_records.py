@@ -44,13 +44,14 @@ def _point(rng, dim):
     return PointN(tuple(_frac(rng) for _ in range(dim)))
 
 
-def _digits(rng, lo=0):
-    return tuple(rng.randint(0, 2) for _ in range(rng.randint(lo, 4)))
+def _digits(rng):
+    return tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 4)))
 
 
 def _space(rng):
     n = rng.randint(1, 3)
-    return FiniteMetricSpace([f"p{i}" for i in range(n)], [[abs(i - j) for j in range(n)] for i in range(n)])
+    labels = [f"p{i}" for i in range(n)]
+    return FiniteMetricSpace(labels, [[abs(i - j) for j in range(n)] for i in range(n)])
 
 
 def _sampled(rng):
@@ -85,7 +86,9 @@ def _pair(rng):
 # class -> seeded field values; each list holds every field, defaults included
 FIELDS = {
     PointN: lambda rng: [tuple(_frac(rng) for _ in range(rng.randint(1, 3)))],
-    Base3Expansion: lambda rng: [(1, *_digits(rng)) if rng.random() < 0.7 else (), _digits(rng), _digits(rng)],
+    Base3Expansion: lambda rng: [
+        (1, *_digits(rng)) if rng.random() < 0.7 else (), _digits(rng), _digits(rng)
+    ],
     ComboEvidence: _combo_fields,
     TripleRefutationReport: lambda rng: [
         rng.randint(0, 6),
@@ -96,7 +99,9 @@ FIELDS = {
         rng.random() < 0.5,
     ],
     SymbolicAffine: lambda rng: [_frac(rng) - 10, _frac(rng) - 10],
-    RationalSubspaceRefutation: lambda rng: [SymbolicAffine(_frac(rng), F(1)), F(1), f"r{rng.randint(0, 99)}"],
+    RationalSubspaceRefutation: lambda rng: [
+        SymbolicAffine(_frac(rng), F(1)), F(1), f"r{rng.randint(0, 99)}"
+    ],
     Combiner: lambda rng: [rng.choice(("SUM", "MAX")), SUM.fn, rng.random() < 0.5],
     AxisExtendedFunction: _axis_fields,
     CoverCertificate: _cover_fields,
@@ -107,7 +112,12 @@ FIELDS = {
     ],
     ProductSpec: lambda rng: [tuple(_space(rng) for _ in range(rng.randint(1, 3))), SUM],
     DistanceIncreaseViolation: lambda rng: [
-        _pair(rng), _pair(rng), (_frac(rng), _frac(rng)), (_frac(rng), _frac(rng)), _frac(rng), _frac(rng)
+        _pair(rng),
+        _pair(rng),
+        (_frac(rng), _frac(rng)),
+        (_frac(rng), _frac(rng)),
+        _frac(rng),
+        _frac(rng),
     ],
     MetricPreservingReport: lambda rng: [
         rng.random() < 0.5,
@@ -184,15 +194,19 @@ def test_record_matches_frozen_dataclass_twin(cls):
 
 def test_default_fields():
     assert Combiner("SUM", SUM.fn).exact is True
-    assert Combiner("SUM", SUM.fn) == Combiner("SUM", SUM.fn, True) != Combiner("SUM", SUM.fn, False)
+    assert Combiner("SUM", SUM.fn) == Combiner("SUM", SUM.fn, True)
+    assert Combiner("SUM", SUM.fn) != Combiner("SUM", SUM.fn, False)
     f = SampledFunction([(point(0), 0), (point(1), 1)])
     rules = {1: AxisRule.UPPER_CONE_INF}
-    assert AxisExtendedFunction(f, rules).c == 1 == AxisExtendedFunction(base=f, rules=rules, c="1").c
+    assert AxisExtendedFunction(f, rules).c == 1
+    assert AxisExtendedFunction(base=f, rules=rules, c="1").c == 1
     assert repr(AxisExtendedFunction(f, rules)) == repr(AxisExtendedFunction(f, rules, F(1)))
 
 
 def test_bad_constructor_calls_are_type_errors():
-    for args, kwargs in [((), {}), ((1,), {}), ((1,), {"q": 2}), ((1, 2), {"s": 3}), ((1, 2, 3), {})]:
+    # no fields, a missing field, a field twice, an unknown field, too many values
+    calls = [((), {}), ((1,), {}), ((1,), {"q": 2}), ((1, 2), {"s": 3}), ((1, 2, 3), {})]
+    for args, kwargs in calls:
         with pytest.raises(TypeError):
             SymbolicAffine(*args, **kwargs)
 
@@ -206,7 +220,6 @@ def _error(fn):
 def test_validation_errors_are_unchanged():
     space = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])
     f = SampledFunction([(point(0, 0), 0), (point(1, 0), 1)])
-    gapped = SampledFunction([(point(0, 0), 0), (point(1, 0), 1)])
     cases = [
         (lambda: PointN(()), ValueError, "a point needs at least one coordinate"),
         (lambda: PointN((1, -2, -3)), ValueError, "negative coordinate -2 not allowed"),
@@ -214,17 +227,22 @@ def test_validation_errors_are_unchanged():
         (lambda: point(True), TypeError, "booleans are not rationals"),
         (lambda: Base3Expansion((1, 3), (), ()), ValueError, "invalid base-3 digit 3"),
         (lambda: Base3Expansion((), (0,), (2, 5)), ValueError, "invalid base-3 digit 5"),
-        (lambda: Base3Expansion((0, 1), (), ()), ValueError, "integer digits must not have leading zeros"),
+        (lambda: Base3Expansion((0, 1), (), ()), ValueError,
+         "integer digits must not have leading zeros"),
         (lambda: CoverCertificate(point(1), ((point(1), 0),), 1), ValueError,
          "part multiplicities must be positive"),
-        (lambda: CoverCertificate(point(2, 1), ((point(1, 1), 1),), 1), ValueError, "parts do not cover (2, 1)"),
+        (lambda: CoverCertificate(point(2, 1), ((point(1, 1), 1),), 1), ValueError,
+         "parts do not cover (2, 1)"),
         (lambda: ProductSpec((), SUM), ValueError, "a product needs at least one factor"),
         (lambda: ProductSpec([space], f), ValueError, "combiner dimension 2 != 1 factors"),
-        (lambda: ProductSpec([space, space], gapped), CombinerDomainGapError,
+        (lambda: ProductSpec([space, space], f), CombinerDomainGapError,
          "sampled combiner lacks distance tuple (Fraction(0, 1), Fraction(1, 1))"),
-        (lambda: AxisExtendedFunction(f, {}, 0), ValueError, "the axis constant must be positive, got 0"),
-        (lambda: AxisExtendedFunction(f, {}, "-1/2"), ValueError, "the axis constant must be positive, got -1/2"),
-        (lambda: AxisExtendedFunction(f, {3: AxisRule.IDENTITY}), IndexError, "axis 3 out of range"),
+        (lambda: AxisExtendedFunction(f, {}, 0), ValueError,
+         "the axis constant must be positive, got 0"),
+        (lambda: AxisExtendedFunction(f, {}, "-1/2"), ValueError,
+         "the axis constant must be positive, got -1/2"),
+        (lambda: AxisExtendedFunction(f, {3: AxisRule.IDENTITY}), IndexError,
+         "axis 3 out of range"),
         (lambda: AxisExtendedFunction(f, {1: AxisRule.IDENTITY}), ValueError,
          "axis 1 has positive samples; rule AxisRule.IDENTITY invalid"),
         (lambda: AxisExtendedFunction(f, {2: AxisRule.UPPER_CONE_INF}), ValueError,

@@ -1,7 +1,9 @@
 """JSON and CSV file formats for every object the CLI consumes.
 
 Rationals travel as strings "p/q" (or "p" for integers) everywhere, so
-reports and fixtures are bit-stable across platforms and locales.
+reports and fixtures are bit-stable across platforms and locales.  A
+loader parses each distinct string of its file once: a product matrix or
+a lattice file repeats a few values many times.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ PathLike = Union[str, Path]
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
+    if not isinstance(value, (Fraction, int)):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -73,14 +76,31 @@ def parse_rational(value) -> Fraction:
     return result
 
 
+def _file_parser():
+    """parse_rational for one file, each distinct string parsed once.  Only ``str`` values are
+    kept: ``True == 1 == 1.0`` hash alike, and a boolean or a float must reach its own error."""
+    memo = {}
+    get = memo.get
+
+    def parse(value) -> Fraction:
+        if value.__class__ is not str:
+            return parse_rational(value)
+        result = get(value)
+        if result is None:
+            result = memo[value] = parse_rational(value)
+        return result
+
+    return parse
+
+
 def format_point(p: PointN) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
 
-def parse_point(values: Sequence) -> PointN:
+def parse_point(values: Sequence, parse=parse_rational) -> PointN:
     if not isinstance(values, (list, tuple)) or not values:
         raise LoadError(f"expected a nonempty coordinate array, got {values!r}")
-    return PointN(tuple(parse_rational(v) for v in values))
+    return PointN(tuple(map(parse, values)))
 
 
 def parse_point_string(text: str) -> PointN:
@@ -122,16 +142,14 @@ def sampled_function_jsonable(f: SampledFunction) -> dict:
 def load_sampled_function(path: PathLike) -> SampledFunction:
     """Load a sampled function from .json or .csv (n+1 columns)."""
     path = Path(path)
+    parse = _file_parser()
     dim = None  # a CSV file declares no dimension
     if path.suffix.lower() == ".csv":
-        entries = _sampled_function_csv_rows(path)
+        entries = _sampled_function_csv_rows(path, parse)
     else:
         data = _read_json(path)
         try:
-            entries = [
-                (parse_point(e["point"]), parse_rational(e["value"]))
-                for e in data["entries"]
-            ]
+            entries = [(parse_point(e["point"], parse), parse(e["value"])) for e in data["entries"]]
             dim = int(data["dim"])
         except (KeyError, TypeError) as exc:
             raise LoadError(f"{path}: malformed sampled function: {exc!r}") from None
@@ -144,7 +162,7 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
     return f
 
 
-def _sampled_function_csv_rows(path: Path) -> list[tuple[PointN, Fraction]]:
+def _sampled_function_csv_rows(path: Path, parse) -> list[tuple[PointN, Fraction]]:
     entries = []
     with open(path, newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
@@ -152,8 +170,8 @@ def _sampled_function_csv_rows(path: Path) -> list[tuple[PointN, Fraction]]:
                 continue
             if len(row) < 2:
                 raise LoadError(f"{path}:{lineno}: need n+1 columns")
-            coords = [parse_rational(cell.strip()) for cell in row[:-1]]
-            entries.append((PointN(tuple(coords)), parse_rational(row[-1].strip())))
+            coords = [parse(cell.strip()) for cell in row[:-1]]
+            entries.append((PointN(tuple(coords)), parse(row[-1].strip())))
     if not entries:
         raise LoadError(f"{path}: no rows")
     return entries
@@ -166,25 +184,31 @@ def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:
 # -- metric spaces and matrices ----------------------------------------
 
 def matrix_jsonable(labels: Sequence, matrix) -> dict:
+    texts = {}  # a product matrix holds few distinct values; an int pair hashes cheaper than a Fraction
+
+    def entry(v):
+        if not isinstance(v, (Fraction, int)):
+            return float(v)
+        key = (v.numerator, v.denominator)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_rational(v)
+        return text
+
     return {
         "labels": [
             "|".join(lab) if isinstance(lab, tuple) else str(lab) for lab in labels
         ],
-        "dist": [
-            [
-                format_rational(v) if isinstance(v, (Fraction, int)) else float(v)
-                for v in row
-            ]
-            for row in matrix
-        ],
+        "dist": [list(map(entry, row)) for row in matrix],
     }
 
 
 def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
     """Load a labeled candidate matrix without metric validation."""
     data = _read_json(path)
+    parse = _file_parser()
     try:
-        dist = [[parse_rational(v) for v in row] for row in data["dist"]]
+        dist = [list(map(parse, row)) for row in data["dist"]]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed matrix: {exc!r}") from None
     labels = [str(x) for x in data.get("labels", range(len(dist)))]
@@ -218,14 +242,13 @@ def grid_function_jsonable(g: GridFunction) -> dict:
 
 def load_grid_function(path: PathLike) -> GridFunction:
     data = _read_json(path)
+    parse = _file_parser()
     try:
         n = int(data["n"])
-        bound = parse_rational(data["T"])
-        step = parse_rational(data["h"])
-        entries = [
-            (parse_point(e["point"]), parse_rational(e["value"]))
-            for e in data["values"]
-        ]
+        bound = parse(data["T"])
+        step = parse(data["h"])
+        # every entry is parsed before any is indexed: a bad rational is reported first
+        entries = [(parse_point(e["point"], parse), parse(e["value"])) for e in data["values"]]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed grid function: {exc!r}") from None
     try:
@@ -246,7 +269,7 @@ def load_rational_set(path: PathLike) -> list[Fraction]:
         data = data.get("values")
     if not isinstance(data, list):
         raise LoadError(f"{path}: expected an array of rationals")
-    return [parse_rational(v) for v in data]
+    return list(map(_file_parser(), data))
 
 
 def rational_set_jsonable(values: Iterable[Fraction]) -> dict:

@@ -5,13 +5,18 @@ isotone subadditive functions the lattice modulus agrees exactly with
 the function itself, so the fixed-point test is an exact equality, not
 an approximation; for arbitrary functions the lattice value is a
 certified lower bound of the continuous modulus.
+
+The pair scans walk flat integer codes.  Lattice index i has the code
+sum(i_k * (cells + 1) ** (n - 1 - k)), which keeps the lexicographic
+order; the difference |x - y| of two lattice points is a lattice point.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import sub
+from functools import partial, reduce
+from operator import add, gt
 from typing import Callable, Iterable, Optional
 
 from .errors import OffLatticeError
@@ -55,8 +60,12 @@ class GridFunction:
         bound = rat(bound)
         step = rat(step)
         values = {}
+        axis_index = {}  # each distinct coordinate is indexed once
         for p, v in entries:
-            idx = _index_of(p, n, bound, step)
+            idx = tuple(map(axis_index.get, p.coords))
+            if len(idx) != n or None in idx:
+                idx = _index_of(p, n, bound, step)
+                axis_index.update(zip(p.coords, idx))
             if idx in values:
                 raise ValueError(f"duplicate lattice point {p}")
             values[idx] = rat(v)
@@ -118,10 +127,11 @@ class GridFunction:
 def _index_of(p: PointN, n: int, bound: Fraction, step: Fraction) -> tuple[int, ...]:
     if p.dim != n:
         raise OffLatticeError(f"point dimension {p.dim} != lattice dimension {n}")
+    cells = bound / step
     idx = []
     for c in p.coords:
         q = c / step
-        if q.denominator != 1 or not 0 <= q <= bound / step:
+        if q.denominator != 1 or not 0 <= q <= cells:
             raise OffLatticeError(f"{p} is not a lattice point")
         idx.append(int(q))
     return tuple(idx)
@@ -137,12 +147,20 @@ def modulus(g: GridFunction, eps: PointN) -> Fraction:
     return modulus_table(g).value_at(eps_idx)
 
 
-def _pair_rows(indices, values):
-    """Per index x, the indices y >= x (lexicographic), each |x - y| and each |v(x) - v(y)|."""
-    for i, x in enumerate(indices):
-        vx = values[i]
-        ys = indices[i:]
-        yield x, ys, [tuple(map(abs, map(sub, x, y))) for y in ys], [abs(vx - vy) for vy in values[i:]]
+def _pair_rows(g: GridFunction, values: list[int]):
+    """Per flat index x, the codes of |x - y| and the gaps |values[x] - values[y]| for every y >= x."""
+    m, size = g.cells + 1, len(values)
+    axes = []
+    for w in (m ** k for k in range(g.n)):  # one weight per axis
+        # |t| * w for t = 1 - m .. m - 1, each w times: the window from (m - 1 - a) * w holds the
+        # axis part of the codes over m * w flat indices, seen from axis coordinate a
+        axes.append((w, [abs(t) * w for t in range(1 - m, m) for _ in range(w)], size // (m * w)))
+    for x, vx in enumerate(values):
+        axis_rows = []
+        for w, distances, periods in axes:
+            start = (m - 1 - x // w % m) * w
+            axis_rows.append((distances[start:start + m * w] * periods)[x:])
+        yield list(reduce(partial(map, add), axis_rows)), list(map(abs, map(vx.__sub__, values[x:])))
 
 
 def modulus_table(g: GridFunction) -> GridFunction:
@@ -154,18 +172,17 @@ def modulus_table(g: GridFunction) -> GridFunction:
     """
     indices = list(g.indices())
     den, values = scale_to_integers(map(g.value_at, indices))
-    exact = dict.fromkeys(indices, 0)
-    for _, _, diffs, gaps in _pair_rows(indices, values):
-        for d, gap in zip(diffs, gaps):
-            if gap > exact[d]:
-                exact[d] = gap
-    for axis in range(g.n):
-        for idx in indices:  # lexicographic, so idx comes after its predecessor on the axis
-            if idx[axis] > 0:
-                prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
-                if exact[prev] > exact[idx]:
-                    exact[idx] = exact[prev]
-    return GridFunction(g.n, g.bound, g.step, {idx: Fraction(v, den) for idx, v in exact.items()})
+    exact = [0] * len(values)
+    for codes, gaps in _pair_rows(g, values):
+        for code, gap in zip(codes, gaps):
+            if gap > exact[code]:
+                exact[code] = gap
+    m = g.cells + 1
+    for stride in (m ** k for k in range(g.n)):
+        for block in range(0, len(exact), stride * m):  # the more significant axes held fixed
+            for lo in range(block + stride, block + stride * m, stride):
+                exact[lo:lo + stride] = map(max, exact[lo - stride:lo], exact[lo:lo + stride])
+    return GridFunction(g.n, g.bound, g.step, {idx: Fraction(v, den) for idx, v in zip(indices, exact)})
 
 
 def difference_bound_holds(
@@ -181,11 +198,11 @@ def difference_bound_holds(
     """
     indices = list(f.indices())
     _, values = scale_to_integers(map(f.value_at, indices))
-    scaled = dict(zip(indices, values))
-    for x, ys, diffs, gaps in _pair_rows(indices, values):
-        for y, d, gap in zip(ys, diffs, gaps):
-            if gap > scaled[d]:
-                return False, (f.point(x), f.point(y))
+    for x, (codes, gaps) in enumerate(_pair_rows(f, values)):
+        # the first k, if any, with gaps[k] > f(|x - y|) for y = x + k
+        k = next(itertools.compress(itertools.count(), map(gt, gaps, map(values.__getitem__, codes))), None)
+        if k is not None:
+            return False, (f.point(indices[x]), f.point(indices[x + k]))
     return True, None
 
 

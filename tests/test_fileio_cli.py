@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isoprod import fileio
 from isoprod.cli import dispatch, render
-from isoprod.errors import LoadError
+from isoprod.errors import LoadError, OffLatticeError
 from isoprod.fixtures import combiner_grid, fixture_generate, random_metric_space, sampled_combiner
 from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
@@ -34,6 +34,9 @@ def test_rational_round_trip():
     assert fileio.parse_rational("5") == 5
     assert fileio.format_rational(F(6, 4)) == "3/2"
     assert fileio.format_rational(F(8, 4)) == "2"
+    assert [fileio.format_rational(v) for v in (7, True, False, 0.5, "6/4")] == ["7", "1", "0", "1/2", "3/2"]
+    labels, dist = ["a", ("b", "c")], [[F(0), F(6, 4), 2], [True, 0.5, F(3, 2)]]
+    assert fileio.matrix_jsonable(labels, dist) == {"labels": ["a", "b|c"], "dist": [["0", "3/2", "2"], ["1", 0.5, "3/2"]]}
     with pytest.raises(LoadError):
         fileio.parse_rational("eleven")
     with pytest.raises(LoadError):
@@ -83,6 +86,79 @@ def test_parse_rational_matches_the_fraction_parser(text):
         parsed = str(exc)
     expected = _fraction_parse(text)
     assert parsed == expected and type(parsed) is type(expected)
+
+
+def test_loaders_parse_each_distinct_string_once_per_call(tmp_path, monkeypatch):
+    calls = []
+    parse_rational = fileio.parse_rational
+    monkeypatch.setattr(fileio, "parse_rational", lambda value: calls.append(value) or parse_rational(value))
+    grid = {"n": 1, "T": "1", "h": "1/2", "values": [
+        {"point": ["0"], "value": "0"}, {"point": ["1/2"], "value": "1"}, {"point": ["1"], "value": "1"}]}
+    files = {
+        "m.json": {"dist": [["0", "1/2", 1], ["1/2", "0", 1], [1, 1, "0"]]},
+        "g.json": grid,
+        "f.json": {"dim": 2, "entries": [{"point": ["0", "1/2"], "value": "1/2"}, {"point": ["1/2", "0"], "value": "1/2"}]},
+        "s.json": ["1/3", "0", "1/3", "0"],
+    }
+    expected = {
+        "m.json": ["0", "1/2", 1, 1, 1, 1],  # each string once, each JSON number every time
+        "g.json": ["1", "1/2", "0"],
+        "f.json": ["0", "1/2"],
+        "s.json": ["1/3", "0"],
+        "f.csv": ["0", "1/2", "1"],
+    }
+    (tmp_path / "f.csv").write_text("0,1/2,1\n1/2,0,1\n0,0,0\n")
+    loaders = {"m": fileio.load_matrix, "g": fileio.load_grid_function, "f": fileio.load_sampled_function,
+               "s": fileio.load_rational_set}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    for name, parsed in expected.items():
+        for _ in range(2):  # the memo lives for one call: a second load parses again
+            calls.clear()
+            loaders[name[0]](tmp_path / name)
+            assert calls == parsed, name
+
+
+def test_loader_error_texts_are_pinned(tmp_path):
+    # each text as the loaders gave it before the one-parse-per-string memo
+    full = [{"point": [f"{i}/2", f"{j}/2"], "value": str(i + j)} for i in range(3) for j in range(3)]
+
+    def grid(values):
+        return {"n": 2, "T": "1", "h": "1/2", "values": values}
+
+    off_then_bad = [{"point": ["1/3", "0"], "value": "1"}, *full[1:4], {"point": ["0", "1/2"], "value": "x/2"}, *full[5:]]
+    cases = [
+        (fileio.load_grid_function, grid(off_then_bad),
+         LoadError, "bad rational 'x/2': Invalid literal for Fraction: 'x/2'"),
+        (fileio.load_grid_function, grid(full + [{"point": ["1/2", "0"], "value": "7"}]),
+         LoadError, "{path}: duplicate lattice point (1/2, 0)"),
+        (fileio.load_grid_function, grid(full[:3] + [{"point": ["1"], "value": "1"}] + full[4:]),
+         OffLatticeError, "point dimension 1 != lattice dimension 2"),
+        (fileio.load_grid_function, grid(full[:3] + [{"point": ["1/2", "0"], "value": "-1"}] + full[4:]),
+         LoadError, "{path}: negative value -1 at index (1, 0)"),
+        (fileio.load_sampled_function, {"dim": 1, "entries": [{"point": ["0"], "value": "0"}, {"point": ["1"], "value": "-2"}]},
+         LoadError, "{path}: negative value -2 at (1)"),
+        (fileio.load_matrix, {"labels": ["a", "b"], "dist": [[0, 1], ["1", True]]},
+         LoadError, "expected a rational, got boolean True"),
+        (fileio.load_matrix, {"dist": [["0", "1/2"], ["1/2", 0.5]]},
+         LoadError, "expected a rational string, got 0.5"),
+        (fileio.load_matrix, {"dist": [["0", "1e5000"], ["1e5000", "0"]]},
+         LoadError, f"bad rational '1e5000': exponent beyond {LIMIT}"),
+        (fileio.load_matrix, {"dist": [["1/0", "1/0"], ["1/0", "1/0"]]},
+         LoadError, "bad rational '1/0': Fraction(1, 0)"),
+        (fileio.load_rational_set, ["1/0", "1/2", "1/0"],
+         LoadError, "bad rational '1/0': Fraction(1, 0)"),
+    ]
+    for k, (loader, data, kind, text) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(kind) as info:
+            loader(path)
+        assert str(info.value) == text.format(path=path), k
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("0,1/3\n1,1/0\n2,1/0\n")
+    with pytest.raises(LoadError, match=r"^bad rational '1/0': Fraction\(1, 0\)$"):
+        fileio.load_sampled_function(csv_path)
 
 
 def test_point_string_parsing():

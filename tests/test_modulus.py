@@ -99,6 +99,23 @@ def test_difference_bound_examples():
     assert abs(fx - fy) > square.value(gap)
 
 
+def bound_test_grid(rng, k, n, cells):
+    """Arbitrary values when k % 3 == 0 (mostly violating), else a combiner grid that satisfies
+    the difference bound with a few values nudged."""
+    step = F(1, rng.choice([1, 2, 3]))
+    idxs = list(itertools.product(range(cells + 1), repeat=n))
+    if k % 3 == 0:
+        values = {idx: F(rng.randint(0, 12), rng.choice([1, 2, 3, 4])) for idx in idxs}
+    else:
+        name = rng.choice(["SUM", "MAX", "CAPPED_SUM"])
+        g = combiner_grid(name, n=n, bound=cells * step, step=step, cap=step * rng.randint(1, 3))
+        values = {idx: g.value_at(idx) for idx in idxs}
+        for _ in range(rng.randint(0, 2)):
+            idx = rng.choice(idxs)
+            values[idx] = max(F(0), values[idx] + F(rng.randint(-2, 2), rng.choice([2, 5])))
+    return GridFunction(n, cells * step, step, values)
+
+
 def test_difference_bound_agrees_with_full_square_scan():
     # verdict and witness against the x-major Fraction scan of every ordered pair
     rng = random.Random(4242)
@@ -106,23 +123,45 @@ def test_difference_bound_agrees_with_full_square_scan():
     outcomes = set()
     for k in range(240):
         n = rng.randint(1, 3)
-        cells = rng.randint(1, cells_of[n])
-        step = F(1, rng.choice([1, 2, 3]))
-        idxs = list(itertools.product(range(cells + 1), repeat=n))
-        if k % 3 == 0:  # arbitrary values: mostly violating
-            values = {idx: F(rng.randint(0, 12), rng.choice([1, 2, 3, 4])) for idx in idxs}
-        else:  # a combiner that satisfies the bound, then a few nudged values
-            name = rng.choice(["SUM", "MAX", "CAPPED_SUM"])
-            g = combiner_grid(name, n=n, bound=cells * step, step=step, cap=step * rng.randint(1, 3))
-            values = {idx: g.value_at(idx) for idx in idxs}
-            for _ in range(rng.randint(0, 2)):
-                idx = rng.choice(idxs)
-                values[idx] = max(F(0), values[idx] + F(rng.randint(-2, 2), rng.choice([2, 5])))
-        g = GridFunction(n, cells * step, step, values)
+        g = bound_test_grid(rng, k, n, rng.randint(1, cells_of[n]))
         witness = difference_bound_enumerate(g)
         assert difference_bound_holds(g) == (witness is None, witness)
         outcomes.add(witness is None)
     assert outcomes == {True, False}
+
+
+def test_difference_bound_agrees_with_full_square_scan_on_larger_grids():
+    # the lattice sizes of the benchmark grids and beyond: late first witnesses and full walks
+    rng = random.Random(4243)
+    shapes = [(1, 40), (1, 25), (2, 14), (2, 9), (3, 5), (3, 4)]
+    outcomes = set()
+    for k in range(24):
+        g = bound_test_grid(rng, k, *shapes[k % len(shapes)])
+        witness = difference_bound_enumerate(g)
+        assert difference_bound_holds(g) == (witness is None, witness)
+        outcomes.add(witness is None if witness is None else witness[0].is_origin())
+    assert outcomes == {True, False}  # passing grids, and failing ones whose witness is not at the origin
+
+
+def test_flat_code_table_agrees_with_enumeration_at_every_box():
+    # 152 grids, n = 1-3, cells from 1 up (n = 2 up to 8), values of mixed denominators;
+    # the oracle scans every pair at every box, so the larger shapes are few
+    rng = random.Random(1203)
+    shapes = (
+        [(1, cells) for cells in range(1, 21)] * 3
+        + [(2, cells) for cells in range(1, 4)] * 17 + [(2, 4), (2, 5), (2, 8)]
+        + [(3, 1)] * 30 + [(3, 2)] * 8
+    )
+    for n, cells in shapes:
+        step = F(1, rng.choice([1, 2, 3]))
+        values = {
+            idx: F(rng.randint(0, 30), rng.choice([1, 2, 3, 5, 7]))
+            for idx in itertools.product(range(cells + 1), repeat=n)
+        }
+        g = GridFunction(n, cells * step, step, values)
+        table = modulus_table(g)
+        for idx in g.indices():
+            assert table.value_at(idx) == modulus_enumerate(g, g.point(idx)), (n, cells, idx)
 
 
 def test_fixed_point_examples():

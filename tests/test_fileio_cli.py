@@ -120,7 +120,7 @@ def test_loaders_parse_each_distinct_string_once_per_call(tmp_path, monkeypatch)
 
 
 def test_loader_error_texts_are_pinned(tmp_path):
-    # each text as the loaders gave it before the one-parse-per-string memo
+    # the per-file parse memo and the coordinate index keep every loader error text
     full = [{"point": [f"{i}/2", f"{j}/2"], "value": str(i + j)} for i in range(3) for j in range(3)]
 
     def grid(values):

@@ -29,6 +29,7 @@ from .continuation import (
     amenable_continuation_precheck,
     amenable_isotone_continuation,
     subadditive_envelope,
+    subadditive_envelopes,
     sup_continuation,
 )
 from .metric import (

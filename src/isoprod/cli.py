@@ -37,7 +37,7 @@ from .cantor import (
 from .combiners import COMBINER_NAMES, named_combiner
 from .continuation import (
     amenable_isotone_continuation,
-    subadditive_envelope,
+    subadditive_envelopes,
     sup_continuation,
 )
 from .errors import IsoprodError, OutOfRangeError
@@ -55,6 +55,7 @@ from .points import PointN
 from .sampled import is_amenable, is_isotone, is_subadditive
 
 LEVEL_ENV_VAR = "ISOPROD_LEVEL"
+RATIONAL_HELP = "an exact rational such as 7/9; put -- before one that starts with -, as in -- -7/9"
 
 
 def _default_level(fallback: int) -> int:
@@ -67,6 +68,12 @@ def _default_level(fallback: int) -> int:
         raise IsoprodError(f"{LEVEL_ENV_VAR}={raw!r} is not an integer") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # the usage still goes to stderr, argparse's message to the report
+        self.print_usage(sys.stderr)
+        raise IsoprodError(message)
+
+
 def _add_verb(subparsers, command: str, run, **kwargs) -> argparse.ArgumentParser:
     """Add the parser of one command (its last word), bound to its handler."""
     parser = subparsers.add_parser(command.rsplit(" ", 1)[-1], **kwargs)
@@ -76,7 +83,7 @@ def _add_verb(subparsers, command: str, run, **kwargs) -> argparse.ArgumentParse
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; every verb binds its report name and ``_run_*`` handler."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isoprod",
         description="exact checks and constructions for isotone/subadditive "
         "functions, metric products, grid moduli and Cantor-set distances",
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_verb(sub, "witness-unbounded", _run_witness_unbounded,
                   help="pair exceeding a bound under the gauged ultrametric")
-    p.add_argument("bound")
+    p.add_argument("bound", help=RATIONAL_HELP)
 
     p = _add_verb(sub, "omega", _run_omega, help="grid modulus of continuity at a box")
     p.add_argument("--grid", required=True)
@@ -142,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ce-decompose", _run_ce_decompose),
     ):
         p = _add_verb(cantor_sub, f"cantor {verb}", run)
-        p.add_argument("value")
+        p.add_argument("value", help=RATIONAL_HELP)
     p = _add_verb(cantor_sub, "cantor refute-ce-triple", _run_refute_ce_triple)
     p.add_argument("--level", type=int, default=None)
 
@@ -272,18 +279,16 @@ def _run_extend_amenable(args, inputs):
 
 def _run_envelope(args, inputs):
     f = _load(fileio.load_sampled_function, args.function, inputs)
-    verdicts = []
-    for probe in _probes_from_args(args):
-        value, cert = subadditive_envelope(f, probe, fileio.parse_rational(args.c))
-        verdicts.append(
-            {
-                "check": f"envelope{probe}",
-                "ok": True,
-                "value": fileio.format_rational(value),
-                "certificate": fileio.certificate_jsonable(cert),
-            }
-        )
-    return verdicts
+    probes = _probes_from_args(args)
+    return [
+        {
+            "check": f"envelope{probe}",
+            "ok": True,
+            "value": fileio.format_rational(value),
+            "certificate": fileio.certificate_jsonable(cert),
+        }
+        for probe, (value, cert) in zip(probes, subadditive_envelopes(f, probes, fileio.parse_rational(args.c)))
+    ]
 
 
 def _run_verify_metric(args, inputs):
@@ -506,10 +511,8 @@ def dispatch(argv) -> tuple[int, dict]:
     """
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:
-            raise
-        return 2, {"command": " ".join(argv), "error": "unrecognized arguments"}
+    except IsoprodError as exc:  # raised only by _Parser.error
+        return 2, {"command": " ".join(argv), "error": str(exc)}
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     command = args.command

@@ -13,8 +13,10 @@ Three constructions, all exact:
   certificate.
 
 Cheapest covers come from one table over the residual demands left
-after each part (``_min_cover``), filled bottom-up without recursion;
-``sampled.is_subadditive`` asks one such table for every sample at once.
+after each part (``_min_cover``), filled bottom-up without recursion on
+the integer rows a sampled function prepares once, within ``COVER_BUDGET``
+steps.  ``sampled.is_subadditive`` asks one table for every sample, and
+``subadditive_envelopes`` one for all probes needing no axis points.
 """
 
 from __future__ import annotations
@@ -22,22 +24,23 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import groupby
+from operator import le
 from typing import Callable, Mapping, Sequence
 
-from .errors import DimensionMismatchError, NotAmenableError
+from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
 from .points import PointN, Record, axis_vector, leq, origin, rat, scale_to_integers, sort_key
 from .sampled import SampledFunction, is_amenable, projection_support, require_isotone
+
+COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
 
 
 def lower_cone_max(f: SampledFunction, y: PointN) -> Fraction:
     """The maximum of f over the sample points below y; the empty maximum is 0."""
     if y.dim != f.dim:
         raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
-    best = Fraction(0)
-    for a, v in f.items():
-        if leq(a, y) and v > best:
-            best = v
-    return best
+    top = [t.numerator * f._den // t.denominator for t in y.coords]  # rows below y: below floor(y * den)
+    return max((v for (_, v), row in zip(f.items(), f._rows) if all(map(le, row, top))),
+               default=Fraction(0))
 
 
 def sup_continuation(f: SampledFunction, y: PointN) -> Fraction:
@@ -109,12 +112,7 @@ class AxisExtendedFunction(Record):
     @property
     def axis_caps(self) -> dict[int, Fraction]:
         """Per axis, the largest sample projection on it."""
-        caps = {j: Fraction(0) for j in range(1, self.base.dim + 1)}
-        for p in self.base.domain:
-            for j, coord in enumerate(p.coords, start=1):
-                if coord > caps[j]:
-                    caps[j] = coord
-        return caps
+        return {j: Fraction(cap, self.base._den) for j, cap in enumerate(self.base._caps, start=1)}
 
     @classmethod
     def for_amenable_continuation(cls, f: SampledFunction) -> "AxisExtendedFunction":
@@ -145,12 +143,9 @@ class AxisExtendedFunction(Record):
             return t
         if rule is AxisRule.CONSTANT:
             return self.c
-        cap = self.axis_caps[j]
-        t_eff = min(t, cap)
-        candidates = [v for p, v in self.base.items() if p.coords[j - 1] >= t_eff]
-        if not candidates:
-            raise ValueError(f"no sample above the axis point {t} on axis {j}")
-        return min(candidates)
+        # a sample reaches min(t, cap) iff its row reaches min(ceil(t * den), cap); the cap's own does
+        need = min(_ceil_row(self.base, (t,))[0], self.base._caps[j - 1])
+        return min(v for (_, v), row in zip(self.base.items(), self.base._rows) if row[j - 1] >= need)
 
     def value(self, p: PointN) -> Fraction:
         """Value at a sample point or at a point on a ruled axis ray."""
@@ -219,56 +214,71 @@ class CoverCertificate(Record):
         )
 
 
-def _min_cover(
-    ground: list[tuple[PointN, Fraction]], targets: Sequence[PointN]
-) -> tuple[list[Fraction], Callable[[int], CoverCertificate]]:
+def _ceil_row(f: SampledFunction, coords) -> tuple[int, ...]:
+    """The coordinates times the common denominator of f's rows, each rounded up."""
+    return tuple(-(-t.numerator * f._den // t.denominator) for t in coords)
+
+
+def _sample_ground(f: SampledFunction) -> list[tuple[PointN, Fraction, tuple[int, ...]]]:
+    """The non-origin samples of f as (point, value, integer row), in domain order."""
+    return [(a, v, row) for (a, v), row in zip(f.items(), f._rows) if any(row)]
+
+
+def _min_cover(ground: list[tuple[PointN, Fraction, tuple[int, ...]]], demands: Sequence[tuple[int, ...]],
+               targets: Sequence[PointN]) -> tuple[list[Fraction], Callable[[int], CoverCertificate]]:
     """Exact cheapest covers of several targets by multisets of ground points.
 
-    ``ground`` holds distinct nonzero (point, value) pairs in lexicographic
-    order of their points, and every target must be coverable by them.
-    Coordinates and values are scaled to integers, and one table holds,
-    for every residual demand r reachable from a target, the least
-    (value(e) + cost of clamp(r - e), index of e) over the ground points e
-    that touch a positive coordinate of r.  Every such move lowers r, so
-    the table is filled in lexicographic order of the residuals with each
-    lookup already solved.  The least cheapest cover of r is its least
-    cheapest first part followed by the least cheapest cover of what that
-    part leaves, so the chain of chosen first parts is the cheapest cover
-    with the lexicographically least part sequence.
+    ``ground`` holds distinct nonzero (point, value, integer row) triples in
+    lexicographic order of their points; ``demands[i]`` is ``targets[i]`` on
+    the rows' scale rounded up (a sum of rows reaches one exactly when it
+    reaches the other), and must be coverable.  Values are scaled to
+    integers, and one table holds, for every residual demand r reachable
+    from a demand, the least (value(e) + cost of clamp(r - e), index of e)
+    over the ground points e that touch a positive coordinate of r, looked
+    up by the support mask of r.  Every such move lowers r, so the table is
+    filled in lexicographic order of the residuals with each lookup already
+    solved.  The least cheapest cover of r is its least cheapest first part
+    followed by the least cheapest cover of what that part leaves, so the
+    chain of chosen first parts is the cheapest cover with the
+    lexicographically least part sequence; ground touching no demand never
+    moves.  Exploring costs one step per residual and touching ground
+    point, and past ``COVER_BUDGET`` steps CoverBudgetError is raised.
 
     Returns the cost of every target and a function building the covering
     certificate of the i-th target.
     """
-    n = targets[0].dim
-    _, coords = scale_to_integers(
-        [co for p, _ in ground for co in p.coords] + [co for t in targets for co in t.coords]
-    )
-    den, values = scale_to_integers(v for _, v in ground)
-    points = [tuple(coords[k:k + n]) for k in range(0, n * len(ground), n)]
-    demands = [tuple(coords[k:k + n]) for k in range(n * len(ground), len(coords), n)]
+    den, values = scale_to_integers(v for _, v, _ in ground)
+    points = [row for _, _, row in ground]
     masks = [sum(1 << j for j, c in enumerate(p) if c) for p in points]
+    touching: dict[int, list[int]] = {}  # support mask of a residual -> the ground indices touching it
 
     def moves(r):
-        """Each ground index touching a positive coordinate of r, with what it leaves."""
+        """The ground indices touching a positive coordinate of r, and what each leaves."""
         need = sum(1 << j for j, x in enumerate(r) if x)
-        for k, p in enumerate(points):
-            if masks[k] & need:
-                yield k, tuple(x - c if x > c else 0 for x, c in zip(r, p))
+        if need not in touching:
+            touching[need] = [k for k, m in enumerate(masks) if m & need]
+        ks = touching[need]
+        return ks, (tuple(x - c if x > c else 0 for x, c in zip(r, points[k])) for k in ks)
 
     reachable = set(demands)
     stack = list(reachable)
+    steps = 0
     while stack:
-        for _, left in moves(stack.pop()):
+        ks, lefts = moves(stack.pop())
+        steps += len(ks)
+        if steps > COVER_BUDGET:
+            raise CoverBudgetError(f"the cover search exceeds its budget of {COVER_BUDGET} residual x ground steps")
+        for left in lefts:
             if left not in reachable:
                 reachable.add(left)
                 stack.append(left)
     best: dict[tuple[int, ...], tuple[int, int]] = {}
     for r in sorted(reachable):
         if any(r):
-            options = [(values[k] + best[left][0], k) for k, left in moves(r)]
-            if not options:
+            ks, lefts = moves(r)
+            if not ks:
                 raise AssertionError("no cover exists; ground set construction is broken")
-            best[r] = min(options)
+            best[r] = min([(values[k] + best[left][0], k) for k, left in zip(ks, lefts)])
         else:
             best[r] = (0, -1)
     costs = [Fraction(best[d][0], den) for d in demands]
@@ -286,37 +296,42 @@ def _min_cover(
     return costs, certificate
 
 
-def subadditive_envelope(
-    f: SampledFunction, y: PointN, c=Fraction(1)
-) -> tuple[Fraction, CoverCertificate]:
-    """Greatest isotone subadditive minorant of the samples, at y.
+def subadditive_envelopes(f: SampledFunction, probes: Sequence[PointN],
+                          c=Fraction(1)) -> list[tuple[Fraction, CoverCertificate]]:
+    """Greatest isotone subadditive minorant of the samples, at each probe.
 
     The exact minimum, over finite multisets of sample points whose sum
     dominates y, of the total sampled value; the infimum is attained
     because only parts touching a still uncovered coordinate count.
     Axes carrying no positive sample are first extended by axis points
-    of constant value c > 0 so a cover always exists.  Returns the value
-    and the cheapest covering certificate (lexicographically least on
-    ties), read from the cover table of ``_min_cover`` for this one
-    target.
+    of constant value c > 0 so a cover always exists.  Returns per probe
+    the value and the cheapest covering certificate (lexicographically
+    least on ties), from ``_min_cover`` tables on f's integer rows: one
+    over all non-origin samples for every probe whose positive axes all
+    carry samples, and one more per set of axis points other probes need.
+    Each table has its own ``COVER_BUDGET``.
     """
-    if y.dim != f.dim:
-        raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
-    extension = AxisExtendedFunction.for_envelope(f, c)
-    if y.is_origin():
-        return Fraction(0), CoverCertificate(y, (), Fraction(0))
+    extension = None
+    for y in probes:  # a bad first probe is reported before a bad c, and a bad c before later probes
+        if y.dim != f.dim:
+            raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
+        extension = extension or AxisExtendedFunction.for_envelope(f, c)
+    tables: dict[tuple[PointN, ...], list[int]] = {}  # the axis points probes need -> those probes
+    for i, y in enumerate(probes):
+        axes = tuple(axis_vector(j, y.coords[j - 1], f.dim) for j in extension.rules if y.coords[j - 1])
+        tables.setdefault(axes, []).append(i)
+    results: list = [None] * len(probes)
+    for axes, members in tables.items():
+        ground = _sample_ground(f) + [(a, extension.c, _ceil_row(f, a.coords)) for a in axes]
+        ground.sort(key=lambda item: sort_key(item[0]))
+        targets = [probes[i] for i in members]
+        costs, certificate = _min_cover(ground, [_ceil_row(f, y.coords) for y in targets], targets)
+        for k, i in enumerate(members):
+            results[i] = costs[k], certificate(k)
+    return results
 
-    ground: list[tuple[PointN, Fraction]] = []
-    for a, v in f.items():
-        if a.is_origin():
-            continue
-        if any(aj > 0 and yj > 0 for aj, yj in zip(a.coords, y.coords)):
-            ground.append((a, v))
-    for j in extension.rules:
-        t = y.coords[j - 1]
-        if t > 0:
-            ground.append((axis_vector(j, t, f.dim), extension.axis_value(j, t)))
-    ground.sort(key=lambda item: sort_key(item[0]))
 
-    costs, certificate = _min_cover(ground, [y])
-    return costs[0], certificate(0)
+def subadditive_envelope(f: SampledFunction, y: PointN, c=Fraction(1)) -> tuple[Fraction, CoverCertificate]:
+    """Greatest isotone subadditive minorant of the samples, at y: ``subadditive_envelopes``
+    for the one probe y, the value with its cheapest covering certificate."""
+    return subadditive_envelopes(f, [y], c)[0]

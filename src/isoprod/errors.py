@@ -71,3 +71,7 @@ class RationalInputError(IsoprodError):
 
 class AmbiguousComparisonError(IsoprodError):
     """A comparison would need sharper bounds on the adjoined symbol."""
+
+
+class CoverBudgetError(IsoprodError):
+    """A cheapest-cover search would exceed its stated work budget."""

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 from .combiners import named_combiner
 from .continuation import CoverCertificate
-from .errors import LoadError
+from .errors import LoadError, OffLatticeError
 from .metric import FiniteMetricSpace, ProductSpec
 from .modulus import GridFunction
 from .points import PointN
@@ -251,9 +251,11 @@ def load_grid_function(path: PathLike) -> GridFunction:
         entries = [(parse_point(e["point"], parse), parse(e["value"])) for e in data["values"]]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed grid function: {exc!r}") from None
+    except ValueError as exc:  # a negative coordinate, or a dimension that is no integer
+        raise LoadError(f"{path}: {exc}") from None
     try:
         return GridFunction.from_points(n, bound, step, entries)
-    except ValueError as exc:
+    except (ValueError, OffLatticeError) as exc:
         raise LoadError(f"{path}: {exc}") from None
 
 

@@ -2,12 +2,17 @@
 
 A :class:`SampledFunction` carries finitely many exact samples and the
 decision procedures for the three structural properties every other
-module cares about: isotone, amenable, subadditive.
+module cares about: isotone, amenable, subadditive.  Each function is
+prepared at construction: its items in domain order, its points as integer
+rows over one common denominator, and the per-axis row maxima, so order
+scans and the lookups in ``continuation`` compare ints; the isotone and
+amenable verdicts are kept after their first call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Optional
 
 from .errors import (
@@ -16,7 +21,7 @@ from .errors import (
     MissingOriginError,
     NotIsotoneError,
 )
-from .points import PointN, RationalLike, leq, origin, rat, sort_key
+from .points import PointN, RationalLike, origin, rat, scale_to_integers, sort_key
 
 
 class SampledFunction:
@@ -26,7 +31,7 @@ class SampledFunction:
     are exact nonnegative rationals, and the domain is never empty.
     """
 
-    __slots__ = ("_dim", "_entries", "_sorted_domain", "_isotone")
+    __slots__ = ("_dim", "_entries", "_sorted_domain", "_items", "_den", "_rows", "_caps", "_isotone", "_amenable")
 
     def __init__(self, entries: dict[PointN, Fraction] | Iterable[tuple[PointN, RationalLike]]):
         if isinstance(entries, dict):
@@ -51,7 +56,12 @@ class SampledFunction:
         self._dim = dim
         self._entries = table
         self._sorted_domain = tuple(sorted(table, key=sort_key))
-        self._isotone = None  # filled by is_isotone on its first call
+        self._items = tuple((p, table[p]) for p in self._sorted_domain)
+        # row k is domain point k times the common denominator _den
+        self._den, flat = scale_to_integers(c for p in self._sorted_domain for c in p.coords)
+        self._rows = tuple(tuple(flat[k:k + dim]) for k in range(0, len(flat), dim))
+        self._caps = tuple(map(max, zip(*self._rows)))
+        self._isotone = self._amenable = None  # filled by the first is_isotone, is_amenable
 
     @property
     def dim(self) -> int:
@@ -62,8 +72,8 @@ class SampledFunction:
         """The sample points in lexicographic order."""
         return self._sorted_domain
 
-    def items(self) -> list[tuple[PointN, Fraction]]:
-        return [(p, self._entries[p]) for p in self._sorted_domain]
+    def items(self) -> tuple[tuple[PointN, Fraction], ...]:
+        return self._items
 
     def value(self, p: PointN) -> Fraction:
         return self._entries[p]
@@ -105,14 +115,11 @@ def is_isotone(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]
 
 
 def _isotone_scan(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]]]:
-    pts = f.domain
-    for x in pts:
-        fx = f.value(x)
-        for y in pts:
-            if x is y:
-                continue
-            if leq(x, y) and fx > f.value(y):
-                return False, (x, y)
+    _, values = scale_to_integers(v for _, v in f.items())
+    for i, (row, fx) in enumerate(zip(f._rows, values)):
+        for k, (other, fy) in enumerate(zip(f._rows, values)):
+            if fx > fy and k != i and all(map(le, row, other)):
+                return False, (f.domain[i], f.domain[k])
     return True, None
 
 
@@ -126,17 +133,15 @@ def is_amenable(f: SampledFunction) -> tuple[bool, Optional[PointN]]:
     """Check that f vanishes at the origin and is positive elsewhere.
 
     The origin must be a sample point; otherwise the property is not
-    even well posed and MissingOriginError is raised.
+    even well posed and MissingOriginError is raised.  The verdict is kept.
     """
     zero = origin(f.dim)
     if zero not in f:
         raise MissingOriginError("the origin is not a sample point")
-    if f.value(zero) != 0:
-        return False, zero
-    for p, v in f.items():
-        if p != zero and v == 0:
-            return False, p
-    return True, None
+    if f._amenable is None:
+        zeros = [p for p, v in f.items() if v == 0 and p != zero]
+        f._amenable = (False, zero) if f.value(zero) != 0 else (not zeros, zeros[0] if zeros else None)
+    return f._amenable
 
 
 def is_subadditive(f: SampledFunction):
@@ -145,20 +150,19 @@ def is_subadditive(f: SampledFunction):
     f is subadditive when no sample point can be covered by a multiset
     of sample points of strictly smaller total value; the empty
     multiset covers the origin, so a positive value there counts as a
-    violation.  Decided exactly by one cheapest-cover table over all
-    non-origin samples (``continuation._min_cover``) whose targets are
-    every sample; each cost is the subadditive envelope at that sample,
-    as no sample reaches an axis without a positive sample.  On failure
-    returns the cheapest covering certificate for the lexicographically
-    least violated point.
+    violation.  Decided exactly by one cheapest-cover table over the
+    integer rows of all non-origin samples (``continuation._min_cover``,
+    within its ``COVER_BUDGET``) whose targets are every sample; each cost
+    is the subadditive envelope at that sample, as no sample reaches an
+    axis without a positive sample.  On failure returns the cheapest
+    covering certificate for the lexicographically least violated point.
 
     Returns (bool, Optional[CoverCertificate]).
     """
     require_isotone(f)
-    from .continuation import _min_cover
+    from .continuation import _min_cover, _sample_ground
 
-    ground = [(a, v) for a, v in f.items() if not a.is_origin()]
-    costs, certificate = _min_cover(ground, f.domain)
+    costs, certificate = _min_cover(_sample_ground(f), f._rows, f.domain)
     for i, a in enumerate(f.domain):
         if costs[i] < f.value(a):
             return False, certificate(i)
@@ -167,9 +171,4 @@ def is_subadditive(f: SampledFunction):
 
 def projection_support(f: SampledFunction) -> set[int]:
     """The 1-based coordinates on which some sample point is positive."""
-    support = set()
-    for p in f.domain:
-        for j, c in enumerate(p.coords, start=1):
-            if c > 0:
-                support.add(j)
-    return support
+    return {j for j, cap in enumerate(f._caps, start=1) if cap}

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isoprod import fileio
 from isoprod.cli import dispatch, render
-from isoprod.errors import LoadError, OffLatticeError
+from isoprod.errors import LoadError
 from isoprod.fixtures import combiner_grid, fixture_generate, random_metric_space, sampled_combiner
 from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
@@ -133,7 +133,11 @@ def test_loader_error_texts_are_pinned(tmp_path):
         (fileio.load_grid_function, grid(full + [{"point": ["1/2", "0"], "value": "7"}]),
          LoadError, "{path}: duplicate lattice point (1/2, 0)"),
         (fileio.load_grid_function, grid(full[:3] + [{"point": ["1"], "value": "1"}] + full[4:]),
-         OffLatticeError, "point dimension 1 != lattice dimension 2"),
+         LoadError, "{path}: point dimension 1 != lattice dimension 2"),
+        (fileio.load_grid_function, grid(full[:3] + [{"point": ["1/3", "0"], "value": "1"}] + full[4:]),
+         LoadError, "{path}: (1/3, 0) is not a lattice point"),
+        (fileio.load_grid_function, grid(full[:3] + [{"point": ["-1/2", "0"], "value": "1"}] + full[4:]),
+         LoadError, "{path}: negative coordinate -1/2 not allowed"),
         (fileio.load_grid_function, grid(full[:3] + [{"point": ["1/2", "0"], "value": "-1"}] + full[4:]),
          LoadError, "{path}: negative value -1 at index (1, 0)"),
         (fileio.load_sampled_function, {"dim": 1, "entries": [{"point": ["0"], "value": "0"}, {"point": ["1"], "value": "-2"}]},
@@ -561,6 +565,21 @@ def test_help_exits_zero_with_the_usage_text_only():
     assert result.stdout.startswith("usage: isoprod")
     assert "unrecognized arguments" not in result.stdout
     assert result.stderr == ""
+
+
+def test_usage_errors_keep_the_argparse_message(capsys):
+    code, report = dispatch(["cantor", "member", "-7/9"])  # read as an option, so the value is missing
+    assert (code, report) == (2, {"command": "cantor member -7/9",
+                                  "error": "the following arguments are required: value"})
+    code, report = dispatch(["cantor", "member", "--", "-7/9"])
+    assert code == 1 and report["verdicts"] == [{"check": "cantor-member[-7/9]", "ok": False}]
+    assert dispatch(["omega", "--grid", "g", "--eps", "1", "--bogus"])[1]["error"] == "unrecognized arguments: --bogus"
+    assert dispatch(["nonconstant", "--grid", "g", "--var", "one"])[1]["error"] == "argument --var: invalid int value: 'one'"
+    capsys.readouterr()
+    for argv in (["cantor", "member", "--help"], ["witness-unbounded", "--help"]):
+        with pytest.raises(SystemExit):
+            dispatch(argv)
+        assert "put -- before one that starts with -, as in -- -7/9" in " ".join(capsys.readouterr().out.split())
 
 
 # -- fixtures -----------------------------------------------------------

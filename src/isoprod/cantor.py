@@ -8,8 +8,8 @@ the first digit that settles it.  The constructive distance
 decompositions return verified witness pairs, and the three-point line
 search plus the interval-pair refutation settle which line triangles
 embed into the dilation-closed Cantor set.  The transcendental
-embedding adjoins a single symbol with certified rational bounds; no
-comparison here ever needs its numeric value.
+embedding adjoins a single symbol; no comparison here ever needs its
+numeric value.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import (
-    AmbiguousComparisonError,
-    NonTriadicDenominatorError,
-    OutOfRangeError,
-    RationalInputError,
-)
+from .errors import NonTriadicDenominatorError, OutOfRangeError, RationalInputError
 from .points import RationalLike, Record, rat
 
 
@@ -68,32 +63,6 @@ class Base3Expansion(Record):
 
     def is_terminating(self) -> bool:
         return not self.period
-
-    def alternate(self) -> Optional["Base3Expansion"]:
-        """The other expansion of the same value, when one exists.
-
-        A nonzero terminating expansion also has a two-tail form and
-        vice versa; any other expansion is unique and None is returned.
-        """
-        if self.is_terminating():
-            digits = list(self.integer_digits + self.preperiod)
-            last = None
-            for i, d in enumerate(digits):
-                if d != 0:
-                    last = i
-            if last is None:
-                return None
-            digits[last] -= 1
-            for i in range(last + 1, len(digits)):
-                digits[i] = 2
-            n_int = len(self.integer_digits)
-            integer = tuple(digits[:n_int])
-            while integer and integer[0] == 0:
-                integer = integer[1:]
-            return Base3Expansion(integer, tuple(digits[n_int:]), (2,))
-        if self.period == (2,):
-            return to_base3(self.to_fraction())
-        return None
 
 
 def _low_digits(n: int) -> Iterator[int]:
@@ -433,17 +402,12 @@ def scaled_cantor_triple_refutation(level: int = 10) -> TripleRefutationReport:
     )
 
 
-TAU_LOWER = Fraction(314159, 100000)
-TAU_UPPER = Fraction(31416, 10000)
-
-
 class SymbolicAffine(Record):
     """A value q + r*tau for one fixed transcendental symbol tau.
 
     Addition and subtraction act componentwise; the value is rational
-    exactly when r = 0.  Order comparisons use the certified rational
-    bounds on tau and raise when a comparison would genuinely depend on
-    sharper bounds.
+    exactly when r = 0.  Values are never ordered: the embedding compares
+    coefficients only.
     """
 
     q: Fraction
@@ -477,36 +441,6 @@ class SymbolicAffine(Record):
 
     def __neg__(self):
         return SymbolicAffine(-self.q, -self.r)
-
-    def sign(self) -> int:
-        """Certified sign, from the rational bounds on the symbol."""
-        if self.r == 0:
-            return (self.q > 0) - (self.q < 0)
-        if self.r > 0:
-            if self.q + self.r * TAU_LOWER >= 0:
-                return 1
-            if self.q + self.r * TAU_UPPER <= 0:
-                return -1
-        else:
-            if self.q + self.r * TAU_UPPER >= 0:
-                return 1
-            if self.q + self.r * TAU_LOWER <= 0:
-                return -1
-        raise AmbiguousComparisonError(
-            f"sign of {self} depends on sharper bounds for the symbol"
-        )
-
-    def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
 
     def __str__(self):
         return f"{self.q} + {self.r}*tau"

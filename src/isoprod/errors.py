@@ -69,9 +69,5 @@ class RationalInputError(IsoprodError):
     """The operation requires a value with a nonzero transcendental part."""
 
 
-class AmbiguousComparisonError(IsoprodError):
-    """A comparison would need sharper bounds on the adjoined symbol."""
-
-
 class CoverBudgetError(IsoprodError):
     """A cheapest-cover search would exceed its stated work budget."""

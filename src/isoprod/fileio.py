@@ -8,20 +8,20 @@ a lattice file repeats a few values many times.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .combiners import named_combiner
-from .continuation import CoverCertificate
 from .errors import LoadError, OffLatticeError
-from .metric import FiniteMetricSpace, ProductSpec
-from .modulus import GridFunction
 from .points import PointN
-from .sampled import SampledFunction
+
+if TYPE_CHECKING:  # each loader imports the record type it builds when it first runs
+    from .continuation import CoverCertificate
+    from .metric import FiniteMetricSpace, ProductSpec
+    from .modulus import GridFunction
+    from .sampled import SampledFunction
 
 PathLike = Union[str, Path]
 
@@ -141,6 +141,8 @@ def sampled_function_jsonable(f: SampledFunction) -> dict:
 
 def load_sampled_function(path: PathLike) -> SampledFunction:
     """Load a sampled function from .json or .csv (n+1 columns)."""
+    from .sampled import SampledFunction
+
     path = Path(path)
     parse = _file_parser()
     dim = None  # a CSV file declares no dimension
@@ -153,6 +155,8 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
             dim = int(data["dim"])
         except (KeyError, TypeError) as exc:
             raise LoadError(f"{path}: malformed sampled function: {exc!r}") from None
+        except ValueError as exc:  # a negative coordinate, or a dimension that is no integer
+            raise LoadError(f"{path}: {exc}") from None
     try:
         f = SampledFunction(entries)
     except ValueError as exc:
@@ -163,6 +167,8 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
 
 
 def _sampled_function_csv_rows(path: Path, parse) -> list[tuple[PointN, Fraction]]:
+    import csv
+
     entries = []
     with open(path, newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
@@ -171,7 +177,11 @@ def _sampled_function_csv_rows(path: Path, parse) -> list[tuple[PointN, Fraction
             if len(row) < 2:
                 raise LoadError(f"{path}:{lineno}: need n+1 columns")
             coords = [parse(cell.strip()) for cell in row[:-1]]
-            entries.append((PointN(tuple(coords)), parse(row[-1].strip())))
+            try:
+                point = PointN(tuple(coords))
+            except ValueError as exc:  # a negative coordinate
+                raise LoadError(f"{path}:{lineno}: {exc}") from None
+            entries.append((point, parse(row[-1].strip())))
     if not entries:
         raise LoadError(f"{path}: no rows")
     return entries
@@ -218,6 +228,8 @@ def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
 
 
 def load_metric_space(path: PathLike) -> FiniteMetricSpace:
+    from .metric import FiniteMetricSpace
+
     labels, dist = load_matrix(path)
     return FiniteMetricSpace(labels, dist)
 
@@ -241,6 +253,8 @@ def grid_function_jsonable(g: GridFunction) -> dict:
 
 
 def load_grid_function(path: PathLike) -> GridFunction:
+    from .modulus import GridFunction
+
     data = _read_json(path)
     parse = _file_parser()
     try:
@@ -289,6 +303,9 @@ def load_product_spec(path: PathLike) -> tuple[ProductSpec, list[Path]]:
 
     Returns the spec plus every file it pulled in, for report digests.
     """
+    from .combiners import named_combiner
+    from .metric import ProductSpec
+
     path = Path(path)
     data = _read_json(path)
     base = path.parent

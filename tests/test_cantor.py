@@ -5,12 +5,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantor_helpers import TAU_LOWER, AmbiguousComparisonError, alternate, sign
 from oracles import cantor_orbit_member, naive_three_point
 from isoprod.cantor import (
     Base3Expansion,
     SymbolicAffine,
-    TAU_LOWER,
-    TAU_UPPER,
     cantor_decompose,
     cantor_level_starts,
     in_cantor,
@@ -23,12 +22,7 @@ from isoprod.cantor import (
     to_base3,
     transcendental_embed,
 )
-from isoprod.errors import (
-    AmbiguousComparisonError,
-    NonTriadicDenominatorError,
-    OutOfRangeError,
-    RationalInputError,
-)
+from isoprod.errors import NonTriadicDenominatorError, OutOfRangeError, RationalInputError
 
 
 def test_to_base3_examples():
@@ -42,16 +36,16 @@ def test_to_base3_examples():
 
 def test_alternate_expansions():
     third = to_base3(F(1, 3))
-    alt = third.alternate()
+    alt = alternate(third)
     assert alt == Base3Expansion((), (0,), (2,))
     assert alt.to_fraction() == F(1, 3)
-    assert alt.alternate() == third
+    assert alternate(alt) == third
     nine = to_base3(9)
-    alt9 = nine.alternate()
+    alt9 = alternate(nine)
     assert alt9 == Base3Expansion((2, 2), (), (2,))
     assert alt9.to_fraction() == 9
-    assert to_base3(F(1, 2)).alternate() is None
-    assert to_base3(0).alternate() is None
+    assert alternate(to_base3(F(1, 2))) is None
+    assert alternate(to_base3(0)) is None
 
 
 rationals = st.builds(F, st.integers(0, 400), st.integers(1, 60))
@@ -292,15 +286,15 @@ def test_triple_refutation_report():
 def test_symbolic_affine_arithmetic_and_order():
     tau = SymbolicAffine(F(0), F(1))
     assert (tau + 1) - tau == SymbolicAffine(F(1), F(0))
-    assert tau > 3 and tau < 4
-    assert tau + tau > 6
-    assert -tau < 0
+    assert sign(tau - 3) > 0 and sign(tau - 4) < 0
+    assert sign(tau + tau - 6) > 0
+    assert sign(-tau) < 0
     assert (2 * TAU_LOWER + 1) < 8  # sanity on the certified bounds
-    assert SymbolicAffine(F(1), F(0)).sign() == 1
-    assert SymbolicAffine(F(0), F(0)).sign() == 0
+    assert sign(SymbolicAffine(F(1), F(0))) == 1
+    assert sign(SymbolicAffine(F(0), F(0))) == 0
     with pytest.raises(AmbiguousComparisonError):
         # tau vs a rational inside the certified gap
-        (tau - F(628319, 200000)).sign()
+        sign(tau - F(628319, 200000))
 
 
 def test_transcendental_embed_isometry():

@@ -193,6 +193,24 @@ def test_sampled_function_csv(tmp_path):
         fileio.load_sampled_function(dup)
 
 
+def test_sampled_function_point_errors_name_the_file(tmp_path):
+    # a negative coordinate once escaped the loader as a bare ValueError without the path
+    cases = {
+        "neg.json": ('{"dim": 1, "entries": [{"point": ["-1"], "value": "1"}]}',
+                     "LoadError: {path}: negative coordinate -1 not allowed"),
+        "dim.json": ('{"dim": "x", "entries": [{"point": ["1"], "value": "1"}]}',
+                     "LoadError: {path}: invalid literal for int() with base 10: 'x'"),
+        "neg.csv": ("0,0\n1,-1/2,1\n", "LoadError: {path}:2: negative coordinate -1/2 not allowed"),
+    }
+    for name, (text, error) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(LoadError):
+            fileio.load_sampled_function(path)
+        assert dispatch(["check", "--function", str(path)]) == (
+            2, {"command": "check", "inputs": {}, "error": error.format(path=path)})
+
+
 def test_sampled_function_duplicate_points_json(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({
@@ -423,13 +441,13 @@ def test_exit_code_2_cases(tmp_path):
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch):
-    from isoprod import cli
+    from isoprod import verbs
 
     def broken(*args):
         raise RuntimeError("broken handler")
 
     # the handler itself is bound when the process builds its parser
-    monkeypatch.setattr(cli, "_load", broken)
+    monkeypatch.setattr(verbs, "_load", broken)
     path = tmp_path / "f.json"
     write_sum_function(path)
     code, report = dispatch(["check", "--function", str(path)])
@@ -442,7 +460,7 @@ def test_internal_error_exits_3(tmp_path, monkeypatch):
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path):
-    from isoprod import cli
+    from isoprod import verbs
 
     path = tmp_path / "f.json"
     write_sum_function(path)
@@ -455,7 +473,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path):
     assert checks == [["extend-sup(1, 1)", "extend-sup(2, 0)"], ["extend-sup(0, 2)"], []]
     # no --probe is left over from the earlier calls
     assert runs[2][1]["error"] == "IsoprodError: no probes given; use --probe or --probes"
-    assert cli._parser() is cli._parser()
+    assert verbs._parser() is verbs._parser()
 
 
 def test_deep_cover_search_is_no_false_verdict(tmp_path):
@@ -565,6 +583,23 @@ def test_help_exits_zero_with_the_usage_text_only():
     assert result.stdout.startswith("usage: isoprod")
     assert "unrecognized arguments" not in result.stdout
     assert result.stderr == ""
+
+
+def test_every_verb_answers_help_and_a_bad_verb_lists_them_all(capsys):
+    from isoprod.verbs import GROUP_HELP, VERBS
+
+    table = [("", {})] + [(group, {}) for group in GROUP_HELP] + [(command, arguments) for command, _, _, arguments in VERBS]
+    for command, arguments in table:
+        with pytest.raises(SystemExit) as info:
+            dispatch([*command.split(), "--help"])
+        assert info.value.code == 0, command
+        text = capsys.readouterr().out
+        assert text.startswith(" ".join(["usage: isoprod", *command.split(), "[-h]"])), command
+        assert all(name in text for name in arguments), command
+    code, report = dispatch(["nosuchverb"])
+    verbs = ", ".join(repr(word) for word in dict.fromkeys(command.split()[0] for command, *_ in VERBS))
+    assert (code, report["error"]) == (2, f"argument verb: invalid choice: 'nosuchverb' (choose from {verbs})")
+    assert verbs.count(",") == 15
 
 
 def test_usage_errors_keep_the_argparse_message(capsys):

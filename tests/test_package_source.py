@@ -64,6 +64,36 @@ def test_package_has_no_recursion():
     assert found == []
 
 
+def test_package_names_load_their_module_on_first_access():
+    from importlib import import_module
+
+    import isoprod
+
+    assert len(isoprod.__all__) == len(set(isoprod.__all__)) == 48
+    for name in isoprod.__all__:
+        assert getattr(isoprod, name) is getattr(import_module(f"isoprod.{isoprod._HOME[name]}"), name)
+    assert isoprod.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        isoprod.nope
+
+
+def test_installed_command_and_module_run_the_same_main():
+    # `isoprod` and `python -m isoprod` both start from the light front end, not isoprod.cli
+    tomllib = pytest.importorskip("tomllib")
+    from importlib import import_module
+
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["isoprod"]
+    module, _, name = script.partition(":")
+    # __main__ exits on import, so read the module it takes main from out of its source
+    (source,) = [
+        f"isoprod.{node.module}"
+        for node in ast.walk(ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and "main" in {alias.name for alias in node.names}
+    ]
+    assert (module, name) == (source, "main") == ("isoprod.verbs", "main")
+    assert getattr(import_module(module), name) is import_module("isoprod.cli").main
+
+
 def _modules_imported(args: list[str]) -> set[str]:
     """Every module a fresh interpreter imports while it runs ``python args``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
@@ -77,18 +107,32 @@ def _modules_imported(args: list[str]) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["-c", "import isoprod.cli"], ["-m", "isoprod", "cantor", "member", "1/4"]],
-    ids=["import", "run"],
+    "args, layers",
+    [
+        (["-c", "import isoprod.cli"], None),
+        (["-m", "isoprod", "cantor", "member", "1/4"], {"cantor", "fileio"}),
+        (["-m", "isoprod", "check", "--function", "FUNCTION"], {"fileio", "sampled", "continuation"}),
+        (["-m", "isoprod", "witness-unbounded", "1/2"], {"fileio", "metric", "combiners", "sampled"}),
+    ],
+    ids=["import", "run", "check", "witness-unbounded"],
 )
-def test_cli_start_skips_heavy_stdlib_modules(args, monkeypatch):
+def test_cli_start_skips_heavy_stdlib_modules(args, layers, tmp_path, monkeypatch):
     # dataclasses brings inspect (and ast, dis, tokenize) with it; hashlib is
     # needed only by a job that digests an input file
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    from tracer import SPANS
+    function = tmp_path / "f.json"  # isotone, so check reaches the cover table in continuation
+    function.write_text('{"dim": 1, "entries": [{"point": ["0"], "value": "0"}, {"point": ["1"], "value": "1"}]}')
+    imported = _modules_imported([str(function) if arg == "FUNCTION" else arg for arg in args])
+    assert {"fractions", "argparse"} <= imported
+    assert {"dataclasses", "inspect"} & imported == set()
+    assert ("hashlib" in imported) == ("check" in args)
+    if layers is None:
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from tracer import SPANS
 
-    imported = _modules_imported(args)
-    assert {"isoprod.cli", "fractions", "argparse"} <= imported
-    assert {"dataclasses", "inspect", "hashlib"} & imported == set()
-    # bench/tracer.py reads every module it wraps from sys.modules after `import isoprod.cli`
-    assert {module for module, *_ in SPANS} <= imported
+        # bench/tracer.py reads every module it wraps from sys.modules after `import isoprod.cli`
+        assert {"isoprod.cli", *(module for module, *_ in SPANS)} <= imported
+    else:
+        # without bytecode caches each start compiles every isoprod module it imports,
+        # so a verb loads the front end and its own layers only
+        own = {name for name in imported if name.startswith("isoprod.")}
+        assert own == {f"isoprod.{name}" for name in {"verbs", "errors", "points", *layers}}

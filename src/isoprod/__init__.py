@@ -7,9 +7,11 @@ geometry.  Everything except the one Euclidean-style combiner is
 computed in exact arbitrary-precision rational arithmetic.
 
 ``import isoprod`` loads no submodule: each name in ``__all__`` imports
-its defining module on first access (PEP 562), so ``python -m isoprod``
-compiles only the modules of the verb it runs.  ``isoprod.modulus`` is
-the submodule; its function of the same name is ``isoprod.modulus.modulus``.
+its defining module on first access (PEP 562).  Where no bytecode cache
+is written (``PYTHONDONTWRITEBYTECODE=1``) a process compiles every module
+it imports, so ``python -m isoprod`` loads only the modules of the verb it
+runs.  ``isoprod.modulus`` is the submodule; its function of the same
+name is ``isoprod.modulus.modulus``.
 """
 
 __version__ = "0.1.0"

@@ -244,3 +244,25 @@ def metric_violation(matrix, tol=0):
             )
             return "triangle", (i, j, k), detail
     return None
+
+
+def amenable_continuation_value(f: SampledFunction, y: PointN) -> Fraction:
+    """The amenable isotone continuation at y, straight off its definition.
+
+    Each positive coordinate t = y_j names the axis point t*e_j below y.
+    On an axis where no sample is positive it is valued t; elsewhere it is
+    valued by the least sample value over the samples whose j-th
+    coordinate reaches min(t, the largest j-th sample coordinate).  The
+    result is the greatest of those axis values and of the sample values
+    below y (0 when there are none).
+    """
+    best = max((v for a, v in f.items() if all(p <= q for p, q in zip(a.coords, y.coords))),
+               default=Fraction(0))
+    for j, t in enumerate(y.coords):
+        if t > 0:
+            cap = max(a.coords[j] for a, _ in f.items())
+            if cap == 0:
+                best = max(best, t)
+            else:
+                best = max(best, min(v for a, v in f.items() if a.coords[j] >= min(t, cap)))
+    return best

@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 import isoprod.continuation as continuation
 from isoprod.cli import dispatch
 from isoprod import fileio
-from oracles import cover_enumerate_min, isotone_pairs_hold
+from oracles import amenable_continuation_value, cover_enumerate_min, isotone_pairs_hold
 from isoprod.continuation import (
     AxisExtendedFunction,
     AxisRule,
+    amenable_isotone_continuation,
     lower_cone_max,
     subadditive_envelopes,
 )
@@ -94,6 +95,28 @@ def test_int_lookups_agree_with_fraction_brute_force(case):
             if t > 0 and j in ext.rules:
                 reach = min(t, caps[j])
                 assert ext.axis_value(j, t) == min(v for a, v in f.items() if a.coords[j - 1] >= reach)
+
+
+
+@st.composite
+def amenable_functions_with_probes(draw):
+    """An amenable isotone function, and probes off the axes and on each axis."""
+    f, probes = draw(functions_with_probes())
+    zero = PointN((F(0),) * f.dim)
+    raw = {p: v or F(1) for p, v in f.items()}  # positive off the origin
+    raw[zero] = F(0)
+    f = SampledFunction({p: max(v for q, v in raw.items() if leq(q, p)) for p in raw})
+    positive = st.sampled_from([t for t in PROBE_COORDS if t > 0])
+    axis_probes = st.lists(st.builds(axis_vector, st.integers(1, f.dim), positive, st.just(f.dim)), max_size=4)
+    return f, probes + draw(axis_probes)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(amenable_functions_with_probes())
+def test_amenable_continuation_agrees_with_its_definition(case):
+    f, probes = case
+    for y in probes:
+        assert amenable_isotone_continuation(f, y) == amenable_continuation_value(f, y)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

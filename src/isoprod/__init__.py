@@ -24,9 +24,8 @@ _EXPORTS = {
     ),
     "combiners": ("Combiner", "named_combiner"),
     "continuation": (
-        "AxisExtendedFunction", "AxisRule", "CoverCertificate", "amenable_continuation_precheck",
-        "amenable_isotone_continuation", "subadditive_envelope", "subadditive_envelopes",
-        "sup_continuation",
+        "CoverCertificate", "amenable_continuation_precheck", "amenable_isotone_continuation",
+        "subadditive_envelope", "subadditive_envelopes", "sup_continuation",
     ),
     "metric": (
         "FiniteMetricSpace", "ProductSpec", "extract_product_function", "is_distance_increasing",

@@ -9,7 +9,8 @@ decompositions return verified witness pairs, and the three-point line
 search plus the interval-pair refutation settle which line triangles
 embed into the dilation-closed Cantor set.  The transcendental
 embedding adjoins a single symbol; no comparison here ever needs its
-numeric value.
+numeric value.  Levels above ``LEVEL_CAP`` are an input error, raised
+before any of their 2^level intervals is built.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import NonTriadicDenominatorError, OutOfRangeError, RationalInputError
 from .points import RationalLike, Record, rat
+
+LEVEL_CAP = 18  # each level takes about four times the time and memory of the last
 
 
 def _base3_value(digits: Iterable[int]) -> int:
@@ -229,9 +232,11 @@ def scaled_cantor_distance_witness(t: RationalLike) -> tuple[Fraction, Fraction]
 
 
 def cantor_level_starts(level: int) -> list[int]:
-    """Left endpoints of the level-k Cantor intervals, in units of 3^-k."""
+    """Left endpoints of the level-k Cantor intervals, in units of 3^-k; k is at most LEVEL_CAP."""
     if level < 1:
         raise ValueError("level must be at least 1")
+    if level > LEVEL_CAP:
+        raise OutOfRangeError(f"level {level} exceeds the level cap {LEVEL_CAP}: it would build 2^{level} intervals")
     return [_base3_value(digits) for digits in itertools.product((0, 2), repeat=level)]
 
 
@@ -241,9 +246,10 @@ def scaled_cantor_level_set(level: int, upper: int = 3) -> list[Fraction]:
     The dilation union meets [0, 3] in the Cantor set plus its triple,
     so the endpoint set is the union of both endpoint families.
     """
+    starts = cantor_level_starts(level)
     scale = Fraction(3) ** -level
     endpoints = set()
-    for p in cantor_level_starts(level):
+    for p in starts:
         for e in (p * scale, (p + 1) * scale):
             if e <= upper:
                 endpoints.add(e)
@@ -327,6 +333,7 @@ def scaled_cantor_triple_refutation(level: int = 10) -> TripleRefutationReport:
     """
     if level < 2:
         raise ValueError("level must be at least 2 to resolve thirds")
+    starts = cantor_level_starts(level)
     third = Fraction(3) ** (level - 1)
     scale = Fraction(3) ** -level
 
@@ -341,7 +348,6 @@ def scaled_cantor_triple_refutation(level: int = 10) -> TripleRefutationReport:
         rejections.append((z, "no digit-{0,2} expansion"))
     rejections.sort(key=lambda item: item[0])
 
-    starts = cantor_level_starts(level)
     member = set(starts)
     combos = (
         (0, third),

@@ -4,13 +4,15 @@ Three constructions, all exact:
 
 * the sup-continuation, the least isotone extension of an isotone
   sample set;
-* the amenable isotone continuation, which first extends along the
-  coordinate axes (identity rule on axes with no positive samples,
-  upper-cone infimum on the rest) and then takes lower-cone sups;
+* the amenable isotone continuation, the lower-cone sup
+  (``lower_cone_max``) joined with one value per positive coordinate
+  t = y_j of the probe: t itself on an axis whose ``f._caps`` entry is 0
+  (no positive sample), ``upper_cone_min(f, j, t)`` on the others;
 * the subadditive envelope, the greatest isotone subadditive function
   dominated by the samples, computed as an exact minimum-cost cover of
-  the probe by sample points and returned together with a covering
-  certificate.
+  the probe by sample points, plus axis points of constant value c on
+  the axes whose ``f._caps`` entry is 0, and returned together with a
+  covering certificate.
 
 Cheapest covers come from one table over the residual demands left
 after each part (``_min_cover``), filled bottom-up without recursion on
@@ -21,15 +23,14 @@ steps.  ``sampled.is_subadditive`` asks one table for every sample, and
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from itertools import groupby
 from operator import le
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
 from .points import PointN, Record, axis_vector, leq, origin, rat, scale_to_integers, sort_key
-from .sampled import SampledFunction, is_amenable, projection_support, require_isotone
+from .sampled import SampledFunction, is_amenable, require_isotone
 
 COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
 
@@ -41,6 +42,14 @@ def lower_cone_max(f: SampledFunction, y: PointN) -> Fraction:
     top = [t.numerator * f._den // t.denominator for t in y.coords]  # rows below y: below floor(y * den)
     return max((v for (_, v), row in zip(f.items(), f._rows) if all(map(le, row, top))),
                default=Fraction(0))
+
+
+def upper_cone_min(f: SampledFunction, j: int, t: Fraction) -> Fraction:
+    """The least value of f over the samples whose j-th coordinate reaches min(t, cap), for
+    t > 0 and cap the largest j-th sample coordinate, which must be positive."""
+    # a sample reaches min(t, cap) iff its row reaches min(ceil(t * den), cap); the cap's own does
+    need = min(_ceil_row(f, (t,))[0], f._caps[j - 1])
+    return min(v for (_, v), row in zip(f.items(), f._rows) if row[j - 1] >= need)
 
 
 def sup_continuation(f: SampledFunction, y: PointN) -> Fraction:
@@ -76,110 +85,22 @@ def amenable_continuation_precheck(f: SampledFunction) -> tuple[bool, dict]:
     }
 
 
-class AxisRule(enum.Enum):
-    """How an axis ray is valued when a function is extended along it."""
-
-    UPPER_CONE_INF = "UPPER_CONE_INF"
-    IDENTITY = "IDENTITY"
-    CONSTANT = "CONSTANT"
-
-
-class AxisExtendedFunction(Record):
-    """A sampled function together with per-axis ray extensions.
-
-    ``rules`` assigns each 1-based axis the rule valuing its ray points;
-    axes on which no sample is positive must use IDENTITY or CONSTANT,
-    the others UPPER_CONE_INF.
-    """
-
-    base: SampledFunction
-    rules: Mapping[int, AxisRule]
-    c: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", rat(self.c))
-        if self.c <= 0:
-            raise ValueError(f"the axis constant must be positive, got {self.c}")
-        support = projection_support(self.base)
-        for j, rule in self.rules.items():
-            if not 1 <= j <= self.base.dim:
-                raise IndexError(f"axis {j} out of range")
-            if j in support and rule is not AxisRule.UPPER_CONE_INF:
-                raise ValueError(f"axis {j} has positive samples; rule {rule} invalid")
-            if j not in support and rule is AxisRule.UPPER_CONE_INF:
-                raise ValueError(f"axis {j} has no positive samples; {rule} undefined")
-
-    @property
-    def axis_caps(self) -> dict[int, Fraction]:
-        """Per axis, the largest sample projection on it."""
-        return {j: Fraction(cap, self.base._den) for j, cap in enumerate(self.base._caps, start=1)}
-
-    @classmethod
-    def for_amenable_continuation(cls, f: SampledFunction) -> "AxisExtendedFunction":
-        """Identity rule on unsupported axes, upper-cone infimum elsewhere."""
-        support = projection_support(f)
-        rules = {
-            j: (AxisRule.UPPER_CONE_INF if j in support else AxisRule.IDENTITY)
-            for j in range(1, f.dim + 1)
-        }
-        return cls(f, rules)
-
-    @classmethod
-    def for_envelope(cls, f: SampledFunction, c) -> "AxisExtendedFunction":
-        """Constant rule on unsupported axes only."""
-        support = projection_support(f)
-        rules = {j: AxisRule.CONSTANT for j in range(1, f.dim + 1) if j not in support}
-        return cls(f, rules, c)
-
-    def axis_value(self, j: int, t) -> Fraction:
-        """Value at the axis point with coordinate t > 0 on axis j."""
-        t = rat(t)
-        if t <= 0:
-            raise ValueError("axis points have a positive coordinate")
-        rule = self.rules.get(j)
-        if rule is None:
-            raise KeyError(f"axis {j} carries no extension rule")
-        if rule is AxisRule.IDENTITY:
-            return t
-        if rule is AxisRule.CONSTANT:
-            return self.c
-        # a sample reaches min(t, cap) iff its row reaches min(ceil(t * den), cap); the cap's own does
-        need = min(_ceil_row(self.base, (t,))[0], self.base._caps[j - 1])
-        return min(v for (_, v), row in zip(self.base.items(), self.base._rows) if row[j - 1] >= need)
-
-    def value(self, p: PointN) -> Fraction:
-        """Value at a sample point or at a point on a ruled axis ray."""
-        if p in self.base:
-            return self.base.value(p)
-        positive = [(j, c) for j, c in enumerate(p.coords, start=1) if c > 0]
-        if len(positive) != 1:
-            raise KeyError(f"{p} is neither a sample nor an axis point")
-        j, t = positive[0]
-        return self.axis_value(j, t)
-
-    def sup_below(self, y: PointN) -> Fraction:
-        """Lower-cone sup of the extension: max over samples and axis rays below y."""
-        best = lower_cone_max(self.base, y)
-        for j in self.rules:
-            # every rule values its ray nondecreasingly, so the sup over the
-            # ray points below y is the value at y's own coordinate
-            t = y.coords[j - 1]
-            if t > 0:
-                best = max(best, self.axis_value(j, t))
-        return best
-
-
 def amenable_isotone_continuation(f: SampledFunction, y: PointN) -> Fraction:
     """Value at y of an isotone amenable continuation of f.
 
-    Axes with no positive sample get the identity rule, the remaining
-    axes the upper-cone infimum of the samples, and the result is the
-    lower-cone sup of the extended sample set.  Restricts to f on its
-    domain and is strictly positive at every y above the origin.
+    The lower-cone sup of f joined with one axis value per positive
+    coordinate t = y_j: t itself on an axis where no sample is positive,
+    ``upper_cone_min(f, j, t)`` on the others.  Both rules are
+    nondecreasing in t, so the value at y_j is the sup over the axis
+    points below y.  Restricts to f on its domain and is strictly
+    positive at every y above the origin.
     """
     amenable_continuation_precheck(f)
-    extension = AxisExtendedFunction.for_amenable_continuation(f)
-    return extension.sup_below(y)
+    best = lower_cone_max(f, y)
+    for j, t in enumerate(y.coords, start=1):
+        if t > 0:
+            best = max(best, upper_cone_min(f, j, t) if f._caps[j - 1] else t)
+    return best
 
 
 class CoverCertificate(Record):
@@ -199,8 +120,7 @@ class CoverCertificate(Record):
         for p, mult in self.parts:
             if mult <= 0:
                 raise ValueError("part multiplicities must be positive")
-            for _ in range(mult):
-                total = total + p
+            total = total + PointN(tuple(mult * x for x in p.coords))
         if not leq(self.target, total):
             raise ValueError(f"parts do not cover {self.target}")
 
@@ -311,18 +231,21 @@ def subadditive_envelopes(f: SampledFunction, probes: Sequence[PointN],
     carry samples, and one more per set of axis points other probes need.
     Each table has its own ``COVER_BUDGET``.
     """
-    extension = None
-    for y in probes:  # a bad first probe is reported before a bad c, and a bad c before later probes
+    for i, y in enumerate(probes):  # a bad first probe is reported before a bad c, and a bad c before later probes
         if y.dim != f.dim:
             raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
-        extension = extension or AxisExtendedFunction.for_envelope(f, c)
+        if i == 0:
+            c = rat(c)
+            if c <= 0:
+                raise ValueError(f"the axis constant must be positive, got {c}")
     tables: dict[tuple[PointN, ...], list[int]] = {}  # the axis points probes need -> those probes
     for i, y in enumerate(probes):
-        axes = tuple(axis_vector(j, y.coords[j - 1], f.dim) for j in extension.rules if y.coords[j - 1])
+        axes = tuple(axis_vector(j, t, f.dim) for j, (t, cap) in enumerate(zip(y.coords, f._caps), start=1)
+                     if t and not cap)
         tables.setdefault(axes, []).append(i)
     results: list = [None] * len(probes)
     for axes, members in tables.items():
-        ground = _sample_ground(f) + [(a, extension.c, _ceil_row(f, a.coords)) for a in axes]
+        ground = _sample_ground(f) + [(a, c, _ceil_row(f, a.coords)) for a in axes]
         ground.sort(key=lambda item: sort_key(item[0]))
         targets = [probes[i] for i in members]
         costs, certificate = _min_cover(ground, [_ceil_row(f, y.coords) for y in targets], targets)

@@ -21,7 +21,7 @@ from .errors import (
     InvalidMetricError,
     NotWellDefinedError,
 )
-from .points import PointN, Record, rat, scale_to_integers
+from .points import PointN, Record, first_inversion, rat, scale_to_integers
 from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
 
@@ -278,18 +278,12 @@ def is_distance_increasing(
 ) -> tuple[bool, Optional[DistanceIncreaseViolation]]:
     """Check monotonicity of the product distance in the tuple of coordinate distances."""
     records = dict(_first_pairs(matrix, tuple(factors)))
-    for (tup_a, val_a), pair_a in records.items():
-        for (tup_b, val_b), pair_b in records.items():
-            if all(x <= y for x, y in zip(tup_a, tup_b)) and val_a > val_b:
-                return False, DistanceIncreaseViolation(
-                    small_pair=pair_a,
-                    large_pair=pair_b,
-                    small_tuple=tup_a,
-                    large_tuple=tup_b,
-                    small_value=val_a,
-                    large_value=val_b,
-                )
-    return True, None
+    keys = list(records)
+    inversion = first_inversion([tup for tup, _ in keys], [val for _, val in keys])
+    if inversion is None:
+        return True, None
+    small, large = keys[inversion[0]], keys[inversion[1]]  # each a (distance tuple, entry) key
+    return False, DistanceIncreaseViolation(records[small], records[large], small[0], large[0], small[1], large[1])
 
 
 def extract_product_function(

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from operator import le
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
 
@@ -142,6 +143,16 @@ def axis_vector(j: int, t: RationalLike, n: int) -> PointN:
     if value <= 0:
         raise ValueError(f"axis value must be positive, got {value}")
     return PointN(tuple(value if i == j else Fraction(0) for i in range(1, n + 1)))
+
+
+def first_inversion(keys: Sequence[Sequence], values: Sequence) -> Optional[tuple[int, int]]:
+    """The first index pair (i, k), i-major, with keys[i] <= keys[k] coordinatewise but
+    values[i] > values[k], or None when the values are isotone in the keys."""
+    for i, (key, value) in enumerate(zip(keys, values)):
+        for k, (other, v) in enumerate(zip(keys, values)):
+            if value > v and all(map(le, key, other)):
+                return i, k
+    return None
 
 
 def sort_key(p: PointN) -> tuple[Fraction, ...]:

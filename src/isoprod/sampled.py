@@ -12,7 +12,6 @@ amenable verdicts are kept after their first call.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import le
 from typing import Iterable, Optional
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     MissingOriginError,
     NotIsotoneError,
 )
-from .points import PointN, RationalLike, origin, rat, scale_to_integers, sort_key
+from .points import PointN, RationalLike, first_inversion, origin, rat, scale_to_integers, sort_key
 
 
 class SampledFunction:
@@ -115,12 +114,8 @@ def is_isotone(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]
 
 
 def _isotone_scan(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]]]:
-    _, values = scale_to_integers(v for _, v in f.items())
-    for i, (row, fx) in enumerate(zip(f._rows, values)):
-        for k, (other, fy) in enumerate(zip(f._rows, values)):
-            if fx > fy and k != i and all(map(le, row, other)):
-                return False, (f.domain[i], f.domain[k])
-    return True, None
+    pair = first_inversion(f._rows, scale_to_integers(v for _, v in f.items())[1])
+    return (True, None) if pair is None else (False, (f.domain[pair[0]], f.domain[pair[1]]))
 
 
 def require_isotone(f: SampledFunction) -> None:

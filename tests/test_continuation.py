@@ -6,13 +6,12 @@ import pytest
 from extremality import envelope_maximality_check, minimality_check
 from oracles import cover_enumerate_min
 from isoprod.continuation import (
-    AxisExtendedFunction,
-    AxisRule,
     CoverCertificate,
     amenable_continuation_precheck,
     amenable_isotone_continuation,
     subadditive_envelope,
     sup_continuation,
+    upper_cone_min,
 )
 from isoprod.errors import (
     DimensionMismatchError,
@@ -115,32 +114,24 @@ def test_amenable_continuation_restricts_and_is_positive():
         assert amenable_isotone_continuation(f, p) <= amenable_isotone_continuation(f, q)
 
 
-def test_axis_extended_function_rules():
+def test_axis_rules():
     f = sf([((0, 0), 0), ((1, 0), 2), ((2, 0), 5)])
-    ext = AxisExtendedFunction.for_amenable_continuation(f)
-    assert ext.axis_caps == {1: F(2), 2: F(0)}
-    assert ext.rules[1] is AxisRule.UPPER_CONE_INF
-    assert ext.rules[2] is AxisRule.IDENTITY
+    assert f._caps == (2, 0)
     # upper-cone infimum on the supported axis: min over samples above t
-    assert ext.axis_value(1, "1/2") == 2
-    assert ext.axis_value(1, "3/2") == 5
-    assert ext.axis_value(1, 7) == 5  # clamped at the cap
-    assert ext.axis_value(2, "3/4") == F(3, 4)
-    assert ext.value(point(0, "1/3")) == F(1, 3)
-    assert ext.value(point(1, 0)) == 2
-    with pytest.raises(KeyError):
-        ext.value(point(1, 1))
-
-    env = AxisExtendedFunction.for_envelope(f, F(1, 2))
-    assert env.rules == {2: AxisRule.CONSTANT}
-    assert env.axis_value(2, 100) == F(1, 2)
-
-    with pytest.raises(ValueError):
-        AxisExtendedFunction(f, {1: AxisRule.IDENTITY})
-    with pytest.raises(ValueError):
-        AxisExtendedFunction(f, {2: AxisRule.UPPER_CONE_INF})
-    with pytest.raises(ValueError):
-        AxisExtendedFunction(f, {2: AxisRule.CONSTANT}, c=0)
+    assert upper_cone_min(f, 1, F(1, 2)) == 2
+    assert upper_cone_min(f, 1, F(3, 2)) == 5
+    assert upper_cone_min(f, 1, F(7)) == 5  # clamped at the cap
+    # the continuation at an axis point is its axis value: identity on axis 2
+    assert amenable_isotone_continuation(f, point(0, "3/4")) == F(3, 4)
+    assert amenable_isotone_continuation(f, point(0, "1/3")) == F(1, 3)
+    assert amenable_isotone_continuation(f, point("1/2", 0)) == 2
+    assert amenable_isotone_continuation(f, point(7, 0)) == 5
+    assert amenable_isotone_continuation(f, point(1, 0)) == 2
+    # the envelope values an axis point of axis 2 at the constant c
+    value, cert = subadditive_envelope(f, point(0, 100), F(1, 2))
+    assert value == F(1, 2) and cert.parts == ((point(0, 100), 1),)
+    with pytest.raises(ValueError, match="axis constant must be positive"):
+        subadditive_envelope(f, point(0, 1), 0)
 
 
 # -- subadditive envelope -----------------------------------------------

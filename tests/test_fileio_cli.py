@@ -17,7 +17,7 @@ from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
 from isoprod.points import point
 from isoprod.sampled import SampledFunction
-from isoprod.cantor import three_point_search, transcendental_embed
+from isoprod.cantor import LEVEL_CAP, three_point_search, transcendental_embed
 import random
 
 
@@ -410,6 +410,24 @@ def test_level_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ISOPROD_LEVEL", "zebra")
     code, report = dispatch(["universal", "search", "--a", "1/3", "--b", "1/6"])
     assert code == 2
+
+
+def test_levels_past_the_cap_are_input_errors(tmp_path, monkeypatch):
+    # one level past the cap only: a level builds 2^level intervals before it answers
+    past = str(LEVEL_CAP + 1)
+    error = f"OutOfRangeError: level {past} exceeds the level cap {LEVEL_CAP}: it would build 2^{past} intervals"
+    runs = [
+        ["cantor", "refute-ce-triple", "--level", past],
+        ["universal", "search", "--ce-level", past, "--a", "1/3", "--b", "1/6"],
+        ["fixture", "--kind", "ce-level-set", "--level", past, "--out", str(tmp_path)],
+    ]
+    for argv in runs:
+        code, report = dispatch(argv)
+        assert code == 2 and report["error"] == error
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setenv("ISOPROD_LEVEL", past)
+    code, report = dispatch(["cantor", "refute-ce-triple"])
+    assert code == 2 and report["error"] == error
 
 
 def test_grid_verbs(tmp_path):

@@ -1,13 +1,13 @@
 """Differential tests of the prepared sampled-function paths.
 
 A ``SampledFunction`` keeps its coordinates as integer rows over one
-common denominator; the isotone scan, the lower-cone and axis lookups
-and the cover tables read those rows.  Each path is checked here
-against a Fraction reference: the oracles in ``tests/oracles.py``, a
-pair scan written out below, or the per-probe cover table the envelope
-used before probes shared one.  Probes draw coordinates with
-denominators no sample has.  Hypothesis runs derandomized with a fixed
-number of examples, about 2 s in all.
+common denominator; the isotone scan, the lower-cone and axis lookups,
+the amenable continuation and the cover tables read those rows.  Each
+path is checked here against a Fraction reference: the oracles in
+``tests/oracles.py``, a pair scan written out below, or the per-probe
+cover table the envelope used before probes shared one.  Probes draw
+coordinates with denominators no sample has.  Hypothesis runs
+derandomized with a fixed number of examples, about 2.5 s in all.
 """
 
 from fractions import Fraction as F
@@ -19,11 +19,10 @@ from isoprod.cli import dispatch
 from isoprod import fileio
 from oracles import amenable_continuation_value, cover_enumerate_min, isotone_pairs_hold
 from isoprod.continuation import (
-    AxisExtendedFunction,
-    AxisRule,
     amenable_isotone_continuation,
     lower_cone_max,
     subadditive_envelopes,
+    upper_cone_min,
 )
 from isoprod.points import PointN, axis_vector, leq, scale_to_integers
 from isoprod.sampled import SampledFunction, _isotone_scan, is_amenable, projection_support
@@ -85,16 +84,15 @@ def test_isotone_scan_on_int_rows_agrees_with_fraction_scans(f):
 def test_int_lookups_agree_with_fraction_brute_force(case):
     f, probes = case
     caps = {j: max(p.coords[j - 1] for p in f.domain) for j in range(1, f.dim + 1)}
-    assert AxisExtendedFunction.for_envelope(f, 1).axis_caps == caps
+    assert {j: F(cap, f._den) for j, cap in enumerate(f._caps, start=1)} == caps
     assert projection_support(f) == {j for j, cap in caps.items() if cap > 0}
-    ext = AxisExtendedFunction(f, {j: AxisRule.UPPER_CONE_INF for j in projection_support(f)})
     for y in probes:
         below = [v for a, v in f.items() if leq(a, y)]
         assert lower_cone_max(f, y) == max(below, default=F(0))
         for j, t in enumerate(y.coords, start=1):
-            if t > 0 and j in ext.rules:
+            if t > 0 and j in projection_support(f):
                 reach = min(t, caps[j])
-                assert ext.axis_value(j, t) == min(v for a, v in f.items() if a.coords[j - 1] >= reach)
+                assert upper_cone_min(f, j, t) == min(v for a, v in f.items() if a.coords[j - 1] >= reach)
 
 
 

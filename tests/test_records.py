@@ -20,8 +20,8 @@ from isoprod.cantor import (
     TripleRefutationReport,
 )
 from isoprod.combiners import Combiner, named_combiner
-from isoprod.continuation import AxisExtendedFunction, AxisRule, CoverCertificate
-from isoprod.errors import CombinerDomainGapError
+from isoprod.continuation import CoverCertificate, subadditive_envelope
+from isoprod.errors import CombinerDomainGapError, DimensionMismatchError
 from isoprod.metric import (
     DistanceIncreaseViolation,
     FiniteMetricSpace,
@@ -54,14 +54,6 @@ def _space(rng):
     return FiniteMetricSpace(labels, [[abs(i - j) for j in range(n)] for i in range(n)])
 
 
-def _sampled(rng):
-    dim = rng.randint(1, 2)
-    entries = {PointN((F(0),) * dim): F(0)}
-    for _ in range(rng.randint(1, 4)):
-        entries[_point(rng, dim)] = _frac(rng)
-    return SampledFunction(entries)
-
-
 def _cover_fields(rng):
     dim = rng.randint(1, 3)
     parts = tuple((_point(rng, dim), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
@@ -71,12 +63,6 @@ def _cover_fields(rng):
 
 def _combo_fields(rng):
     return [_frac(rng), _frac(rng), rng.randint(0, 9), (_frac(rng), _frac(rng))]
-
-
-def _axis_fields(rng):
-    base = _sampled(rng)
-    rules = AxisExtendedFunction.for_amenable_continuation(base).rules
-    return [base, rules, F(rng.randint(1, 9), rng.randint(1, 4))]
 
 
 def _pair(rng):
@@ -103,7 +89,6 @@ FIELDS = {
         SymbolicAffine(_frac(rng), F(1)), F(1), f"r{rng.randint(0, 99)}"
     ],
     Combiner: lambda rng: [rng.choice(("SUM", "MAX")), SUM.fn, rng.random() < 0.5],
-    AxisExtendedFunction: _axis_fields,
     CoverCertificate: _cover_fields,
     MetricViolation: lambda rng: [
         rng.choice(("symmetry", "identity", "triangle")),
@@ -130,7 +115,7 @@ FIELDS = {
 }
 
 
-DEFAULTS = {Combiner: {"exact": True}, AxisExtendedFunction: {"c": F(1)}}
+DEFAULTS = {Combiner: {"exact": True}}
 
 
 def _names(cls):
@@ -196,11 +181,6 @@ def test_default_fields():
     assert Combiner("SUM", SUM.fn).exact is True
     assert Combiner("SUM", SUM.fn) == Combiner("SUM", SUM.fn, True)
     assert Combiner("SUM", SUM.fn) != Combiner("SUM", SUM.fn, False)
-    f = SampledFunction([(point(0), 0), (point(1), 1)])
-    rules = {1: AxisRule.UPPER_CONE_INF}
-    assert AxisExtendedFunction(f, rules).c == 1
-    assert AxisExtendedFunction(base=f, rules=rules, c="1").c == 1
-    assert repr(AxisExtendedFunction(f, rules)) == repr(AxisExtendedFunction(f, rules, F(1)))
 
 
 def test_bad_constructor_calls_are_type_errors():
@@ -233,20 +213,19 @@ def test_validation_errors_are_unchanged():
          "part multiplicities must be positive"),
         (lambda: CoverCertificate(point(2, 1), ((point(1, 1), 1),), 1), ValueError,
          "parts do not cover (2, 1)"),
+        # each part is checked in turn, its multiplicity before its dimension
+        (lambda: CoverCertificate(point(1, 1), ((point(1, 1), 1), (point(1), 0)), 1), ValueError,
+         "part multiplicities must be positive"),
+        (lambda: CoverCertificate(point(1, 1), ((point(1), 2), (point(1, 1), 0)), 1), DimensionMismatchError,
+         "dimension mismatch: 2 vs 1"),
         (lambda: ProductSpec((), SUM), ValueError, "a product needs at least one factor"),
         (lambda: ProductSpec([space], f), ValueError, "combiner dimension 2 != 1 factors"),
         (lambda: ProductSpec([space, space], f), CombinerDomainGapError,
          "sampled combiner lacks distance tuple (Fraction(0, 1), Fraction(1, 1))"),
-        (lambda: AxisExtendedFunction(f, {}, 0), ValueError,
+        (lambda: subadditive_envelope(f, point(1, 1), 0), ValueError,
          "the axis constant must be positive, got 0"),
-        (lambda: AxisExtendedFunction(f, {}, "-1/2"), ValueError,
+        (lambda: subadditive_envelope(f, point(1, 1), "-1/2"), ValueError,
          "the axis constant must be positive, got -1/2"),
-        (lambda: AxisExtendedFunction(f, {3: AxisRule.IDENTITY}), IndexError,
-         "axis 3 out of range"),
-        (lambda: AxisExtendedFunction(f, {1: AxisRule.IDENTITY}), ValueError,
-         "axis 1 has positive samples; rule AxisRule.IDENTITY invalid"),
-        (lambda: AxisExtendedFunction(f, {2: AxisRule.UPPER_CONE_INF}), ValueError,
-         "axis 2 has no positive samples; AxisRule.UPPER_CONE_INF undefined"),
     ]
     for fn, kind, text in cases:
         assert _error(fn) == (kind, text)

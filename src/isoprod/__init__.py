@@ -33,8 +33,7 @@ _EXPORTS = {
         "unbounded_witness", "verify_metric",
     ),
     "modulus": (
-        "GridFunction", "difference_bound_holds", "grid_from_combiner", "is_fixed_point",
-        "modulus_table", "nonconstant_wrt",
+        "GridFunction", "difference_bound_holds", "is_fixed_point", "modulus_table", "nonconstant_wrt",
     ),
     "points": ("PointN", "axis_vector", "origin", "point", "rat"),
     "sampled": ("SampledFunction", "is_amenable", "is_isotone", "is_subadditive", "projection_support"),

@@ -240,22 +240,15 @@ def cantor_level_starts(level: int) -> list[int]:
     return [_base3_value(digits) for digits in itertools.product((0, 2), repeat=level)]
 
 
-def scaled_cantor_level_set(level: int, upper: int = 3) -> list[Fraction]:
-    """Endpoints of the level-k intervals of the dilated Cantor union in [0, upper].
+def scaled_cantor_level_set(level: int) -> list[Fraction]:
+    """Endpoints of the level-k intervals of the dilated Cantor union in [0, 3].
 
     The dilation union meets [0, 3] in the Cantor set plus its triple,
     so the endpoint set is the union of both endpoint families.
     """
     starts = cantor_level_starts(level)
     scale = Fraction(3) ** -level
-    endpoints = set()
-    for p in starts:
-        for e in (p * scale, (p + 1) * scale):
-            if e <= upper:
-                endpoints.add(e)
-            if 3 * e <= upper:
-                endpoints.add(3 * e)
-    return sorted(endpoints)
+    return sorted({k * e for p in starts for e in (p * scale, (p + 1) * scale) for k in (1, 3)})
 
 
 def three_point_search(

@@ -17,7 +17,7 @@ from .cantor import scaled_cantor_level_set
 from .combiners import named_combiner
 from .continuation import lower_cone_max
 from .metric import FiniteMetricSpace
-from .modulus import GridFunction, grid_from_combiner
+from .modulus import GridFunction
 from .points import PointN, origin, rat
 from .sampled import SampledFunction
 
@@ -78,19 +78,14 @@ def random_sampled_function(
     return SampledFunction(values)
 
 
-def random_metric_space(
-    rng: random.Random,
-    max_points: int = 4,
-    min_points: int = 1,
-    weight_grid=POSITIVE_GRID,
-) -> FiniteMetricSpace:
+def random_metric_space(rng: random.Random, max_points: int = 4) -> FiniteMetricSpace:
     """A random finite metric: shortest-path closure of positive weights."""
-    n = rng.randint(min_points, max_points)
+    n = rng.randint(1, max_points)
     labels = [f"p{i}" for i in range(n)]
     dist = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = rng.choice(weight_grid)
+            w = rng.choice(POSITIVE_GRID)
             dist[i][j] = dist[j][i] = w
     for k in range(n):
         for i in range(n):
@@ -119,7 +114,7 @@ def combiner_grid(
     combiner = named_combiner(name, cap)
     if not combiner.exact:
         raise ValueError(f"{name} is not exact; grids need exact values")
-    return grid_from_combiner(combiner, n, bound, step)
+    return GridFunction.from_callable(n, bound, step, combiner)
 
 
 def sampled_combiner(name: str, axis_grid, n: int = 2, cap=Fraction(1)) -> SampledFunction:
@@ -156,13 +151,7 @@ def fixture_generate(kind: str, seed: int, outdir, **params) -> list[Path]:
         return [path]
     if kind == "named-combiner-grid":
         name = params.get("combiner", "SUM")
-        grid = combiner_grid(
-            name,
-            n=params.get("n", 2),
-            bound=params.get("bound", Fraction(2)),
-            step=params.get("step", Fraction(1, 4)),
-            cap=params.get("cap", Fraction(1)),
-        )
+        grid = combiner_grid(name, cap=params.get("cap", Fraction(1)))
         path = outdir / f"{kind}-{name}-seed{seed}.json"
         fileio.dump_grid_function(grid, path)
         return [path]

@@ -24,7 +24,11 @@ from .points import PointN, RationalLike, Record, rat, scale_to_integers
 
 
 class GridFunction:
-    """A total function on the lattice {0, h, ..., T}^n with rational values."""
+    """A total function on the lattice {0, h, ..., T}^n with rational values.
+
+    The values are kept in one flat list in lattice-code order, the
+    lexicographic order of the index tuples.
+    """
 
     __slots__ = ("_n", "_bound", "_step", "_cells", "_values")
 
@@ -43,17 +47,17 @@ class GridFunction:
         self._bound = bound
         self._step = step
         self._cells = int(cells)
-        table = {}
+        flat = []
         for idx in self.indices():
             if idx not in values:
                 raise ValueError(f"missing lattice value at index {idx}")
             v = rat(values[idx])
             if v < 0:
                 raise ValueError(f"negative value {v} at index {idx}")
-            table[idx] = v
-        if len(values) != (self._cells + 1) ** n:
+            flat.append(v)
+        if len(values) != len(flat):
             raise ValueError("values contain off-lattice entries")
-        self._values = table
+        self._values = flat
 
     @classmethod
     def from_points(cls, n: int, bound, step, entries: Iterable[tuple[PointN, RationalLike]]) -> "GridFunction":
@@ -73,13 +77,9 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, n: int, bound, step, fn: Callable[[tuple[Fraction, ...]], RationalLike]) -> "GridFunction":
-        bound = rat(bound)
-        step = rat(step)
-        values = {}
-        cells = int(bound / step)
-        for idx in itertools.product(range(cells + 1), repeat=n):
-            values[idx] = rat(fn(tuple(step * i for i in idx)))
-        return cls(n, bound, step, values)
+        bound, step = rat(bound), rat(step)
+        indices = itertools.product(range(int(bound / step) + 1), repeat=n)
+        return cls(n, bound, step, {idx: rat(fn(tuple(step * i for i in idx))) for idx in indices})
 
     @property
     def n(self) -> int:
@@ -104,24 +104,32 @@ class GridFunction:
     def point(self, idx: tuple[int, ...]) -> PointN:
         return PointN(tuple(self._step * i for i in idx))
 
+    def _point_at(self, code: int) -> PointN:
+        """The lattice point with flat code `code`."""
+        m = self._cells + 1
+        return self.point(tuple(code // m ** k % m for k in reversed(range(self._n))))
+
+    def _like(self, values: list[Fraction]) -> "GridFunction":
+        """The function with these flat values on the same lattice."""
+        g = object.__new__(GridFunction)
+        g._n, g._bound, g._step, g._cells, g._values = self._n, self._bound, self._step, self._cells, values
+        return g
+
     def value_at(self, idx: tuple[int, ...]) -> Fraction:
-        return self._values[idx]
+        m = self._cells + 1
+        if len(idx) != self._n or not all(0 <= i < m for i in idx):  # the list would serve these silently
+            raise KeyError(idx)
+        return self._values[reduce(lambda code, i: code * m + i, idx, 0)]
 
     def value(self, p: PointN) -> Fraction:
-        return self._values[_index_of(p, self._n, self._bound, self._step)]
+        return self.value_at(_index_of(p, self._n, self._bound, self._step))
 
     def items(self):
-        for idx in self.indices():
-            yield self.point(idx), self._values[idx]
+        return zip(map(self.point, self.indices()), self._values)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GridFunction)
-            and self._n == other._n
-            and self._bound == other._bound
-            and self._step == other._step
-            and self._values == other._values
-        )
+        return isinstance(other, GridFunction) and (
+            (self._n, self._bound, self._step, self._values) == (other._n, other._bound, other._step, other._values))
 
 
 def _index_of(p: PointN, n: int, bound: Fraction, step: Fraction) -> tuple[int, ...]:
@@ -170,8 +178,7 @@ def modulus_table(g: GridFunction) -> GridFunction:
     difference vector; a running max along each axis then turns exact
     differences into boxes.
     """
-    indices = list(g.indices())
-    den, values = scale_to_integers(map(g.value_at, indices))
+    den, values = scale_to_integers(g._values)
     exact = [0] * len(values)
     for codes, gaps in _pair_rows(g, values):
         for code, gap in zip(codes, gaps):
@@ -182,7 +189,7 @@ def modulus_table(g: GridFunction) -> GridFunction:
         for block in range(0, len(exact), stride * m):  # the more significant axes held fixed
             for lo in range(block + stride, block + stride * m, stride):
                 exact[lo:lo + stride] = map(max, exact[lo - stride:lo], exact[lo:lo + stride])
-    return GridFunction(g.n, g.bound, g.step, {idx: Fraction(v, den) for idx, v in zip(indices, exact)})
+    return g._like([Fraction(v, den) for v in exact])
 
 
 def difference_bound_holds(
@@ -196,13 +203,12 @@ def difference_bound_holds(
     violating ordered pair on failure; it has x < y, as the inequality
     is symmetric and holds at x = y.
     """
-    indices = list(f.indices())
-    _, values = scale_to_integers(map(f.value_at, indices))
+    _, values = scale_to_integers(f._values)
     for x, (codes, gaps) in enumerate(_pair_rows(f, values)):
         # the first k, if any, with gaps[k] > f(|x - y|) for y = x + k
         k = next(itertools.compress(itertools.count(), map(gt, gaps, map(values.__getitem__, codes))), None)
         if k is not None:
-            return False, (f.point(indices[x]), f.point(indices[x + k]))
+            return False, (f._point_at(x), f._point_at(x + k))
     return True, None
 
 
@@ -217,33 +223,20 @@ def is_fixed_point(f: GridFunction) -> tuple[bool, FixedPointReport]:
     Reports the largest absolute deviation between f and its modulus
     table and where it occurs.
     """
-    table = modulus_table(f)
-    worst = Fraction(0)
-    where: Optional[PointN] = None
-    for idx in f.indices():
-        dev = abs(table.value_at(idx) - f.value_at(idx))
-        if dev > worst:
-            worst = dev
-            where = f.point(idx)
+    deviations = [abs(t - v) for t, v in zip(modulus_table(f)._values, f._values)]
+    worst = max(deviations)
+    where = f._point_at(deviations.index(worst)) if worst else None
     return worst == 0, FixedPointReport(max_deviation=worst, at=where)
 
 
 def nonconstant_wrt(g: GridFunction, i: int) -> bool:
-    """Does some fixing of the other coordinates leave g nonconstant in coordinate i?"""
+    """Does some fixing of the other coordinates leave g nonconstant in coordinate i?
+
+    One step along coordinate i is m ** (n - i) codes, m = cells + 1; g is
+    nonconstant in it when some value differs from the one a step back.
+    """
     if not 1 <= i <= g.n:
         raise IndexError(f"variable index {i} out of range 1..{g.n}")
-    axis = i - 1
-    others = [range(g.cells + 1)] * (g.n - 1)
-    for rest in itertools.product(*others):
-        line = []
-        for k in range(g.cells + 1):
-            idx = rest[:axis] + (k,) + rest[axis:]
-            line.append(g.value_at(idx))
-        if any(v != line[0] for v in line):
-            return True
-    return False
-
-
-def grid_from_combiner(combiner, n: int, bound=Fraction(2), step=Fraction(1, 4)) -> GridFunction:
-    """Sample a closed-form combiner on the default lattice."""
-    return GridFunction.from_callable(n, bound, step, lambda coords: combiner(coords))
+    m, values = g.cells + 1, g._values
+    step = m ** (g.n - i)
+    return any(values[c] != values[c - step] for c in range(step, len(values)) if c // step % m)

@@ -23,24 +23,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
-from .errors import IsoprodError, OutOfRangeError
+from .errors import IsoprodError, MissingOriginError, OutOfRangeError
 
-LEVEL_ENV_VAR = "ISOPROD_LEVEL"
 RATIONAL_HELP = "an exact rational such as 7/9; put -- before one that starts with -, as in -- -7/9"
-
-
-def _default_level(fallback: int) -> int:
-    raw = os.environ.get(LEVEL_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise IsoprodError(f"{LEVEL_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _load(loader, path, inputs):
@@ -94,10 +82,14 @@ def _run_check(args, inputs):
     f = _load(fileio.load_sampled_function, args.function, inputs)
     iso_ok, iso_witness = is_isotone(f)
     verdicts = [{"check": "isotone", "ok": iso_ok, **({"witness": _point_witness(iso_witness)} if iso_witness else {})}]
-    amen_ok, amen_witness = is_amenable(f)
-    verdicts.append(
-        {"check": "amenable", "ok": amen_ok, **({"witness": fileio.format_point(amen_witness)} if amen_witness else {})}
-    )
+    try:
+        amen_ok, amen_witness = is_amenable(f)
+    except MissingOriginError:
+        verdicts.append({"check": "amenable", "ok": False, "skipped": "requires the origin as a sample point"})
+    else:
+        verdicts.append(
+            {"check": "amenable", "ok": amen_ok, **({"witness": fileio.format_point(amen_witness)} if amen_witness else {})}
+        )
     if iso_ok:
         sub_ok, cert = is_subadditive(f)
         entry = {"check": "subadditive", "ok": sub_ok}
@@ -262,9 +254,8 @@ def _run_nonconstant(args, inputs):
 def _run_refute_ce_triple(args, inputs):
     from .cantor import scaled_cantor_triple_refutation
 
-    level = args.level if args.level is not None else _default_level(10)
-    report = scaled_cantor_triple_refutation(level)
-    return [{"check": f"refute-ce-triple[level={level}]", "ok": report.ok, "report": report.to_jsonable()}]
+    report = scaled_cantor_triple_refutation(args.level)
+    return [{"check": f"refute-ce-triple[level={args.level}]", "ok": report.ok, "report": report.to_jsonable()}]
 
 
 def _run_cantor_member(args, inputs):
@@ -295,9 +286,8 @@ def _run_universal(args, inputs):
         values = _load(load_rational_set, args.set_file, inputs)
         source = args.set_file
     else:
-        level = args.ce_level if args.ce_level is not None else _default_level(8)
-        values = scaled_cantor_level_set(level)
-        source = f"ce-level-{level}"
+        values = scaled_cantor_level_set(args.ce_level)
+        source = f"ce-level-{args.ce_level}"
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     triple = three_point_search(values, a, b)
@@ -337,8 +327,6 @@ def _run_fixture(args, inputs):
     params = {"dim": args.dim, "size": args.size, "max_points": args.max_points, "mode": args.mode}
     if args.level is not None:
         params["level"] = args.level
-    elif args.kind == "ce-level-set":
-        params["level"] = _default_level(8)
     if args.kind == "named-combiner-grid":
         params["combiner"] = args.combiner
         params["cap"] = parse_rational(args.cap)
@@ -400,10 +388,10 @@ VERBS = (
     ("cantor ce-member", None, _run_cantor_member, RATIONAL),
     ("cantor decompose", None, _run_cantor_decompose, RATIONAL),
     ("cantor ce-decompose", None, _run_cantor_decompose, RATIONAL),
-    ("cantor refute-ce-triple", None, _run_refute_ce_triple, {"--level": INT}),
+    ("cantor refute-ce-triple", None, _run_refute_ce_triple, {"--level": {**INT, "default": 10}}),
     ("universal search", None, _run_universal, {
         "--set": {"dest": "set_file"},
-        "--ce-level": INT,
+        "--ce-level": {**INT, "default": 8},
         "--a": REQUIRED,
         "--b": REQUIRED,
     }),

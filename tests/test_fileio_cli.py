@@ -284,6 +284,18 @@ def test_check_verb_failing_function(tmp_path):
     assert F(witness["cost"]) < 5
 
 
+def test_check_without_the_origin_skips_only_the_amenable_verdict(tmp_path):
+    path = tmp_path / "f.json"
+    fileio.dump_sampled_function(SampledFunction([(point(1), 1), (point(2), 3)]), path)
+    code, report = dispatch(["check", "--function", str(path)])
+    assert code == 1
+    assert report["verdicts"][0] == {"check": "isotone", "ok": True}
+    assert report["verdicts"][1] == {"check": "amenable", "ok": False, "skipped": "requires the origin as a sample point"}
+    subadditive = report["verdicts"][2]
+    assert subadditive["check"] == "subadditive" and not subadditive["ok"]
+    assert subadditive["witness"]["target"] == ["2"] and subadditive["witness"]["cost"] == "2"
+
+
 def test_envelope_verb_matches_library(tmp_path):
     path = tmp_path / "f.json"
     f = SampledFunction([(point(1, 0), 2), (point(0, 1), 3)])
@@ -402,17 +414,17 @@ def test_embed_verdict_matches_sorted_pairwise_distances(tmp_path):
         assert list(verdict["images"]) == [str(v) for v in sorted(set(values))]
 
 
-def test_level_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("ISOPROD_LEVEL", "4")
+def test_level_flag_defaults():
     code, report = dispatch(["universal", "search", "--a", "1/3", "--b", "1/6"])
     assert code == 1
-    assert "ce-level-4" in report["verdicts"][0]["check"]
-    monkeypatch.setenv("ISOPROD_LEVEL", "zebra")
-    code, report = dispatch(["universal", "search", "--a", "1/3", "--b", "1/6"])
+    assert "ce-level-8" in report["verdicts"][0]["check"]
+    code, report = dispatch(["universal", "search", "--ce-level", "zebra", "--a", "1/3", "--b", "1/6"])
     assert code == 2
+    code, report = dispatch(["cantor", "refute-ce-triple"])
+    assert code == 0 and report["verdicts"][0]["check"] == "refute-ce-triple[level=10]"
 
 
-def test_levels_past_the_cap_are_input_errors(tmp_path, monkeypatch):
+def test_levels_past_the_cap_are_input_errors(tmp_path):
     # one level past the cap only: a level builds 2^level intervals before it answers
     past = str(LEVEL_CAP + 1)
     error = f"OutOfRangeError: level {past} exceeds the level cap {LEVEL_CAP}: it would build 2^{past} intervals"
@@ -425,9 +437,6 @@ def test_levels_past_the_cap_are_input_errors(tmp_path, monkeypatch):
         code, report = dispatch(argv)
         assert code == 2 and report["error"] == error
     assert not list(tmp_path.iterdir())
-    monkeypatch.setenv("ISOPROD_LEVEL", past)
-    code, report = dispatch(["cantor", "refute-ce-triple"])
-    assert code == 2 and report["error"] == error
 
 
 def test_grid_verbs(tmp_path):

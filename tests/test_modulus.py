@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import difference_bound_enumerate, modulus_enumerate
 from isoprod.combiners import named_combiner
@@ -12,7 +13,6 @@ from isoprod.metric import metric_preserving_verdict
 from isoprod.modulus import (
     GridFunction,
     difference_bound_holds,
-    grid_from_combiner,
     is_fixed_point,
     modulus,
     modulus_table,
@@ -46,6 +46,10 @@ def test_grid_function_validation():
         g.value(point("1/3"))
     with pytest.raises(OffLatticeError):
         g.value(point(9))
+    # a flat list would serve a negative index silently
+    for outside in ((g.cells + 1,), (-1,), (0, 0)):
+        with pytest.raises(KeyError):
+            g.value_at(outside)
 
 
 def test_modulus_examples():
@@ -90,7 +94,7 @@ def test_modulus_is_isotone_and_subadditive_on_lattice():
 def test_difference_bound_examples():
     assert difference_bound_holds(combiner_grid("SUM"))[0]
     assert difference_bound_holds(combiner_grid("MAX"))[0]
-    square = grid_from_combiner(named_combiner("SQUARE_SUM"), 1)
+    square = GridFunction.from_callable(1, 2, F(1, 4), named_combiner("SQUARE_SUM"))
     ok, witness = difference_bound_holds(square)
     assert not ok
     x, y = witness
@@ -175,7 +179,7 @@ def test_fixed_point_examples():
 
 def test_square_modulus_value_on_line():
     # omega(x^2, eps) over [0, T] is 2*T*eps - eps^2, far from eps^2
-    square = grid_from_combiner(named_combiner("SQUARE_SUM"), 1)
+    square = GridFunction.from_callable(1, 2, F(1, 4), named_combiner("SQUARE_SUM"))
     eps = F(1, 4)
     assert modulus(square, point(eps)) == 2 * 2 * eps - eps * eps
     assert square.value(point(eps)) == eps * eps
@@ -209,3 +213,48 @@ def test_verdict_consistency_with_fixed_point():
         verdict, _ = metric_preserving_verdict(sampled)
         fixed, _ = is_fixed_point(grid_fn)
         assert verdict == fixed
+
+
+@st.composite
+def grids_with_values(draw):
+    """A grid of n = 1-3 and the dict it was built from: arbitrary values, or a
+    linear function whose zero coefficients leave it constant along their axes."""
+    n = draw(st.integers(1, 3))
+    cells = draw(st.integers(1, {1: 8, 2: 4, 3: 2}[n]))
+    step = draw(st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+    idxs = list(itertools.product(range(cells + 1), repeat=n))
+    if draw(st.booleans()):
+        values = {idx: draw(st.sampled_from([F(0), F(1, 2), F(1), F(5, 3)])) for idx in idxs}
+    else:
+        weights = [draw(st.sampled_from([F(0), F(1, 2), F(2)])) for _ in range(n)]
+        values = {idx: sum(w * i for w, i in zip(weights, idx)) for idx in idxs}
+    return GridFunction(n, cells * step, step, values), values
+
+
+def test_flat_scans_agree_with_their_definitions():
+    # nonconstant_wrt for every i against a line-by-line check of the dict the grid
+    # was built from, and is_fixed_point against the first largest deviation from
+    # oracles.modulus_enumerate; 200 derandomized examples, about 2 s
+    seen = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(grids_with_values())
+    def check(case):
+        g, values = case
+        m = g.cells + 1
+        for i in range(1, g.n + 1):
+            lines = itertools.product(range(m), repeat=g.n - 1)
+            expected = any(len({values[rest[:i - 1] + (k,) + rest[i - 1:]] for k in range(m)}) > 1 for rest in lines)
+            assert nonconstant_wrt(g, i) == expected
+            seen.add(("nonconstant", expected))
+        worst, at = F(0), None
+        for idx in itertools.product(range(m), repeat=g.n):
+            deviation = abs(modulus_enumerate(g, g.point(idx)) - values[idx])
+            if deviation > worst:
+                worst, at = deviation, g.point(idx)
+        ok, report = is_fixed_point(g)
+        assert (ok, report.max_deviation, report.at) == (worst == 0, worst, at)
+        seen.add(("fixed point", ok))
+
+    check()
+    assert seen == {("nonconstant", True), ("nonconstant", False), ("fixed point", True), ("fixed point", False)}

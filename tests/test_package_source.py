@@ -69,7 +69,7 @@ def test_package_names_load_their_module_on_first_access():
 
     import isoprod
 
-    assert len(isoprod.__all__) == len(set(isoprod.__all__)) == 46
+    assert len(isoprod.__all__) == len(set(isoprod.__all__)) == 45
     for name in isoprod.__all__:
         assert getattr(isoprod, name) is getattr(import_module(f"isoprod.{isoprod._HOME[name]}"), name)
     assert isoprod.__version__ == "0.1.0"

@@ -221,7 +221,10 @@ def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
         dist = [list(map(parse, row)) for row in data["dist"]]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed matrix: {exc!r}") from None
-    labels = [str(x) for x in data.get("labels", range(len(dist)))]
+    labels = data.get("labels", range(len(dist)))
+    if not isinstance(labels, (list, range)):  # a string would split into one label per character
+        raise LoadError(f"{path}: malformed matrix: labels is not an array")
+    labels = list(map(str, labels))
     if len(labels) != len(dist):
         raise LoadError(f"{path}: {len(labels)} labels for {len(dist)} rows")
     return labels, dist
@@ -310,15 +313,18 @@ def load_product_spec(path: PathLike) -> tuple[ProductSpec, list[Path]]:
     data = _read_json(path)
     base = path.parent
     try:
+        if not isinstance(data["factors"], list):
+            raise LoadError(f"{path}: malformed product spec: factors is not an array")
         factor_paths = [base / p for p in data["factors"]]
+        combiner_field = data.get("combiner")
+        is_file = isinstance(combiner_field, dict) and "file" in combiner_field
+        combiner_path = base / combiner_field["file"] if is_file else None
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed product spec: {exc!r}") from None
     factors = [load_metric_space(p) for p in factor_paths]
-    combiner_field = data.get("combiner")
     if isinstance(combiner_field, str):
         combiner = named_combiner(combiner_field, parse_rational(data.get("cap", "1")))
-    elif isinstance(combiner_field, dict) and "file" in combiner_field:
-        combiner_path = base / combiner_field["file"]
+    elif is_file:
         factor_paths.append(combiner_path)
         combiner = load_sampled_function(combiner_path)
     elif isinstance(combiner_field, dict) and "name" in combiner_field:

@@ -6,21 +6,20 @@ checks are exact on rational entries and an exact tolerance (the
 ``verify-metric --tol`` option); only float entries or a float
 tolerance, which the inexact Euclidean-style combiner needs, are
 compared in floating point.
+
+Products, and the scans that take them apart, read each pair's distance
+tuple as its grid index in ``itertools.product(*distance sets)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from operator import getitem
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
-from .errors import (
-    CombinerDomainGapError,
-    InvalidMetricError,
-    NotWellDefinedError,
-)
+from .errors import CombinerDomainGapError, InvalidMetricError, IsoprodError, NotWellDefinedError
 from .points import PointN, Record, first_inversion, rat, scale_to_integers
 from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
@@ -125,10 +124,11 @@ def _packed_triangle_failures(m: list[list[int]], bound: int):
                 yield i, j
 
 
-class FiniteMetricSpace:
+class FiniteMetricSpace(Record):
     """Labeled points with an exact distance matrix, validated on construction."""
 
-    __slots__ = ("_labels", "_dist")
+    labels: tuple[str, ...]
+    dist: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, labels: Sequence[str], dist: Sequence[Sequence]):
         labels = tuple(str(x) for x in labels)
@@ -136,43 +136,22 @@ class FiniteMetricSpace:
             raise InvalidMetricError("labels must be distinct")
         rows = tuple(tuple(rat(v) for v in row) for row in dist)
         if len(rows) != len(labels):
-            raise InvalidMetricError(
-                f"{len(labels)} labels but {len(rows)} matrix rows"
-            )
+            raise InvalidMetricError(f"{len(labels)} labels but {len(rows)} matrix rows")
         ok, violation = verify_metric(rows)
         if not ok:
             raise InvalidMetricError(f"not a metric: {violation.detail}")
-        self._labels = labels
-        self._dist = rows
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
-    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._dist
+        super().__init__(labels, rows)
 
     @property
     def size(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self._dist[i][j]
+        return self.dist[i][j]
 
     def distance_set(self) -> tuple[Fraction, ...]:
         """All realized distances, sorted, always containing 0."""
-        return tuple(sorted({v for row in self._dist for v in row}))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteMetricSpace)
-            and self._labels == other._labels
-            and self._dist == other._dist
-        )
-
-    def __repr__(self):
-        return f"FiniteMetricSpace(labels={self._labels!r})"
+        return tuple(sorted({v for row in self.dist for v in row}))
 
 
 CombinerLike = Union[Combiner, SampledFunction]
@@ -207,16 +186,24 @@ def _apply_combiner(combiner: CombinerLike, values: tuple[Fraction, ...]):
     return combiner(values)
 
 
-def _product_points(factors: Sequence[FiniteMetricSpace]) -> list[tuple[int, ...]]:
-    """Multi-indices of the product points in lexicographic label order."""
-    return list(itertools.product(*(range(sp.size) for sp in factors)))
-
-
 def product_labels(factors: Sequence[FiniteMetricSpace]) -> list[tuple[str, ...]]:
-    return [
-        tuple(sp.labels[i] for sp, i in zip(factors, idx))
-        for idx in _product_points(factors)
-    ]
+    return list(itertools.product(*(sp.labels for sp in factors)))
+
+
+def _distance_codes(factors: Sequence[FiniteMetricSpace]) -> tuple[list[tuple], list[list[int]]]:
+    """The factor distance grid, and codes[p][q], the grid index of the pair's distance tuple.
+
+    Each factor distance is coded by its index in its factor's distance set
+    times the grid size of the factors after it; a pair's code is their sum.
+    """
+    sets = [sp.distance_set() for sp in factors]
+    codes, stride = [[0]], 1  # grid codes of the factors after the current one
+    for sp, dists in zip(reversed(factors), reversed(sets)):
+        code = {d: c * stride for c, d in enumerate(dists)}
+        coded = [[code[d] for d in row] for row in sp.dist]
+        codes = [[x + y for x in head for y in tail] for head in coded for tail in codes]
+        stride *= len(dists)
+    return list(itertools.product(*sets)), codes
 
 
 def product_metric(spec: ProductSpec) -> tuple[list[tuple[str, ...]], list[list]]:
@@ -224,23 +211,14 @@ def product_metric(spec: ProductSpec) -> tuple[list[tuple[str, ...]], list[list]
 
     Entry (p, q) is the combiner applied to the coordinate distances.
     The combiner is called once per tuple of the factor distance grid,
-    in ``itertools.product`` order, into a flat table.  Each factor
-    distance is coded by its index in that factor's distance set times
-    the factor's stride (the grid size of the factors after it), so
-    entry (p, q) reads the table at the sum of its factor codes.  The
-    result is not guaranteed to satisfy the metric axioms; pair it with
+    in ``itertools.product`` order, and entry (p, q) reads its value at
+    the pair's grid index (:func:`_distance_codes`).  The result is not
+    guaranteed to satisfy the metric axioms; pair it with
     :func:`verify_metric`.
     """
-    factors = spec.factors
-    grids = [sp.distance_set() for sp in factors]
-    table = [_apply_combiner(spec.combiner, tup) for tup in itertools.product(*grids)]
-    rows, stride = [[0]], 1  # table codes of the factors after the current one
-    for sp, grid in zip(reversed(factors), reversed(grids)):
-        code = {d: c * stride for c, d in enumerate(grid)}
-        coded = [[code[d] for d in row] for row in sp.dist]
-        rows = [[x + y for x in head for y in tail] for head in coded for tail in rows]
-        stride *= len(grid)
-    return product_labels(factors), [[table[c] for c in row] for row in rows]
+    grid, codes = _distance_codes(spec.factors)
+    table = [_apply_combiner(spec.combiner, tup) for tup in grid]
+    return product_labels(spec.factors), [[table[c] for c in row] for row in codes]
 
 
 class DistanceIncreaseViolation(Record):
@@ -258,19 +236,24 @@ def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...]):
     """Yield each (distance tuple, entry) with the first product pair realizing it.
 
     A pair is two product labels.  Pairs are scanned row by row over
-    i <= j, lazily, so a caller that stops early reads no further.
+    i <= j, lazily, so a caller that stops early reads no further.  A
+    pair is keyed on its grid index (:func:`_distance_codes`) and entry.
     """
-    pts = _product_points(factors)
+    grid, codes = _distance_codes(factors)
+    n = len(codes)
+    if len(matrix) != n:
+        raise IsoprodError(f"product of factor sizes is {n} but the matrix has {len(matrix)} rows")
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise IsoprodError(f"product of factor sizes is {n} but row {i} has {len(row)} entries")
     labels = product_labels(factors)
     seen = set()
-    for i, p in enumerate(pts):
-        rows = [sp.dist[a] for sp, a in zip(factors, p)]
-        row = matrix[i]
-        for j in range(i, len(pts)):
-            key = (tuple(map(getitem, rows, pts[j])), row[j])
+    for i, (code_row, row) in enumerate(zip(codes, matrix)):
+        for j in range(i, n):
+            key = (code_row[j], row[j])
             if key not in seen:
                 seen.add(key)
-                yield key, (labels[i], labels[j])
+                yield (grid[code_row[j]], row[j]), (labels[i], labels[j])
 
 
 def is_distance_increasing(
@@ -298,22 +281,21 @@ def extract_product_function(
     distance, and the earliest such record is the first conflict.
     """
     factors = tuple(factors)
-    table: dict[tuple, Fraction] = {}
-    witness: dict[tuple, tuple] = {}
+    table: dict[tuple, tuple] = {}  # distance tuple -> (distance, first pair)
     for (tup, val), pair in _first_pairs(matrix, factors):
         if tup in table:
+            first_val, first_pair = table[tup]
             raise NotWellDefinedError(
-                f"pairs {witness[tup]} and {pair} share the distance tuple "
-                f"{PointN(tup)} but have distances {table[tup]} and {rat(val)}",
-                pair_a=witness[tup],
+                f"pairs {first_pair} and {pair} share the distance tuple "
+                f"{PointN(tup)} but have distances {first_val} and {rat(val)}",
+                pair_a=first_pair,
                 pair_b=pair,
             )
-        table[tup] = rat(val)
-        witness[tup] = pair
-    for tup in itertools.product(*(sp.distance_set() for sp in factors)):
-        if tup not in table:
-            raise AssertionError(f"distance grid tuple {tup} not realized")
-    return SampledFunction((PointN(tup), val) for tup, val in table.items())
+        table[tup] = (rat(val), pair)
+    size = math.prod(len(sp.distance_set()) for sp in factors)
+    if len(table) != size:
+        raise AssertionError(f"{len(table)} of the {size} distance grid tuples realized")
+    return SampledFunction((PointN(tup), val) for tup, (val, _) in table.items())
 
 
 class MetricPreservingReport(Record):

@@ -26,7 +26,7 @@ import json
 import sys
 import time
 
-from .errors import IsoprodError, MissingOriginError, OutOfRangeError
+from .errors import IsoprodError, LoadError, MissingOriginError, OutOfRangeError
 
 RATIONAL_HELP = "an exact rational such as 7/9; put -- before one that starts with -, as in -- -7/9"
 
@@ -41,13 +41,13 @@ def _load(loader, path, inputs):
 
 
 def _probes_from_args(args) -> list:
-    from pathlib import Path
-
-    from .fileio import parse_point, parse_point_string
+    from .fileio import _read_json, parse_point, parse_point_string
 
     probes = [parse_point_string(s) for s in args.probe]
     if getattr(args, "probes", None):
-        data = json.loads(Path(args.probes).read_text(encoding="utf-8"))
+        data = _read_json(args.probes)
+        if not isinstance(data, list):
+            raise LoadError(f"{args.probes}: expected an array of points")
         probes.extend(parse_point(arr) for arr in data)
     if not probes:
         raise IsoprodError("no probes given; use --probe or --probes")
@@ -184,11 +184,6 @@ def _run_extract(args, inputs):
     factors = [_load(fileio.load_metric_space, path, inputs) for path in args.factor]
     if not factors:
         raise IsoprodError("extract needs the factor files (--factor)")
-    expected = 1
-    for sp in factors:
-        expected *= sp.size
-    if expected != len(matrix):
-        raise IsoprodError(f"product of factor sizes is {expected} but the matrix has {len(matrix)} rows")
     f = extract_product_function(matrix, factors)
     if args.out:
         fileio.dump_sampled_function(f, args.out)

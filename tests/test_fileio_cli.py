@@ -152,6 +152,17 @@ def test_loader_error_texts_are_pinned(tmp_path):
          LoadError, "bad rational '1/0': Fraction(1, 0)"),
         (fileio.load_rational_set, ["1/0", "1/2", "1/0"],
          LoadError, "bad rational '1/0': Fraction(1, 0)"),
+        # labels that are no array; a string once split into one label per character
+        (fileio.load_matrix, {"labels": 5, "dist": [["0"]]},
+         LoadError, "{path}: malformed matrix: labels is not an array"),
+        (fileio.load_matrix, {"labels": "ab", "dist": [["0", "1"], ["1", "0"]]},
+         LoadError, "{path}: malformed matrix: labels is not an array"),
+        # factors that are no array; a combiner file that is no path
+        (fileio.load_product_spec, {"factors": "sp.json", "combiner": "SUM"},
+         LoadError, "{path}: malformed product spec: factors is not an array"),
+        (fileio.load_product_spec, {"factors": [], "combiner": {"file": 5}},
+         LoadError, "{path}: malformed product spec: TypeError(\"unsupported operand type(s) for /: "
+         f"'{type(tmp_path).__name__}' and 'int'\")"),
     ]
     for k, (loader, data, kind, text) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
@@ -362,6 +373,19 @@ def test_product_and_extract_verbs(tmp_path):
     assert code == 0
     extracted = fileio.load_sampled_function(out_path)
     assert extracted.value(point(1, 2)) == 3
+    # a product matrix of the wrong shape is an input error, extra columns included
+    dist = matrix["dist"]
+    for bad, text in (
+        (dist[:3], "the matrix has 3 rows"),
+        ([*dist[:2], dist[2] + ["1"], dist[3]], "row 2 has 5 entries"),
+        ([*dist[:3], dist[3][:3]], "row 3 has 3 entries"),
+    ):
+        product_path.write_text(json.dumps({"dist": bad}))
+        code, report = dispatch([
+            "extract", "--product", str(product_path),
+            "--factor", str(tmp_path / "a.json"), "--factor", str(tmp_path / "b.json"),
+        ])
+        assert (code, report["error"]) == (2, f"IsoprodError: product of factor sizes is 4 but {text}")
 
 
 def test_cantor_verbs():
@@ -465,6 +489,17 @@ def test_exit_code_2_cases(tmp_path):
     bad.write_text("{not json")
     code, report = dispatch(["check", "--function", str(bad)])
     assert code == 2
+    # a probes file that is no JSON array of points, or no JSON at all, names itself
+    function = tmp_path / "f.json"
+    write_sum_function(function)
+    number = tmp_path / "probes.json"
+    number.write_text("5")
+    for probes, error in (
+        (number, f"LoadError: {number}: expected an array of points"),
+        (bad, f"LoadError: {bad}: invalid JSON: Expecting property name enclosed in double quotes"),
+    ):
+        code, report = dispatch(["extend-sup", "--function", str(function), "--probes", str(probes)])
+        assert code == 2 and report["error"].startswith(error)
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from isoprod.combiners import COMBINER_NAMES, named_combiner
 from isoprod.errors import (
     CombinerDomainGapError,
     InvalidMetricError,
+    IsoprodError,
     MissingOriginError,
     NotIsotoneError,
     NotWellDefinedError,
@@ -281,6 +282,21 @@ def test_extract_not_well_defined():
     assert err.value.pair_a is not None and err.value.pair_b is not None
 
 
+def test_extract_and_distance_increasing_need_a_square_product_matrix():
+    factors = (two_point_space("a", 1), two_point_space("b", 2))
+    _, matrix = product_metric(ProductSpec(factors, named_combiner("SUM")))
+    cases = [
+        (matrix[:3], "product of factor sizes is 4 but the matrix has 3 rows"),
+        ([*matrix[:2], matrix[2] + [F(1)], matrix[3]], "product of factor sizes is 4 but row 2 has 5 entries"),
+        ([*matrix[:3], matrix[3][:3]], "product of factor sizes is 4 but row 3 has 3 entries"),
+    ]
+    for bad, text in cases:
+        for scan in (extract_product_function, is_distance_increasing):
+            with pytest.raises(IsoprodError) as err:
+                scan(bad, factors)
+            assert type(err.value) is IsoprodError and str(err.value) == text
+
+
 def test_distance_increasing_iff_extractable_isotone():
     rng = random.Random(808)
     from isoprod.sampled import is_isotone
@@ -447,9 +463,7 @@ def test_uniform_continuity_floor():
     f = sampled_combiner("SUM", grid, n=2)
     factors = (line_space(grid), line_space(grid))
     labels, matrix = product_metric(ProductSpec(factors, f))
-    from isoprod.metric import _product_points
-
-    pts = _product_points(factors)
+    pts = list(itertools.product(*(range(sp.size) for sp in factors)))
     for axis in (0, 1):
         for eps in (F(1), F(2)):
             floor = f.value(point(*(eps if i == axis else 0 for i in range(2))))

@@ -54,6 +54,11 @@ def _space(rng):
     return FiniteMetricSpace(labels, [[abs(i - j) for j in range(n)] for i in range(n)])
 
 
+def _space_fields(rng):
+    space = _space(rng)
+    return [space.labels, space.dist]
+
+
 def _cover_fields(rng):
     dim = rng.randint(1, 3)
     parts = tuple((_point(rng, dim), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
@@ -95,6 +100,7 @@ FIELDS = {
         tuple(rng.randint(0, 5) for _ in range(rng.randint(2, 3))),
         f"d(0,1)={rng.randint(0, 9)}",
     ],
+    FiniteMetricSpace: _space_fields,
     ProductSpec: lambda rng: [tuple(_space(rng) for _ in range(rng.randint(1, 3))), SUM],
     DistanceIncreaseViolation: lambda rng: [
         _pair(rng),

@@ -64,9 +64,6 @@ class Base3Expansion(Record):
     def all_digits(self) -> tuple[int, ...]:
         return self.integer_digits + self.preperiod + self.period
 
-    def is_terminating(self) -> bool:
-        return not self.period
-
 
 def _low_digits(n: int) -> Iterator[int]:
     """Base-3 digits of an integer n >= 0, least significant first."""
@@ -429,17 +426,9 @@ class SymbolicAffine(Record):
         other = self._coerce(other)
         return SymbolicAffine(self.q + other.q, self.r + other.r)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         return SymbolicAffine(self.q - other.q, self.r - other.r)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return SymbolicAffine(-self.q, -self.r)
 
     def __str__(self):
         return f"{self.q} + {self.r}*tau"

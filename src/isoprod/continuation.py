@@ -17,15 +17,18 @@ Three constructions, all exact:
 Cheapest covers come from one table over the residual demands left
 after each part (``_min_cover``), filled bottom-up without recursion on
 the integer rows a sampled function prepares once, within ``COVER_BUDGET``
-steps.  ``sampled.is_subadditive`` asks one table for every sample, and
+steps.  A residual is one mixed-radix int and a move subtracts an int, so
+the table holds one int cost per residual; its states, its tie-break and
+its step count are those of a table keyed by residual tuples.
+``sampled.is_subadditive`` asks one table for every sample, and
 ``subadditive_envelopes`` one for all probes needing no axis points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from operator import le
+from itertools import compress, groupby
+from operator import add, le, mul
 from typing import Callable, Sequence
 
 from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
@@ -33,6 +36,7 @@ from .points import PointN, Record, axis_vector, leq, origin, rat, scale_to_inte
 from .sampled import SampledFunction, is_amenable, require_isotone
 
 COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
+ROW_CACHE = 1 << 16  # removal-row entries one axis of a cover table keeps
 
 
 def lower_cone_max(f: SampledFunction, y: PointN) -> Fraction:
@@ -152,64 +156,93 @@ def _min_cover(ground: list[tuple[PointN, Fraction, tuple[int, ...]]], demands: 
     lexicographic order of their points; ``demands[i]`` is ``targets[i]`` on
     the rows' scale rounded up (a sum of rows reaches one exactly when it
     reaches the other), and must be coverable.  Values are scaled to
-    integers, and one table holds, for every residual demand r reachable
-    from a demand, the least (value(e) + cost of clamp(r - e), index of e)
-    over the ground points e that touch a positive coordinate of r, looked
-    up by the support mask of r.  Every such move lowers r, so the table is
-    filled in lexicographic order of the residuals with each lookup already
-    solved.  The least cheapest cover of r is its least cheapest first part
-    followed by the least cheapest cover of what that part leaves, so the
-    chain of chosen first parts is the cheapest cover with the
-    lexicographically least part sequence; ground touching no demand never
-    moves.  Exploring costs one step per residual and touching ground
-    point, and past ``COVER_BUDGET`` steps CoverBudgetError is raised.
+    integers.
+
+    A residual demand r is coded as one mixed-radix int: axis j has digits
+    0..hi_j, hi_j the largest demand coordinate on it, and the last axis has
+    stride 1, so code order is lexicographic order.  A ground point e leaves
+    clamp(r - e), whose code is r's less the removal of e, the sum over the
+    axes of min(digit, e_j) times the stride.  Each axis keeps the removal
+    row of a digit, for every ground point at once, up to ``ROW_CACHE``
+    entries.  A removal is 0 exactly when e touches no positive coordinate
+    of r; such ground never moves, and every other move lowers the code.
+
+    A first pass collects the residuals reachable from the demands; a
+    second fills the least cost of each in increasing code order, keeping
+    one int per residual and no list per move.  The least cheapest cover of
+    r is its least cheapest first part (the least k with value(e_k) plus the
+    cost of what e_k leaves equal to the cost of r) followed by the least
+    cheapest cover of what that part leaves, so the chain of chosen first
+    parts is the cheapest cover with the lexicographically least part
+    sequence.  Exploring costs one step per residual and touching ground
+    point, and past ``COVER_BUDGET`` steps CoverBudgetError is raised.  The
+    residuals, the tie-break and the step count are those of a table keyed
+    by residual tuples (``tests/cover_table.py``).
 
     Returns the cost of every target and a function building the covering
     certificate of the i-th target.
     """
     den, values = scale_to_integers(v for _, v, _ in ground)
-    points = [row for _, _, row in ground]
-    masks = [sum(1 << j for j, c in enumerate(p) if c) for p in points]
-    touching: dict[int, list[int]] = {}  # support mask of a residual -> the ground indices touching it
+    hi = [max(column) for column in zip(*demands)]
+    strides = [1] * len(hi)
+    for j in range(len(hi) - 2, -1, -1):
+        strides[j] = strides[j + 1] * (hi[j + 1] + 1)
+    columns = [[row[j] * s for _, _, row in ground] for j, s in enumerate(strides)]
+    zeros = [0] * len(ground)
+    removal_rows: list[dict[int, list[int]]] = [{} for _ in hi]  # per axis: digit x stride -> min(x, column)
+    kept = ROW_CACHE // max(len(ground), 1)  # rows each axis keeps
 
-    def moves(r):
-        """The ground indices touching a positive coordinate of r, and what each leaves."""
-        need = sum(1 << j for j, x in enumerate(r) if x)
-        if need not in touching:
-            touching[need] = [k for k, m in enumerate(masks) if m & need]
-        ks = touching[need]
-        return ks, (tuple(x - c if x > c else 0 for x, c in zip(r, points[k])) for k in ks)
+    def removals(r: int) -> list[int]:
+        """How much each ground point lowers the code r: 0 for the points touching none of it."""
+        taken = None
+        for s, column, cache in zip(strides, columns, removal_rows):
+            low = r % s
+            x = r - low
+            r = low
+            if x:
+                row = cache.get(x)
+                if row is None:
+                    row = [c if c < x else x for c in column]
+                    if len(cache) < kept:
+                        cache[x] = row
+                taken = row if taken is None else list(map(add, taken, row))
+        return taken or zeros
 
-    reachable = set(demands)
+    codes = [sum(map(mul, d, strides)) for d in demands]
+    reachable = set(codes)
     stack = list(reachable)
     steps = 0
     while stack:
-        ks, lefts = moves(stack.pop())
-        steps += len(ks)
+        r = stack.pop()
+        taken = removals(r)
+        steps += len(taken) - taken.count(0)
         if steps > COVER_BUDGET:
             raise CoverBudgetError(f"the cover search exceeds its budget of {COVER_BUDGET} residual x ground steps")
-        for left in lefts:
-            if left not in reachable:
-                reachable.add(left)
-                stack.append(left)
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    for r in sorted(reachable):
-        if any(r):
-            ks, lefts = moves(r)
-            if not ks:
+        left = set(map(r.__sub__, taken))
+        left -= reachable
+        reachable |= left
+        stack += left
+    reachable = sorted(reachable)  # in code order; the set is freed
+    cost = {0: 0}
+    for r in reachable:
+        if r:
+            taken = removals(r)
+            best = min(map(add, compress(values, taken), map(cost.__getitem__, map(r.__sub__, compress(taken, taken)))),
+                       default=None)
+            if best is None:
                 raise AssertionError("no cover exists; ground set construction is broken")
-            best[r] = min([(values[k] + best[left][0], k) for k, left in zip(ks, lefts)])
-        else:
-            best[r] = (0, -1)
-    costs = [Fraction(best[d][0], den) for d in demands]
+            cost[r] = best
+    costs = [Fraction(cost[r], den) for r in codes]
 
     def certificate(i: int) -> CoverCertificate:
         chain = []
-        r = demands[i]
-        while any(r):
-            k = best[r][1]
+        r = codes[i]
+        while r:
+            for k, x in enumerate(removals(r)):
+                if x and values[k] + cost[r - x] == cost[r]:
+                    break
             chain.append(k)
-            r = tuple(x - c if x > c else 0 for x, c in zip(r, points[k]))
+            r -= x
         parts = tuple((ground[k][0], len(list(run))) for k, run in groupby(chain))
         return CoverCertificate(targets[i], parts, costs[i])
 

@@ -218,9 +218,16 @@ def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
     data = _read_json(path)
     parse = _file_parser()
     try:
-        dist = [list(map(parse, row)) for row in data["dist"]]
+        rows = data["dist"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"{path}: malformed matrix: {exc!r}") from None
+    # a string or an object would be read one character or one key at a time
+    if not isinstance(rows, list):
+        raise LoadError(f"{path}: malformed matrix: dist is not an array")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise LoadError(f"{path}: malformed matrix: dist[{i}] is not an array")
+    dist = [list(map(parse, row)) for row in rows]
     labels = data.get("labels", range(len(dist)))
     if not isinstance(labels, (list, range)):  # a string would split into one label per character
         raise LoadError(f"{path}: malformed matrix: labels is not an array")

@@ -149,8 +149,12 @@ def is_subadditive(f: SampledFunction):
     integer rows of all non-origin samples (``continuation._min_cover``,
     within its ``COVER_BUDGET``) whose targets are every sample; each cost
     is the subadditive envelope at that sample, as no sample reaches an
-    axis without a positive sample.  On failure returns the cheapest
-    covering certificate for the lexicographically least violated point.
+    axis without a positive sample.  The table codes each residual demand
+    as one int and keeps one int cost per residual; which residuals it
+    visits, which cheapest cover it certifies and the steps it counts
+    against the budget do not depend on that coding.  On failure returns
+    the cheapest covering certificate for the lexicographically least
+    violated point.
 
     Returns (bool, Optional[CoverCertificate]).
     """

@@ -25,7 +25,7 @@ def alternate(expansion: Base3Expansion) -> Optional[Base3Expansion]:
     A nonzero terminating expansion also has a two-tail form and vice
     versa; any other expansion is unique and None is returned.
     """
-    if expansion.is_terminating():
+    if not expansion.period:
         digits = list(expansion.integer_digits + expansion.preperiod)
         nonzero = [i for i, d in enumerate(digits) if d]
         if not nonzero:

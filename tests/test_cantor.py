@@ -64,7 +64,7 @@ def test_base3_round_trip_triadic():
             t = F(num, den)
             expansion = to_base3(t)
             assert expansion.to_fraction() == t
-            assert expansion.is_terminating()
+            assert not expansion.period
     rng = random.Random(12)
     for k in range(7, 13):
         den = 3**k
@@ -72,7 +72,7 @@ def test_base3_round_trip_triadic():
             t = F(rng.randint(0, 4 * den), den)
             expansion = to_base3(t)
             assert expansion.to_fraction() == t
-            assert expansion.is_terminating()
+            assert not expansion.period
 
 
 def test_in_cantor_examples():
@@ -288,7 +288,7 @@ def test_symbolic_affine_arithmetic_and_order():
     assert (tau + 1) - tau == SymbolicAffine(F(1), F(0))
     assert sign(tau - 3) > 0 and sign(tau - 4) < 0
     assert sign(tau + tau - 6) > 0
-    assert sign(-tau) < 0
+    assert sign(SymbolicAffine(F(0), F(-1))) < 0  # -tau
     assert (2 * TAU_LOWER + 1) < 8  # sanity on the certified bounds
     assert sign(SymbolicAffine(F(1), F(0))) == 1
     assert sign(SymbolicAffine(F(0), F(0))) == 0

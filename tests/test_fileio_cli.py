@@ -157,6 +157,16 @@ def test_loader_error_texts_are_pinned(tmp_path):
          LoadError, "{path}: malformed matrix: labels is not an array"),
         (fileio.load_matrix, {"labels": "ab", "dist": [["0", "1"], ["1", "0"]]},
          LoadError, "{path}: malformed matrix: labels is not an array"),
+        # a dist or a row that is no array; a string or an object was once read one character
+        # or one key at a time
+        (fileio.load_matrix, {"dist": {"01": 1, "10": 2}},
+         LoadError, "{path}: malformed matrix: dist is not an array"),
+        (fileio.load_matrix, {"dist": 5},
+         LoadError, "{path}: malformed matrix: dist is not an array"),
+        (fileio.load_matrix, {"labels": ["x", "y"], "dist": ["01", "10"]},
+         LoadError, "{path}: malformed matrix: dist[0] is not an array"),
+        (fileio.load_matrix, {"dist": [["0", "1"], None]},
+         LoadError, "{path}: malformed matrix: dist[1] is not an array"),
         # factors that are no array; a combiner file that is no path
         (fileio.load_product_spec, {"factors": "sp.json", "combiner": "SUM"},
          LoadError, "{path}: malformed product spec: factors is not an array"),
@@ -349,6 +359,21 @@ def test_verify_metric_verb(tmp_path):
     assert code == 1
     witness = report["verdicts"][0]["witness"]
     assert witness["kind"] == "triangle" and witness["labels"] == ["x", "y", "z"]
+
+
+def test_matrices_whose_dist_or_rows_are_no_arrays_are_input_errors(tmp_path):
+    # both once read as [[0, 1], [1, 0]] and reported the metric axioms true
+    good = tmp_path / "good.json"
+    fileio.dump_metric_space(FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]]), good)
+    for k, (data, what) in enumerate((({"labels": ["x", "y"], "dist": ["01", "10"]}, "dist[0]"),
+                                      ({"dist": {"01": 1, "10": 2}}, "dist"))):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(data))
+        error = f"LoadError: {path}: malformed matrix: {what} is not an array"
+        for argv in (["verify-metric", "--space", str(path)],
+                     ["product", "--factor", str(good), "--factor", str(path), "--combiner", "SUM"]):
+            code, report = dispatch(argv)
+            assert (code, report["error"]) == (2, error)
 
 
 def test_product_and_extract_verbs(tmp_path):

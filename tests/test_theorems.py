@@ -1,0 +1,64 @@
+"""The paper's characterization as checks of one module's verdict against another's.
+
+(b) The sup-continuation is the least isotone extension of the samples,
+    so at every probe it lies at or below the amenable isotone
+    continuation, which also extends them isotonically.
+(c) The subadditive envelope is the greatest isotone subadditive
+    minorant of the samples: at or below f on every sample, and equal to
+    f on all of them exactly when ``is_subadditive`` holds.
+
+Random isotone functions of n = 1-3 with coordinates and probes of
+denominators 1-6; hypothesis runs derandomized with a fixed number of
+examples, about 1 s in all.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from isoprod.continuation import amenable_isotone_continuation, subadditive_envelopes, sup_continuation
+from isoprod.points import PointN, axis_vector, leq
+from isoprod.sampled import SampledFunction, is_subadditive
+
+COORDS = (F(0), F(0), F(1), F(1, 2), F(2, 3), F(3, 4), F(6, 5), F(4, 3), F(3, 2), F(2))
+PROBE_COORDS = COORDS + (F(1, 6), F(5, 6), F(7, 4), F(5, 2))
+VALUES = (F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 3), F(7, 6))
+
+
+@st.composite
+def isotone_functions(draw, amenable=False):
+    """Samples whose values are raised to the maximum over their lower cone; an amenable
+    function has the origin at value 0 and positive values elsewhere."""
+    dim = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.sampled_from(COORDS)] * dim).map(PointN),
+                        min_size=1, max_size=6 - dim, unique=True))
+    raw = {p: draw(st.sampled_from(VALUES)) for p in pts}
+    if amenable:
+        raw = {p: v or F(1) for p, v in raw.items()}
+        raw[PointN((F(0),) * dim)] = F(0)
+    return SampledFunction({p: max(v for q, v in raw.items() if leq(q, p)) for p in raw})
+
+
+@st.composite
+def amenable_functions_with_probes(draw):
+    f = draw(isotone_functions(amenable=True))
+    probes = draw(st.lists(st.tuples(*[st.sampled_from(PROBE_COORDS)] * f.dim).map(PointN), max_size=4))
+    positive = st.sampled_from([t for t in PROBE_COORDS if t > 0])
+    axes = draw(st.lists(st.builds(axis_vector, st.integers(1, f.dim), positive, st.just(f.dim)), max_size=2))
+    return f, probes + axes + list(f.domain)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(amenable_functions_with_probes())
+def test_sup_continuation_is_below_the_amenable_continuation(case):
+    f, probes = case
+    for y in probes:
+        assert sup_continuation(f, y) <= amenable_isotone_continuation(f, y)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(isotone_functions())
+def test_envelope_meets_the_samples_exactly_when_subadditive(f):
+    envelope = [value for value, _ in subadditive_envelopes(f, f.domain)]
+    assert all(e <= f.value(a) for e, a in zip(envelope, f.domain))
+    assert is_subadditive(f)[0] == all(e == f.value(a) for e, a in zip(envelope, f.domain))

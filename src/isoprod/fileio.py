@@ -4,6 +4,11 @@ Rationals travel as strings "p/q" (or "p" for integers) everywhere, so
 reports and fixtures are bit-stable across platforms and locales.  A
 loader parses each distinct string of its file once: a product matrix or
 a lattice file repeats a few values many times.
+
+A loader checks the JSON type of each object and array before reading
+into it.  An input error names the file once, as ``<file>: <json path>:
+expected ...`` (``f.json: dist[1]: expected an array``) or ``<file>:<line>:``
+in a CSV row; rationals are parsed without a per-entry path.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .errors import LoadError, OffLatticeError
+from .errors import IsoprodError, LoadError
 from .points import PointN
 
 if TYPE_CHECKING:  # each loader imports the record type it builds when it first runs
@@ -76,30 +81,11 @@ def parse_rational(value) -> Fraction:
     return result
 
 
-def _file_parser():
-    """parse_rational for one file, each distinct string parsed once.  Only ``str`` values are
-    kept: ``True == 1 == 1.0`` hash alike, and a boolean or a float must reach its own error."""
-    memo = {}
-    get = memo.get
-
-    def parse(value) -> Fraction:
-        if value.__class__ is not str:
-            return parse_rational(value)
-        result = get(value)
-        if result is None:
-            result = memo[value] = parse_rational(value)
-        return result
-
-    return parse
-
-
 def format_point(p: PointN) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
 
 def parse_point(values: Sequence, parse=parse_rational) -> PointN:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise LoadError(f"expected a nonempty coordinate array, got {values!r}")
     return PointN(tuple(map(parse, values)))
 
 
@@ -120,11 +106,70 @@ def file_digest(path: PathLike) -> str:
     return f"sha256:{digest}"
 
 
-def _read_json(path: PathLike):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"{path}: invalid JSON: {exc}") from None
+# -- shape checks and file names ---------------------------------------
+
+_OBJECT, _ARRAY, _INTEGER, _STRING = (dict, "an object"), (list, "an array"), (int, "an integer"), (str, "a string")
+
+
+def _expect(value, kind, *path):
+    """value, if its JSON type is kind (the class json.loads gives it, and its name; a boolean is
+    no integer); else LoadError('<json path>: expected an array'), path being the keys and indices
+    of value in its file, as ("dist", 1) for ``dist[1]``, or none for the whole file."""
+    if value.__class__ is not kind[0]:
+        where = "".join(f"[{p}]" if p.__class__ is int else f".{p}" for p in path).lstrip(".")
+        raise LoadError(f"{where}: expected {kind[1]}" if where else f"expected {kind[1]}")
+    return value
+
+
+class _Reading:
+    """A file being loaded.  An input error raised in ``with _Reading(path) as source``
+    leaves as a LoadError that names the file once: '<source.where>: <message>', where
+    is the path, or '<path>:<line>' while a CSV row is read.  The error of a file loaded
+    inside the block names that file alone.  ``source.parse`` is parse_rational with
+    each distinct string of the file parsed once."""
+
+    def __init__(self, path: PathLike):
+        self.path, self.where = Path(path), str(path)
+        memo = {}  # str values only: True == 1 == 1.0 hash alike, and a bool or a float must reach its own error
+        get = memo.get
+
+        def parse(value) -> Fraction:
+            if value.__class__ is not str:
+                return parse_rational(value)
+            result = get(value)
+            if result is None:
+                result = memo[value] = parse_rational(value)
+            return result
+
+        self.parse = parse
+
+    def __enter__(self) -> "_Reading":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        # ValueError: a record's own checks and undecodable text; a .path is a named file's error
+        if isinstance(exc, (IsoprodError, ValueError)) and not hasattr(exc, "path"):
+            detail = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
+            error = LoadError(f"{self.where}: {detail}")
+            error.path = self.path
+            raise error from None
+
+    def json(self):
+        return json.loads(self.path.read_text(encoding="utf-8"))
+
+
+def _entries(data: dict, key: str, parse) -> list[tuple[PointN, Fraction]]:
+    """The (point, value) pairs of data[key], an array of {"point": [...], "value": ...} objects."""
+    entries = _expect(data.get(key), _ARRAY, key)
+    points = [_expect(_expect(e, _OBJECT, key, i).get("point"), _ARRAY, key, i, "point") for i, e in enumerate(entries)]
+    return [(parse_point(p, parse), parse(e.get("value"))) for p, e in zip(points, entries)]
+
+
+def load_points(path: PathLike) -> list[PointN]:
+    """A JSON array of coordinate arrays, such as a --probes file."""
+    with _Reading(path) as source:
+        points = _expect(source.json(), (list, "an array of points"))
+        return [parse_point(_expect(p, _ARRAY, i), source.parse) for i, p in enumerate(points)]
 
 
 # -- sampled functions -------------------------------------------------
@@ -143,48 +188,31 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
     """Load a sampled function from .json or .csv (n+1 columns)."""
     from .sampled import SampledFunction
 
-    path = Path(path)
-    parse = _file_parser()
-    dim = None  # a CSV file declares no dimension
-    if path.suffix.lower() == ".csv":
-        entries = _sampled_function_csv_rows(path, parse)
-    else:
-        data = _read_json(path)
-        try:
-            entries = [(parse_point(e["point"], parse), parse(e["value"])) for e in data["entries"]]
-            dim = int(data["dim"])
-        except (KeyError, TypeError) as exc:
-            raise LoadError(f"{path}: malformed sampled function: {exc!r}") from None
-        except ValueError as exc:  # a negative coordinate, or a dimension that is no integer
-            raise LoadError(f"{path}: {exc}") from None
-    try:
-        f = SampledFunction(entries)
-    except ValueError as exc:
-        raise LoadError(f"{path}: {exc}") from None
-    if dim is not None and f.dim != dim:
-        raise LoadError(f"{path}: declared dim {dim} but points have dim {f.dim}")
-    return f
+    with _Reading(path) as source:
+        if source.path.suffix.lower() != ".csv":
+            data = _expect(source.json(), (dict, "a sampled function object"))
+            f = SampledFunction(_entries(data, "entries", source.parse))
+            dim = _expect(data.get("dim"), _INTEGER, "dim")
+            if f.dim != dim:
+                raise LoadError(f"declared dim {dim} but points have dim {f.dim}")
+            return f
+        import csv
 
-
-def _sampled_function_csv_rows(path: Path, parse) -> list[tuple[PointN, Fraction]]:
-    import csv
-
-    entries = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise LoadError(f"{path}:{lineno}: need n+1 columns")
-            coords = [parse(cell.strip()) for cell in row[:-1]]
+        entries, parse = [], source.parse
+        with open(source.path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                point = PointN(tuple(coords))
-            except ValueError as exc:  # a negative coordinate
-                raise LoadError(f"{path}:{lineno}: {exc}") from None
-            entries.append((point, parse(row[-1].strip())))
-    if not entries:
-        raise LoadError(f"{path}: no rows")
-    return entries
+                for lineno, row in enumerate(reader, start=1):
+                    if not row or all(not cell.strip() for cell in row):
+                        continue
+                    source.where = f"{source.path}:{lineno}"
+                    if len(row) < 2:
+                        raise LoadError("need n+1 columns")
+                    entries.append((PointN(tuple(parse(cell.strip()) for cell in row[:-1])), parse(row[-1].strip())))
+                    source.where = str(source.path)
+            except csv.Error as exc:  # a field longer than csv.field_size_limit()
+                raise LoadError(f"line {reader.line_num}: {exc}") from None
+        return SampledFunction(entries)
 
 
 def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:
@@ -214,34 +242,32 @@ def matrix_jsonable(labels: Sequence, matrix) -> dict:
 
 
 def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
-    """Load a labeled candidate matrix without metric validation."""
-    data = _read_json(path)
-    parse = _file_parser()
-    try:
-        rows = data["dist"]
-    except (KeyError, TypeError) as exc:
-        raise LoadError(f"{path}: malformed matrix: {exc!r}") from None
-    # a string or an object would be read one character or one key at a time
-    if not isinstance(rows, list):
-        raise LoadError(f"{path}: malformed matrix: dist is not an array")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise LoadError(f"{path}: malformed matrix: dist[{i}] is not an array")
-    dist = [list(map(parse, row)) for row in rows]
-    labels = data.get("labels", range(len(dist)))
-    if not isinstance(labels, (list, range)):  # a string would split into one label per character
-        raise LoadError(f"{path}: malformed matrix: labels is not an array")
-    labels = list(map(str, labels))
-    if len(labels) != len(dist):
-        raise LoadError(f"{path}: {len(labels)} labels for {len(dist)} rows")
-    return labels, dist
+    """Load a labeled candidate matrix without metric validation: its rows have one
+    length and its labels are distinct strings, one per row."""
+    with _Reading(path) as source:
+        data = _expect(source.json(), (dict, "a matrix object"))
+        rows = _expect(data.get("dist"), _ARRAY, "dist")
+        for i, row in enumerate(rows):
+            if len(_expect(row, _ARRAY, "dist", i)) != len(rows[0]):
+                raise LoadError(f"dist[{i}]: expected {len(rows[0])} entries as in dist[0], got {len(row)}")
+        dist = [list(map(source.parse, row)) for row in rows]
+        if "labels" not in data:
+            return [str(i) for i in range(len(dist))], dist
+        labels = _expect(data["labels"], _ARRAY, "labels")
+        first = {}
+        for i, label in enumerate(labels):
+            if first.setdefault(_expect(label, _STRING, "labels", i), i) != i:
+                raise LoadError(f"labels[{i}]: {label!r} repeats labels[{first[label]}]")
+        if len(labels) != len(dist):
+            raise LoadError(f"{len(labels)} labels for {len(dist)} rows")
+        return labels, dist
 
 
 def load_metric_space(path: PathLike) -> FiniteMetricSpace:
     from .metric import FiniteMetricSpace
 
-    labels, dist = load_matrix(path)
-    return FiniteMetricSpace(labels, dist)
+    with _Reading(path):
+        return FiniteMetricSpace(*load_matrix(path))
 
 
 def dump_metric_space(space: FiniteMetricSpace, path: PathLike) -> None:
@@ -265,22 +291,12 @@ def grid_function_jsonable(g: GridFunction) -> dict:
 def load_grid_function(path: PathLike) -> GridFunction:
     from .modulus import GridFunction
 
-    data = _read_json(path)
-    parse = _file_parser()
-    try:
-        n = int(data["n"])
-        bound = parse(data["T"])
-        step = parse(data["h"])
+    with _Reading(path) as source:
+        data = _expect(source.json(), (dict, "a grid function object"))
+        n = _expect(data.get("n"), _INTEGER, "n")
+        bound, step = source.parse(data.get("T")), source.parse(data.get("h"))
         # every entry is parsed before any is indexed: a bad rational is reported first
-        entries = [(parse_point(e["point"], parse), parse(e["value"])) for e in data["values"]]
-    except (KeyError, TypeError) as exc:
-        raise LoadError(f"{path}: malformed grid function: {exc!r}") from None
-    except ValueError as exc:  # a negative coordinate, or a dimension that is no integer
-        raise LoadError(f"{path}: {exc}") from None
-    try:
-        return GridFunction.from_points(n, bound, step, entries)
-    except (ValueError, OffLatticeError) as exc:
-        raise LoadError(f"{path}: {exc}") from None
+        return GridFunction.from_points(n, bound, step, _entries(data, "values", source.parse))
 
 
 def dump_grid_function(g: GridFunction, path: PathLike) -> None:
@@ -290,12 +306,10 @@ def dump_grid_function(g: GridFunction, path: PathLike) -> None:
 # -- rational sets -----------------------------------------------------
 
 def load_rational_set(path: PathLike) -> list[Fraction]:
-    data = _read_json(path)
-    if isinstance(data, dict):
-        data = data.get("values")
-    if not isinstance(data, list):
-        raise LoadError(f"{path}: expected an array of rationals")
-    return list(map(_file_parser(), data))
+    with _Reading(path) as source:
+        data = source.json()
+        values = data.get("values") if data.__class__ is dict else data
+        return list(map(source.parse, _expect(values, (list, "an array of rationals"))))
 
 
 def rational_set_jsonable(values: Iterable[Fraction]) -> dict:
@@ -311,40 +325,30 @@ def dump_rational_set(values: Iterable[Fraction], path: PathLike) -> None:
 def load_product_spec(path: PathLike) -> tuple[ProductSpec, list[Path]]:
     """Load a product spec; factor paths resolve relative to the spec file.
 
-    Returns the spec plus every file it pulled in, for report digests.
+    Returns the spec plus every file it pulled in, for report digests.  An
+    error in a factor or combiner file names that file, not the spec.
     """
     from .combiners import named_combiner
     from .metric import ProductSpec
 
-    path = Path(path)
-    data = _read_json(path)
-    base = path.parent
-    try:
-        if not isinstance(data["factors"], list):
-            raise LoadError(f"{path}: malformed product spec: factors is not an array")
-        factor_paths = [base / p for p in data["factors"]]
-        combiner_field = data.get("combiner")
-        is_file = isinstance(combiner_field, dict) and "file" in combiner_field
-        combiner_path = base / combiner_field["file"] if is_file else None
-    except (KeyError, TypeError) as exc:
-        raise LoadError(f"{path}: malformed product spec: {exc!r}") from None
-    factors = [load_metric_space(p) for p in factor_paths]
-    if isinstance(combiner_field, str):
-        combiner = named_combiner(combiner_field, parse_rational(data.get("cap", "1")))
-    elif is_file:
-        factor_paths.append(combiner_path)
-        combiner = load_sampled_function(combiner_path)
-    elif isinstance(combiner_field, dict) and "name" in combiner_field:
-        combiner = named_combiner(
-            combiner_field["name"], parse_rational(combiner_field.get("cap", "1"))
-        )
-    else:
-        raise LoadError(f"{path}: combiner must be a name or a file reference")
-    try:
-        spec = ProductSpec(tuple(factors), combiner)
-    except ValueError as exc:
-        raise LoadError(f"{path}: {exc}") from None
-    return spec, [path, *factor_paths]
+    with _Reading(path) as source:
+        data = _expect(source.json(), (dict, "a product spec object"))
+        names = _expect(data.get("factors"), _ARRAY, "factors")
+        paths = [source.path.parent / _expect(name, _STRING, "factors", i) for i, name in enumerate(names)]
+        field = data.get("combiner")
+        if field.__class__ is str:  # a name, its cap beside it
+            field = {"name": field, "cap": data.get("cap", "1")}
+        if field.__class__ is dict and "file" in field:
+            paths.append(source.path.parent / _expect(field["file"], _STRING, "combiner", "file"))
+        elif field.__class__ is dict and "name" in field:
+            name = _expect(field["name"], _STRING, "combiner", "name")
+            combiner = named_combiner(name, source.parse(field.get("cap", "1")))
+        else:
+            raise LoadError("combiner must be a name or a file reference")
+        factors = tuple(map(load_metric_space, paths[:len(names)]))
+        if len(paths) > len(names):
+            combiner = load_sampled_function(paths[-1])
+        return ProductSpec(factors, combiner), [source.path, *paths]
 
 
 # -- certificates and reports ------------------------------------------

@@ -63,6 +63,8 @@ class GridFunction:
     def from_points(cls, n: int, bound, step, entries: Iterable[tuple[PointN, RationalLike]]) -> "GridFunction":
         bound = rat(bound)
         step = rat(step)
+        if bound <= 0 or step <= 0:  # before _index_of divides by the step
+            raise ValueError("bound and step must be positive")
         values = {}
         axis_index = {}  # each distinct coordinate is indexed once
         for p, v in entries:

@@ -3,8 +3,10 @@
 Every invocation prints one JSON run report (or a CSV verdict table
 with --csv) and exits 0 when all verdicts hold, 1 when some verdict is
 false (the report then carries a witness), 2 on input errors, and 3
-on an internal error (an exception no input error explains; its
-report carries "internal error: <type>: <message>").
+on an internal error.  Input errors are IsoprodErrors (a file's are
+LoadErrors that name it), OSErrors, and the ValueErrors and IndexErrors the
+library raises for bad arguments; any other exception, a KeyError too, is
+internal, and its report carries "internal error: <type>: <message>".
 Reports are stable: identical inputs give identical output up to the
 timing field.
 
@@ -26,7 +28,7 @@ import json
 import sys
 import time
 
-from .errors import IsoprodError, LoadError, MissingOriginError, OutOfRangeError
+from .errors import IsoprodError, MissingOriginError, OutOfRangeError
 
 RATIONAL_HELP = "an exact rational such as 7/9; put -- before one that starts with -, as in -- -7/9"
 
@@ -41,14 +43,11 @@ def _load(loader, path, inputs):
 
 
 def _probes_from_args(args) -> list:
-    from .fileio import _read_json, parse_point, parse_point_string
+    from .fileio import load_points, parse_point_string
 
     probes = [parse_point_string(s) for s in args.probe]
     if getattr(args, "probes", None):
-        data = _read_json(args.probes)
-        if not isinstance(data, list):
-            raise LoadError(f"{args.probes}: expected an array of points")
-        probes.extend(parse_point(arr) for arr in data)
+        probes.extend(load_points(args.probes))
     if not probes:
         raise IsoprodError("no probes given; use --probe or --probes")
     return probes
@@ -472,13 +471,8 @@ def dispatch(argv) -> tuple[int, dict]:
     command = args.command
     try:
         verdicts = args.run(args, inputs)
-    except (IsoprodError, ValueError, IndexError, OSError, KeyError) as exc:  # ValueError covers JSONDecodeError
-        report = {
-            "command": command,
-            "inputs": inputs,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        return 2, report
+    except (IsoprodError, ValueError, IndexError, OSError) as exc:
+        return 2, {"command": command, "inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}
     except Exception as exc:
         import traceback  # only a crash pays for the import, not every start
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import ceil
 
 from isoprod.points import PointN, axis_vector, leq
-from isoprod.sampled import SampledFunction, projection_support
+from isoprod.sampled import SampledFunction
 
 
 def _ground_set(f: SampledFunction, target: PointN, c: Fraction):
@@ -20,7 +20,8 @@ def _ground_set(f: SampledFunction, target: PointN, c: Fraction):
     for a, v in f.items():
         if not a.is_origin():
             ground.append((a, v))
-    support = projection_support(f)
+    # the axes some sample is positive on, read from the coordinates, not from f's prepared rows
+    support = {j for a in f.domain for j, aj in enumerate(a.coords, start=1) if aj > 0}
     for j in range(1, f.dim + 1):
         if j not in support and target.coords[j - 1] > 0:
             ground.append((axis_vector(j, target.coords[j - 1], f.dim), c))

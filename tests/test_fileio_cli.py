@@ -129,7 +129,7 @@ def test_loader_error_texts_are_pinned(tmp_path):
     off_then_bad = [{"point": ["1/3", "0"], "value": "1"}, *full[1:4], {"point": ["0", "1/2"], "value": "x/2"}, *full[5:]]
     cases = [
         (fileio.load_grid_function, grid(off_then_bad),
-         LoadError, "bad rational 'x/2': Invalid literal for Fraction: 'x/2'"),
+         LoadError, "{path}: bad rational 'x/2': Invalid literal for Fraction: 'x/2'"),
         (fileio.load_grid_function, grid(full + [{"point": ["1/2", "0"], "value": "7"}]),
          LoadError, "{path}: duplicate lattice point (1/2, 0)"),
         (fileio.load_grid_function, grid(full[:3] + [{"point": ["1"], "value": "1"}] + full[4:]),
@@ -143,36 +143,35 @@ def test_loader_error_texts_are_pinned(tmp_path):
         (fileio.load_sampled_function, {"dim": 1, "entries": [{"point": ["0"], "value": "0"}, {"point": ["1"], "value": "-2"}]},
          LoadError, "{path}: negative value -2 at (1)"),
         (fileio.load_matrix, {"labels": ["a", "b"], "dist": [[0, 1], ["1", True]]},
-         LoadError, "expected a rational, got boolean True"),
+         LoadError, "{path}: expected a rational, got boolean True"),
         (fileio.load_matrix, {"dist": [["0", "1/2"], ["1/2", 0.5]]},
-         LoadError, "expected a rational string, got 0.5"),
+         LoadError, "{path}: expected a rational string, got 0.5"),
         (fileio.load_matrix, {"dist": [["0", "1e5000"], ["1e5000", "0"]]},
-         LoadError, f"bad rational '1e5000': exponent beyond {LIMIT}"),
+         LoadError, f"{{path}}: bad rational '1e5000': exponent beyond {LIMIT}"),
         (fileio.load_matrix, {"dist": [["1/0", "1/0"], ["1/0", "1/0"]]},
-         LoadError, "bad rational '1/0': Fraction(1, 0)"),
+         LoadError, "{path}: bad rational '1/0': Fraction(1, 0)"),
         (fileio.load_rational_set, ["1/0", "1/2", "1/0"],
-         LoadError, "bad rational '1/0': Fraction(1, 0)"),
+         LoadError, "{path}: bad rational '1/0': Fraction(1, 0)"),
         # labels that are no array; a string once split into one label per character
         (fileio.load_matrix, {"labels": 5, "dist": [["0"]]},
-         LoadError, "{path}: malformed matrix: labels is not an array"),
+         LoadError, "{path}: labels: expected an array"),
         (fileio.load_matrix, {"labels": "ab", "dist": [["0", "1"], ["1", "0"]]},
-         LoadError, "{path}: malformed matrix: labels is not an array"),
+         LoadError, "{path}: labels: expected an array"),
         # a dist or a row that is no array; a string or an object was once read one character
         # or one key at a time
         (fileio.load_matrix, {"dist": {"01": 1, "10": 2}},
-         LoadError, "{path}: malformed matrix: dist is not an array"),
+         LoadError, "{path}: dist: expected an array"),
         (fileio.load_matrix, {"dist": 5},
-         LoadError, "{path}: malformed matrix: dist is not an array"),
+         LoadError, "{path}: dist: expected an array"),
         (fileio.load_matrix, {"labels": ["x", "y"], "dist": ["01", "10"]},
-         LoadError, "{path}: malformed matrix: dist[0] is not an array"),
+         LoadError, "{path}: dist[0]: expected an array"),
         (fileio.load_matrix, {"dist": [["0", "1"], None]},
-         LoadError, "{path}: malformed matrix: dist[1] is not an array"),
+         LoadError, "{path}: dist[1]: expected an array"),
         # factors that are no array; a combiner file that is no path
         (fileio.load_product_spec, {"factors": "sp.json", "combiner": "SUM"},
-         LoadError, "{path}: malformed product spec: factors is not an array"),
+         LoadError, "{path}: factors: expected an array"),
         (fileio.load_product_spec, {"factors": [], "combiner": {"file": 5}},
-         LoadError, "{path}: malformed product spec: TypeError(\"unsupported operand type(s) for /: "
-         f"'{type(tmp_path).__name__}' and 'int'\")"),
+         LoadError, "{path}: combiner.file: expected a string"),
     ]
     for k, (loader, data, kind, text) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
@@ -182,8 +181,9 @@ def test_loader_error_texts_are_pinned(tmp_path):
         assert str(info.value) == text.format(path=path), k
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text("0,1/3\n1,1/0\n2,1/0\n")
-    with pytest.raises(LoadError, match=r"^bad rational '1/0': Fraction\(1, 0\)$"):
+    with pytest.raises(LoadError) as info:
         fileio.load_sampled_function(csv_path)
+    assert str(info.value) == f"{csv_path}:2: bad rational '1/0': Fraction(1, 0)"
 
 
 def test_point_string_parsing():
@@ -220,7 +220,7 @@ def test_sampled_function_point_errors_name_the_file(tmp_path):
         "neg.json": ('{"dim": 1, "entries": [{"point": ["-1"], "value": "1"}]}',
                      "LoadError: {path}: negative coordinate -1 not allowed"),
         "dim.json": ('{"dim": "x", "entries": [{"point": ["1"], "value": "1"}]}',
-                     "LoadError: {path}: invalid literal for int() with base 10: 'x'"),
+                     "LoadError: {path}: dim: expected an integer"),
         "neg.csv": ("0,0\n1,-1/2,1\n", "LoadError: {path}:2: negative coordinate -1/2 not allowed"),
     }
     for name, (text, error) in cases.items():
@@ -369,7 +369,7 @@ def test_matrices_whose_dist_or_rows_are_no_arrays_are_input_errors(tmp_path):
                                       ({"dist": {"01": 1, "10": 2}}, "dist"))):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(data))
-        error = f"LoadError: {path}: malformed matrix: {what} is not an array"
+        error = f"LoadError: {path}: {what}: expected an array"
         for argv in (["verify-metric", "--space", str(path)],
                      ["product", "--factor", str(good), "--factor", str(path), "--combiner", "SUM"]):
             code, report = dispatch(argv)
@@ -398,19 +398,20 @@ def test_product_and_extract_verbs(tmp_path):
     assert code == 0
     extracted = fileio.load_sampled_function(out_path)
     assert extracted.value(point(1, 2)) == 3
-    # a product matrix of the wrong shape is an input error, extra columns included
+    # a product matrix of the wrong shape is an input error, extra columns included; the loader
+    # refuses ragged rows
     dist = matrix["dist"]
     for bad, text in (
-        (dist[:3], "the matrix has 3 rows"),
-        ([*dist[:2], dist[2] + ["1"], dist[3]], "row 2 has 5 entries"),
-        ([*dist[:3], dist[3][:3]], "row 3 has 3 entries"),
+        (dist[:3], "IsoprodError: product of factor sizes is 4 but the matrix has 3 rows"),
+        ([*dist[:2], dist[2] + ["1"], dist[3]], "LoadError: {path}: dist[2]: expected 4 entries as in dist[0], got 5"),
+        ([*dist[:3], dist[3][:3]], "LoadError: {path}: dist[3]: expected 4 entries as in dist[0], got 3"),
     ):
         product_path.write_text(json.dumps({"dist": bad}))
         code, report = dispatch([
             "extract", "--product", str(product_path),
             "--factor", str(tmp_path / "a.json"), "--factor", str(tmp_path / "b.json"),
         ])
-        assert (code, report["error"]) == (2, f"IsoprodError: product of factor sizes is 4 but {text}")
+        assert (code, report["error"]) == (2, text.format(path=product_path))
 
 
 def test_cantor_verbs():
@@ -618,7 +619,7 @@ def _check_oversized_rationals(tmp_path):
         {"point": ["0"], "value": "0"}, {"point": ["1"], "value": "1e5000"}]}))
     code, report = dispatch(["check", "--function", str(path)])
     assert code == 2
-    assert report["error"].startswith("LoadError: bad rational '1e5000'")
+    assert report["error"].startswith(f"LoadError: {path}: bad rational '1e5000'")
 
 
 def test_reports_are_stable(tmp_path):

@@ -1,0 +1,190 @@
+"""Mutated input files end in a verdict or in a LoadError that names the file, never in a misread.
+
+Each example takes one valid input file (fixture_generate files of every kind, a CSV sampled
+function, a probes file, product specs, a product matrix and an extracted combiner), applies one
+mutation of ``dispatch_corpus`` (a JSON type swapped at a path, a key or item deleted, a float or
+a boolean where an integer goes; a CSV cell replaced, dropped or doubled) and runs the file
+through ``dispatch`` for each verb that reads it, as JSON and with --csv.  Every run exits 0, 1
+or 2.  A loader that refuses the file raises a LoadError that names the file, and the verb
+reports exactly that error.  A file that loads round-trips: its ``*_jsonable`` form, read back as
+exact values, equals the file's own fields, so ``"dim": 1.9`` read as 1 fails here.  The 300
+examples and the MALFORMED files cost about 1 s of Tier-1.
+"""
+
+import itertools
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dispatch_corpus import MALFORMED, READERS, csv_of, expand, json_paths, mutated, mutated_csv, replacements, value_at
+from isoprod import fileio
+from isoprod.errors import LoadError
+from isoprod.fixtures import fixture_generate
+from isoprod.verbs import dispatch
+
+# the loader each reading verb calls on the file
+LOADERS = {
+    "check": fileio.load_sampled_function, "envelope": fileio.load_sampled_function,
+    "extend-amenable": fileio.load_sampled_function, "extend-sup": fileio.load_points,
+    "verify-metric": fileio.load_matrix, "extract": fileio.load_matrix, "omega": fileio.load_grid_function,
+    "lemma42": fileio.load_grid_function, "universal": fileio.load_rational_set, "embed": fileio.load_rational_set,
+}
+
+
+def _loader(kind, argv):
+    if kind == "spec":
+        return fileio.load_product_spec
+    if argv[0] == "product":
+        return fileio.load_sampled_function if kind == "combiner" else fileio.load_metric_space
+    return LOADERS[argv[0]]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The valid files by kind, and what fills the readers' other arguments."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (amenable,) = fixture_generate("random-sampled-function", 1, root, dim=2, mode="amenable")
+    (raw,) = fixture_generate("random-sampled-function", 2, root / "raw")
+    (space_a,) = fixture_generate("random-metric-space", 3, root, max_points=3)
+    (space_b,) = fixture_generate("random-metric-space", 4, root, max_points=3)
+    (grid,) = fixture_generate("named-combiner-grid", 0, root, combiner="MAX")
+    (values,) = fixture_generate("ce-level-set", 0, root, level=3)
+    product = dispatch(["product", "--factor", str(space_a), "--factor", str(space_b), "--combiner", "SUM"])[1]
+    matrix = root / "product.json"
+    matrix.write_text(json.dumps(product["verdicts"][0]["matrix"]))
+    combiner = root / "combiner.json"
+    assert dispatch(["extract", "--product", str(matrix), "--factor", str(space_a), "--factor", str(space_b),
+                     "--out", str(combiner)])[0] == 0
+    factors = [space_a.name, space_b.name]
+    specs = [{"factors": factors, "combiner": "CAPPED_SUM", "cap": "3/2"},
+             {"factors": factors, "combiner": {"file": combiner.name}},
+             {"factors": factors[:1], "combiner": {"name": "MAX", "cap": 2}}]
+    files = {
+        "function": [amenable, raw], "csv": [root / "amenable.csv"], "probes": [root / "probes.json"],
+        "space": [space_a], "matrix": [matrix], "grid": [grid], "set": [values],
+        "spec": [root / f"spec{k}.json" for k in range(len(specs))], "combiner": [combiner],
+    }
+    files["csv"][0].write_text(csv_of(amenable))
+    files["probes"][0].write_text(json.dumps([["1", "1/2"], [0, 2], ["3/2", "0"]]))
+    for path, spec in zip(files["spec"], specs):
+        path.write_text(json.dumps(spec))
+    fill = {"function": str(amenable), "space": str(space_a), "space_b": str(space_b), "probe": "(1,1/2)"}
+    return [(kind, path) for kind, paths in files.items() for path in paths], fill
+
+
+def _exact(value):
+    """A file's rational field as the exact value it stands for; anything but a string or an
+    integer stands for no rational, so a loader that accepts it misreads the file."""
+    return Fraction(value) if type(value) in (str, int) else ("no rational", value)
+
+
+def _typed(value):
+    return type(value), value
+
+
+def _entries(entries):
+    return {tuple(map(_exact, e["point"])): _exact(e["value"]) for e in entries}
+
+
+def _read_back(kind, loader, loaded, data, path):
+    """The fields of the loaded object and of the file, each as exact values."""
+    if loader is fileio.load_sampled_function:
+        if path.suffix == ".csv":
+            rows = [line.split(",") for line in data.splitlines() if line.strip(" ,")]
+            return _entries(fileio.sampled_function_jsonable(loaded)["entries"]), \
+                {tuple(_exact(c.strip()) for c in row[:-1]): _exact(row[-1].strip()) for row in rows}
+        mine = fileio.sampled_function_jsonable(loaded)
+        return (_typed(mine["dim"]), _entries(mine["entries"])), (_typed(data["dim"]), _entries(data["entries"]))
+    if loader in (fileio.load_matrix, fileio.load_metric_space):
+        labels, dist = (loaded.labels, loaded.dist) if loader is fileio.load_metric_space else loaded
+        mine = fileio.matrix_jsonable(labels, dist)
+        default = [str(i) for i in range(len(data["dist"]))]
+        return ([[_exact(v) for v in row] for row in mine["dist"]], [_typed(v) for v in mine["labels"]]), \
+            ([[_exact(v) for v in row] for row in data["dist"]], [_typed(v) for v in data.get("labels", default)])
+    if loader is fileio.load_grid_function:
+        mine = fileio.grid_function_jsonable(loaded)
+        fields = lambda d: (_typed(d["n"]), _exact(d["T"]), _exact(d["h"]), _entries(d["values"]))
+        return fields(mine), fields(data)
+    if loader is fileio.load_rational_set:
+        values = data["values"] if isinstance(data, dict) else data
+        return list(map(_exact, fileio.rational_set_jsonable(loaded)["values"])), sorted(map(_exact, values))
+    if loader is fileio.load_points:
+        return [[_exact(c) for c in fileio.format_point(p)] for p in loaded], [list(map(_exact, p)) for p in data]
+    spec, paths = loaded  # load_product_spec: its factors and its named or sampled combiner
+    field = data["combiner"]
+    name = field if isinstance(field, str) else field.get("name")
+    mine = ([p.name for p in paths[1:1 + len(spec.factors)]], getattr(spec.combiner, "name", None))
+    return mine, (data["factors"], None if isinstance(field, dict) and "file" in field else name)
+
+
+_COUNTER = itertools.count()
+
+
+def _mutate(kind, path, draw):
+    """Write one mutation of the file beside it and return the copy's path and content."""
+    copy = path.with_name(f"{path.stem}.m{next(_COUNTER)}{path.suffix}")
+    if path.suffix == ".csv":
+        text = mutated_csv(path.read_text(), random.Random(draw(st.integers(0, 2 ** 32))))
+        copy.write_text(text)
+        return copy, text
+    data = json.loads(path.read_text())
+    where = draw(st.sampled_from(list(json_paths(data))[1:]))
+    data = mutated(data, where, draw(st.sampled_from(replacements(value_at(data, where)))))
+    copy.write_text(json.dumps(data))
+    return copy, data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_files_load_exactly_or_name_themselves(inputs, data):
+    files, fill = inputs
+    kind, path = data.draw(st.sampled_from(files))
+    copy, content = _mutate(kind, path, data.draw)
+    for argv in READERS[kind]:
+        argv = expand(argv, copy, fill)
+        loader = _loader(kind, argv)
+        try:
+            loaded = loader(copy)
+        except LoadError as exc:
+            error = f"LoadError: {exc}"
+            assert str(exc).startswith(f"{copy}:"), error
+        except OSError as exc:  # a spec naming a factor or combiner file that is not there
+            assert kind == "spec", exc
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            error = None
+            mine, theirs = _read_back(kind, loader, loaded, content, copy)
+            assert mine == theirs, argv
+        for args in (argv, ["--csv", *argv]):
+            code, report = dispatch(args)
+            assert code in (0, 1, 2), report
+            if error is not None:
+                assert (code, report["error"]) == (2, error), args
+            else:
+                assert not report.get("error", "").startswith("LoadError"), report
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_files_name_the_file_at_fault(name, tmp_path):
+    kind, content = MALFORMED[name]
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    culprit = path
+    if kind == "spec":  # its factor is the asymmetric matrix, which is then the file at fault
+        culprit = tmp_path / "asymmetric.json"
+        culprit.write_text(json.dumps(MALFORMED["asymmetric.json"][1]))
+    function = tmp_path / "function.json"
+    function.write_text(json.dumps({"dim": 2, "entries": [{"point": ["0", "0"], "value": "0"}]}))
+    fill = {"function": str(function), "space": str(culprit), "space_b": str(culprit), "probe": "(1)"}
+    codes = []
+    for argv in READERS[kind]:
+        code, report = dispatch(expand(argv, path, fill))
+        codes.append(code)
+        if code == 2:  # verify-metric reads the asymmetric matrix without metric validation: exit 1
+            assert report["error"].startswith(f"LoadError: {culprit}:"), report
+            assert report["error"].count(str(tmp_path)) == 1, report
+    assert 2 in codes

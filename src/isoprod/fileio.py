@@ -346,7 +346,7 @@ def load_product_spec(path: PathLike) -> tuple[ProductSpec, list[Path]]:
         else:
             raise LoadError("combiner must be a name or a file reference")
         factors = tuple(map(load_metric_space, paths[:len(names)]))
-        if len(paths) > len(names):
+        if len(paths) > len(names):  # a combiner file, read after the factors
             combiner = load_sampled_function(paths[-1])
         return ProductSpec(factors, combiner), [source.path, *paths]
 

@@ -1,16 +1,19 @@
 """Named closed-form combiners for distance tuples.
 
 All but SQRT_SUM_SQ are exact on rationals; SQRT_SUM_SQ evaluates in
-floating point and is flagged so callers keep it out of exact-equality
+floating point, refuses a nonzero tuple whose sum of squares over- or
+underflows a float, and is flagged so callers keep it out of exact-equality
 checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .errors import OutOfRangeError
 from .points import Record, rat
 
 COMBINER_NAMES = ("SUM", "MAX", "SQRT_SUM_SQ", "CAPPED_SUM", "SQUARE_SUM")
@@ -34,14 +37,19 @@ def named_combiner(name: str, cap=Fraction(1)) -> Combiner:
     if name == "SQUARE_SUM":
         return Combiner("SQUARE_SUM", lambda v: sum((x * x for x in v), Fraction(0)))
     if name == "SQRT_SUM_SQ":
-        return Combiner(
-            "SQRT_SUM_SQ",
-            lambda v: math.sqrt(float(sum(x * x for x in v))),
-            exact=False,
-        )
+        return Combiner("SQRT_SUM_SQ", _sqrt_sum_sq, exact=False)
     if name == "CAPPED_SUM":
         cap = rat(cap)
         if cap <= 0:
             raise ValueError(f"cap must be positive, got {cap}")
         return Combiner("CAPPED_SUM", lambda v: min(cap, sum(v, Fraction(0))))
     raise ValueError(f"unknown combiner {name!r}; expected one of {COMBINER_NAMES}")
+
+
+def _sqrt_sum_sq(values: Sequence[Fraction]) -> float:
+    total = sum(x * x for x in values)
+    square = float(total) if total <= sys.float_info.max else math.inf
+    if total and not 0 < square < math.inf:
+        where = ", ".join(map(str, values))
+        raise OutOfRangeError(f"SQRT_SUM_SQ at ({where}): the sum of squares is no positive finite float")
+    return math.sqrt(square)

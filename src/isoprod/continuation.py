@@ -16,10 +16,11 @@ Three constructions, all exact:
 
 Cheapest covers come from one table over the residual demands left
 after each part (``_min_cover``), filled bottom-up without recursion on
-the integer rows a sampled function prepares once, within ``COVER_BUDGET``
-steps.  A residual is one mixed-radix int and a move subtracts an int, so
-the table holds one int cost per residual; its states, its tie-break and
-its step count are those of a table keyed by residual tuples.
+the integer rows and int values a sampled function prepares once, within
+``COVER_BUDGET`` steps; an axis constant c joins those values over one
+denominator.  A residual is one mixed-radix int and a move subtracts an
+int, so the table holds one int cost per residual; its states, its
+tie-break and its step count are those of a table keyed by residual tuples.
 ``sampled.is_subadditive`` asks one table for every sample, and
 ``subadditive_envelopes`` one for all probes needing no axis points.
 """
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, groupby
+from math import lcm
 from operator import add, le, mul
 from typing import Callable, Sequence
 
 from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
-from .points import PointN, Record, axis_vector, leq, origin, rat, scale_to_integers, sort_key
+from .points import PointN, Record, axis_vector, leq, origin, rat, sort_key
 from .sampled import SampledFunction, is_amenable, require_isotone
 
 COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
@@ -44,8 +46,8 @@ def lower_cone_max(f: SampledFunction, y: PointN) -> Fraction:
     if y.dim != f.dim:
         raise DimensionMismatchError(f"probe dimension {y.dim} != {f.dim}")
     top = [t.numerator * f._den // t.denominator for t in y.coords]  # rows below y: below floor(y * den)
-    return max((v for (_, v), row in zip(f.items(), f._rows) if all(map(le, row, top))),
-               default=Fraction(0))
+    return Fraction(max((v for v, row in zip(f._int_values, f._rows) if all(map(le, row, top))), default=0),
+                    f._value_den)
 
 
 def upper_cone_min(f: SampledFunction, j: int, t: Fraction) -> Fraction:
@@ -53,7 +55,7 @@ def upper_cone_min(f: SampledFunction, j: int, t: Fraction) -> Fraction:
     t > 0 and cap the largest j-th sample coordinate, which must be positive."""
     # a sample reaches min(t, cap) iff its row reaches min(ceil(t * den), cap); the cap's own does
     need = min(_ceil_row(f, (t,))[0], f._caps[j - 1])
-    return min(v for (_, v), row in zip(f.items(), f._rows) if row[j - 1] >= need)
+    return Fraction(min(v for v, row in zip(f._int_values, f._rows) if row[j - 1] >= need), f._value_den)
 
 
 def sup_continuation(f: SampledFunction, y: PointN) -> Fraction:
@@ -143,20 +145,20 @@ def _ceil_row(f: SampledFunction, coords) -> tuple[int, ...]:
     return tuple(-(-t.numerator * f._den // t.denominator) for t in coords)
 
 
-def _sample_ground(f: SampledFunction) -> list[tuple[PointN, Fraction, tuple[int, ...]]]:
-    """The non-origin samples of f as (point, value, integer row), in domain order."""
-    return [(a, v, row) for (a, v), row in zip(f.items(), f._rows) if any(row)]
+def _sample_ground(f: SampledFunction, den: int) -> list[tuple[PointN, int, tuple[int, ...]]]:
+    """The non-origin samples of f as (point, value times den, row), den a multiple of f's value denominator."""
+    return [(a, v * den // f._value_den, row) for a, v, row in zip(f.domain, f._int_values, f._rows) if any(row)]
 
 
-def _min_cover(ground: list[tuple[PointN, Fraction, tuple[int, ...]]], demands: Sequence[tuple[int, ...]],
-               targets: Sequence[PointN]) -> tuple[list[Fraction], Callable[[int], CoverCertificate]]:
-    """Exact cheapest covers of several targets by multisets of ground points.
+def _min_cover(ground: list[tuple[PointN, int, tuple[int, ...]]],
+               demands: Sequence[tuple[int, ...]]) -> tuple[list[int], Callable[[int], tuple[tuple[PointN, int], ...]]]:
+    """Exact cheapest covers of several integer demands by multisets of ground points.
 
-    ``ground`` holds distinct nonzero (point, value, integer row) triples in
-    lexicographic order of their points; ``demands[i]`` is ``targets[i]`` on
-    the rows' scale rounded up (a sum of rows reaches one exactly when it
-    reaches the other), and must be coverable.  Values are scaled to
-    integers.
+    ``ground`` holds distinct nonzero (point, int value, integer row) triples
+    in lexicographic order of their points, the values over one common
+    denominator; ``demands[i]`` is a target on the rows' scale rounded up (a
+    sum of rows reaches one exactly when it reaches the other), and must be
+    coverable.  Costs are ints over the values' denominator.
 
     A residual demand r is coded as one mixed-radix int: axis j has digits
     0..hi_j, hi_j the largest demand coordinate on it, and the last axis has
@@ -179,10 +181,10 @@ def _min_cover(ground: list[tuple[PointN, Fraction, tuple[int, ...]]], demands: 
     residuals, the tie-break and the step count are those of a table keyed
     by residual tuples (``tests/cover_table.py``).
 
-    Returns the cost of every target and a function building the covering
-    certificate of the i-th target.
+    Returns the cost of every demand and a function giving the parts
+    (point, multiplicity) of the cheapest cover of the i-th demand.
     """
-    den, values = scale_to_integers(v for _, v, _ in ground)
+    values = [v for _, v, _ in ground]
     hi = [max(column) for column in zip(*demands)]
     strides = [1] * len(hi)
     for j in range(len(hi) - 2, -1, -1):
@@ -232,9 +234,8 @@ def _min_cover(ground: list[tuple[PointN, Fraction, tuple[int, ...]]], demands: 
             if best is None:
                 raise AssertionError("no cover exists; ground set construction is broken")
             cost[r] = best
-    costs = [Fraction(cost[r], den) for r in codes]
 
-    def certificate(i: int) -> CoverCertificate:
+    def cover(i: int) -> tuple[tuple[PointN, int], ...]:
         chain = []
         r = codes[i]
         while r:
@@ -243,10 +244,9 @@ def _min_cover(ground: list[tuple[PointN, Fraction, tuple[int, ...]]], demands: 
                     break
             chain.append(k)
             r -= x
-        parts = tuple((ground[k][0], len(list(run))) for k, run in groupby(chain))
-        return CoverCertificate(targets[i], parts, costs[i])
+        return tuple((ground[k][0], len(list(run))) for k, run in groupby(chain))
 
-    return costs, certificate
+    return [cost[r] for r in codes], cover
 
 
 def subadditive_envelopes(f: SampledFunction, probes: Sequence[PointN],
@@ -278,12 +278,14 @@ def subadditive_envelopes(f: SampledFunction, probes: Sequence[PointN],
         tables.setdefault(axes, []).append(i)
     results: list = [None] * len(probes)
     for axes, members in tables.items():
-        ground = _sample_ground(f) + [(a, c, _ceil_row(f, a.coords)) for a in axes]
+        den = lcm(f._value_den, c.denominator if axes else 1)
+        ground = _sample_ground(f, den) + [(a, c.numerator * den // c.denominator, _ceil_row(f, a.coords))
+                                           for a in axes]
         ground.sort(key=lambda item: sort_key(item[0]))
-        targets = [probes[i] for i in members]
-        costs, certificate = _min_cover(ground, [_ceil_row(f, y.coords) for y in targets], targets)
+        costs, cover = _min_cover(ground, [_ceil_row(f, probes[i].coords) for i in members])
         for k, i in enumerate(members):
-            results[i] = costs[k], certificate(k)
+            value = Fraction(costs[k], den)
+            results[i] = value, CoverCertificate(probes[i], cover(k), value)
     return results
 
 

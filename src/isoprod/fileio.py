@@ -241,9 +241,10 @@ def matrix_jsonable(labels: Sequence, matrix) -> dict:
     }
 
 
-def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
+def load_matrix(path: PathLike, *, square: bool = False) -> tuple[list[str], list[list[Fraction]]]:
     """Load a labeled candidate matrix without metric validation: its rows have one
-    length and its labels are distinct strings, one per row."""
+    length, as many as the rows when square is set, and its labels are distinct
+    strings, one per row."""
     with _Reading(path) as source:
         data = _expect(source.json(), (dict, "a matrix object"))
         rows = _expect(data.get("dist"), _ARRAY, "dist")
@@ -251,15 +252,17 @@ def load_matrix(path: PathLike) -> tuple[list[str], list[list[Fraction]]]:
             if len(_expect(row, _ARRAY, "dist", i)) != len(rows[0]):
                 raise LoadError(f"dist[{i}]: expected {len(rows[0])} entries as in dist[0], got {len(row)}")
         dist = [list(map(source.parse, row)) for row in rows]
-        if "labels" not in data:
-            return [str(i) for i in range(len(dist))], dist
-        labels = _expect(data["labels"], _ARRAY, "labels")
-        first = {}
-        for i, label in enumerate(labels):
-            if first.setdefault(_expect(label, _STRING, "labels", i), i) != i:
-                raise LoadError(f"labels[{i}]: {label!r} repeats labels[{first[label]}]")
-        if len(labels) != len(dist):
-            raise LoadError(f"{len(labels)} labels for {len(dist)} rows")
+        labels = [str(i) for i in range(len(dist))]
+        if "labels" in data:
+            labels = _expect(data["labels"], _ARRAY, "labels")
+            first = {}
+            for i, label in enumerate(labels):
+                if first.setdefault(_expect(label, _STRING, "labels", i), i) != i:
+                    raise LoadError(f"labels[{i}]: {label!r} repeats labels[{first[label]}]")
+            if len(labels) != len(dist):
+                raise LoadError(f"{len(labels)} labels for {len(dist)} rows")
+        if square and dist and len(dist[0]) != len(dist):  # checked last: label errors are reported first
+            raise LoadError("matrix is not square")
         return labels, dist
 
 

@@ -174,9 +174,7 @@ class ProductSpec(Record):
                 )
             for tup in itertools.product(*(sp.distance_set() for sp in self.factors)):
                 if PointN(tup) not in self.combiner:
-                    raise CombinerDomainGapError(
-                        f"sampled combiner lacks distance tuple {tup}"
-                    )
+                    raise CombinerDomainGapError(f"sampled combiner lacks distance tuple {PointN(tup)}")
 
 
 def _apply_combiner(combiner: CombinerLike, values: tuple[Fraction, ...]):

@@ -9,6 +9,8 @@ certified lower bound of the continuous modulus.
 The pair scans walk flat integer codes.  Lattice index i has the code
 sum(i_k * (cells + 1) ** (n - 1 - k)), which keeps the lexicographic
 order; the difference |x - y| of two lattice points is a lattice point.
+The values are scaled to ints over one denominator once, where a grid
+function is built; only a reported value becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, gt
+from operator import add, attrgetter, gt
 from typing import Callable, Iterable, Optional
 
 from .errors import OffLatticeError
@@ -27,10 +29,10 @@ class GridFunction:
     """A total function on the lattice {0, h, ..., T}^n with rational values.
 
     The values are kept in one flat list in lattice-code order, the
-    lexicographic order of the index tuples.
+    lexicographic order of the index tuples, as ints over one denominator.
     """
 
-    __slots__ = ("_n", "_bound", "_step", "_cells", "_values")
+    __slots__ = ("_n", "_bound", "_step", "_cells", "_value_den", "_int_values")
 
     def __init__(self, n: int, bound: RationalLike, step: RationalLike,
                  values: dict[tuple[int, ...], Fraction]):
@@ -47,6 +49,8 @@ class GridFunction:
         self._bound = bound
         self._step = step
         self._cells = int(cells)
+        if len(values).bit_length() <= n:  # 2 ** n > len(values): no index is built for a dimension this large
+            raise ValueError(f"missing lattice values: {len(values)} are too few for dimension n, as 2**n are needed")
         flat = []
         for idx in self.indices():
             if idx not in values:
@@ -57,7 +61,7 @@ class GridFunction:
             flat.append(v)
         if len(values) != len(flat):
             raise ValueError("values contain off-lattice entries")
-        self._values = flat
+        self._value_den, self._int_values = scale_to_integers(flat)
 
     @classmethod
     def from_points(cls, n: int, bound, step, entries: Iterable[tuple[PointN, RationalLike]]) -> "GridFunction":
@@ -111,27 +115,29 @@ class GridFunction:
         m = self._cells + 1
         return self.point(tuple(code // m ** k % m for k in reversed(range(self._n))))
 
-    def _like(self, values: list[Fraction]) -> "GridFunction":
-        """The function with these flat values on the same lattice."""
+    def _like(self, values: list[int]) -> "GridFunction":
+        """The function with these flat values, ints over this function's denominator, on the same lattice."""
         g = object.__new__(GridFunction)
-        g._n, g._bound, g._step, g._cells, g._values = self._n, self._bound, self._step, self._cells, values
+        g._n, g._bound, g._step, g._cells = self._n, self._bound, self._step, self._cells
+        g._value_den, g._int_values = self._value_den, values
         return g
 
     def value_at(self, idx: tuple[int, ...]) -> Fraction:
         m = self._cells + 1
         if len(idx) != self._n or not all(0 <= i < m for i in idx):  # the list would serve these silently
             raise KeyError(idx)
-        return self._values[reduce(lambda code, i: code * m + i, idx, 0)]
+        return Fraction(self._int_values[reduce(lambda code, i: code * m + i, idx, 0)], self._value_den)
 
     def value(self, p: PointN) -> Fraction:
         return self.value_at(_index_of(p, self._n, self._bound, self._step))
 
     def items(self):
-        return zip(map(self.point, self.indices()), self._values)
+        return zip(map(self.point, self.indices()), map(Fraction, self._int_values, itertools.repeat(self._value_den)))
 
-    def __eq__(self, other):
-        return isinstance(other, GridFunction) and (
-            (self._n, self._bound, self._step, self._values) == (other._n, other._bound, other._step, other._values))
+    def __eq__(self, other):  # a modulus table keeps g's denominator, so values compare cross-multiplied
+        lattice = attrgetter("_n", "_bound", "_step")
+        return isinstance(other, GridFunction) and lattice(self) == lattice(other) and (
+            [v * other._value_den for v in self._int_values] == [v * self._value_den for v in other._int_values])
 
 
 def _index_of(p: PointN, n: int, bound: Fraction, step: Fraction) -> tuple[int, ...]:
@@ -180,9 +186,8 @@ def modulus_table(g: GridFunction) -> GridFunction:
     difference vector; a running max along each axis then turns exact
     differences into boxes.
     """
-    den, values = scale_to_integers(g._values)
-    exact = [0] * len(values)
-    for codes, gaps in _pair_rows(g, values):
+    exact = [0] * len(g._int_values)
+    for codes, gaps in _pair_rows(g, g._int_values):
         for code, gap in zip(codes, gaps):
             if gap > exact[code]:
                 exact[code] = gap
@@ -191,7 +196,7 @@ def modulus_table(g: GridFunction) -> GridFunction:
         for block in range(0, len(exact), stride * m):  # the more significant axes held fixed
             for lo in range(block + stride, block + stride * m, stride):
                 exact[lo:lo + stride] = map(max, exact[lo - stride:lo], exact[lo:lo + stride])
-    return g._like([Fraction(v, den) for v in exact])
+    return g._like(exact)
 
 
 def difference_bound_holds(
@@ -205,10 +210,9 @@ def difference_bound_holds(
     violating ordered pair on failure; it has x < y, as the inequality
     is symmetric and holds at x = y.
     """
-    _, values = scale_to_integers(f._values)
-    for x, (codes, gaps) in enumerate(_pair_rows(f, values)):
+    for x, (codes, gaps) in enumerate(_pair_rows(f, f._int_values)):
         # the first k, if any, with gaps[k] > f(|x - y|) for y = x + k
-        k = next(itertools.compress(itertools.count(), map(gt, gaps, map(values.__getitem__, codes))), None)
+        k = next(itertools.compress(itertools.count(), map(gt, gaps, map(f._int_values.__getitem__, codes))), None)
         if k is not None:
             return False, (f._point_at(x), f._point_at(x + k))
     return True, None
@@ -225,10 +229,10 @@ def is_fixed_point(f: GridFunction) -> tuple[bool, FixedPointReport]:
     Reports the largest absolute deviation between f and its modulus
     table and where it occurs.
     """
-    deviations = [abs(t - v) for t, v in zip(modulus_table(f)._values, f._values)]
+    deviations = [abs(t - v) for t, v in zip(modulus_table(f)._int_values, f._int_values)]
     worst = max(deviations)
     where = f._point_at(deviations.index(worst)) if worst else None
-    return worst == 0, FixedPointReport(max_deviation=worst, at=where)
+    return worst == 0, FixedPointReport(max_deviation=Fraction(worst, f._value_den), at=where)
 
 
 def nonconstant_wrt(g: GridFunction, i: int) -> bool:
@@ -239,6 +243,6 @@ def nonconstant_wrt(g: GridFunction, i: int) -> bool:
     """
     if not 1 <= i <= g.n:
         raise IndexError(f"variable index {i} out of range 1..{g.n}")
-    m, values = g.cells + 1, g._values
+    m, values = g.cells + 1, g._int_values
     step = m ** (g.n - i)
     return any(values[c] != values[c - step] for c in range(step, len(values)) if c // step % m)

@@ -3,10 +3,11 @@
 A :class:`SampledFunction` carries finitely many exact samples and the
 decision procedures for the three structural properties every other
 module cares about: isotone, amenable, subadditive.  Each function is
-prepared at construction: its items in domain order, its points as integer
-rows over one common denominator, and the per-axis row maxima, so order
-scans and the lookups in ``continuation`` compare ints; the isotone and
-amenable verdicts are kept after their first call.
+prepared at construction, the one place its points and values become
+integers: its items in domain order, its points as integer rows over one
+common denominator, its values as ints over another, and the per-axis row
+maxima.  Order scans, cone lookups and cover tables compare those ints; the
+isotone and amenable verdicts are kept after their first call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class SampledFunction:
     are exact nonnegative rationals, and the domain is never empty.
     """
 
-    __slots__ = ("_dim", "_entries", "_sorted_domain", "_items", "_den", "_rows", "_caps", "_isotone", "_amenable")
+    __slots__ = ("_dim", "_entries", "_sorted_domain", "_items", "_den", "_rows", "_caps", "_value_den", "_int_values",
+                 "_isotone", "_amenable")
 
     def __init__(self, entries: dict[PointN, Fraction] | Iterable[tuple[PointN, RationalLike]]):
         if isinstance(entries, dict):
@@ -56,10 +58,11 @@ class SampledFunction:
         self._entries = table
         self._sorted_domain = tuple(sorted(table, key=sort_key))
         self._items = tuple((p, table[p]) for p in self._sorted_domain)
-        # row k is domain point k times the common denominator _den
+        # row k is domain point k times the common denominator _den, and int value k its value times _value_den
         self._den, flat = scale_to_integers(c for p in self._sorted_domain for c in p.coords)
         self._rows = tuple(tuple(flat[k:k + dim]) for k in range(0, len(flat), dim))
         self._caps = tuple(map(max, zip(*self._rows)))
+        self._value_den, self._int_values = scale_to_integers(v for _, v in self._items)
         self._isotone = self._amenable = None  # filled by the first is_isotone, is_amenable
 
     @property
@@ -114,7 +117,7 @@ def is_isotone(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]
 
 
 def _isotone_scan(f: SampledFunction) -> tuple[bool, Optional[tuple[PointN, PointN]]]:
-    pair = first_inversion(f._rows, scale_to_integers(v for _, v in f.items())[1])
+    pair = first_inversion(f._rows, f._int_values)
     return (True, None) if pair is None else (False, (f.domain[pair[0]], f.domain[pair[1]]))
 
 
@@ -134,8 +137,8 @@ def is_amenable(f: SampledFunction) -> tuple[bool, Optional[PointN]]:
     if zero not in f:
         raise MissingOriginError("the origin is not a sample point")
     if f._amenable is None:
-        zeros = [p for p, v in f.items() if v == 0 and p != zero]
-        f._amenable = (False, zero) if f.value(zero) != 0 else (not zeros, zeros[0] if zeros else None)
+        zeros = [p for p, v in zip(f.domain, f._int_values) if not v and p != zero]
+        f._amenable = (False, zero) if f.value(zero) else (not zeros, zeros[0] if zeros else None)
     return f._amenable
 
 
@@ -146,7 +149,7 @@ def is_subadditive(f: SampledFunction):
     of sample points of strictly smaller total value; the empty
     multiset covers the origin, so a positive value there counts as a
     violation.  Decided exactly by one cheapest-cover table over the
-    integer rows of all non-origin samples (``continuation._min_cover``,
+    integer rows and values of all non-origin samples (``_min_cover``,
     within its ``COVER_BUDGET``) whose targets are every sample; each cost
     is the subadditive envelope at that sample, as no sample reaches an
     axis without a positive sample.  The table codes each residual demand
@@ -159,12 +162,12 @@ def is_subadditive(f: SampledFunction):
     Returns (bool, Optional[CoverCertificate]).
     """
     require_isotone(f)
-    from .continuation import _min_cover, _sample_ground
+    from .continuation import CoverCertificate, _min_cover, _sample_ground
 
-    costs, certificate = _min_cover(_sample_ground(f), f._rows, f.domain)
-    for i, a in enumerate(f.domain):
-        if costs[i] < f.value(a):
-            return False, certificate(i)
+    costs, cover = _min_cover(_sample_ground(f, f._value_den), f._rows)
+    for i, (cost, value) in enumerate(zip(costs, f._int_values)):
+        if cost < value:
+            return False, CoverCertificate(f.domain[i], cover(i), Fraction(cost, f._value_den))
     return True, None
 
 

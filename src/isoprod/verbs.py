@@ -132,7 +132,7 @@ def _run_envelope(args, inputs):
 def _run_verify_metric(args, inputs):
     from .fileio import load_matrix, parse_rational
 
-    labels, matrix = _load(load_matrix, args.space, inputs)
+    labels, matrix = _load(functools.partial(load_matrix, square=True), args.space, inputs)
     tol = parse_rational(args.tol)  # exact: nan and infinities are input errors
     if tol < 0:
         raise OutOfRangeError(f"the tolerance must be nonnegative, got {args.tol}")

@@ -41,15 +41,15 @@ def functions_with_probes(draw):
 
 
 def recorded_tables(f, probes, c):
-    """Every (ground, demands, costs, certificates) of the tables the envelopes of the probes
-    and, for an isotone f, its subadditivity verdict build."""
+    """Every (ground, demands, costs, cover parts) of the tables the envelopes of the probes
+    and, for an isotone f, its subadditivity verdict build; ground values and costs are ints."""
     tables = []
     min_cover = continuation._min_cover
 
-    def recording(ground, demands, targets):
-        costs, certificate = min_cover(ground, demands, targets)
-        tables.append((ground, demands, targets, costs, [certificate(i) for i in range(len(targets))]))
-        return costs, certificate
+    def recording(ground, demands):
+        costs, cover = min_cover(ground, demands)
+        tables.append((ground, demands, costs, [cover(i) for i in range(len(demands))]))
+        return costs, cover
 
     with mock.patch.object(continuation, "_min_cover", recording):
         subadditive_envelopes(f, probes, c)
@@ -62,17 +62,17 @@ def recorded_tables(f, probes, c):
 @given(functions_with_probes(), st.sampled_from((F(1), F(1, 3), F(5, 2))))
 def test_int_coded_table_agrees_with_the_tuple_table(case, c):
     f, probes = case
-    for ground, demands, targets, costs, certificates in recorded_tables(f, probes, c):
+    for ground, demands, costs, covers in recorded_tables(f, probes, c):
         expected, chains, steps = cover_table([v for _, v, _ in ground], [row for _, _, row in ground], demands)
         assert costs == expected
-        for certificate, chain in zip(certificates, chains):
-            assert [p for p, m in certificate.parts for _ in range(m)] == [ground[k][0] for k in chain]
+        for parts, chain in zip(covers, chains):
+            assert [p for p, m in parts for _ in range(m)] == [ground[k][0] for k in chain]
         # the same step count: the table fits a budget of exactly its steps
         with mock.patch.object(continuation, "COVER_BUDGET", steps):
-            assert continuation._min_cover(ground, demands, targets)[0] == costs
+            assert continuation._min_cover(ground, demands)[0] == costs
         if steps:
             with mock.patch.object(continuation, "COVER_BUDGET", steps - 1), pytest.raises(CoverBudgetError):
-                continuation._min_cover(ground, demands, targets)
+                continuation._min_cover(ground, demands)
 
 
 def test_cover_budget_counts_one_step_per_residual_and_touching_ground_point(monkeypatch):

@@ -361,6 +361,27 @@ def test_verify_metric_verb(tmp_path):
     assert witness["kind"] == "triangle" and witness["labels"] == ["x", "y", "z"]
 
 
+def test_a_rectangular_matrix_is_an_input_error_that_names_its_file(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dist": [["0", "1", "2"], ["1", "0", "1"]]}))
+    code, report = dispatch(["verify-metric", "--space", str(path)])
+    assert (code, report["error"]) == (2, f"LoadError: {path}: matrix is not square")
+
+
+@pytest.mark.parametrize("distance", ["1e200", "1e-200"])
+def test_sqrt_sum_sq_outside_the_float_range_is_an_input_error(tmp_path, distance):
+    # the square of 1e200 overflows a float and once exited 3; that of 1e-200 underflows to 0
+    # and once reported the false verdict that d(0,1) vanishes off the diagonal
+    paths = [tmp_path / "one.json", tmp_path / "far.json"]
+    for path, d in zip(paths, ("1", distance)):
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": [["0", d], [d, "0"]]}))
+    code, report = dispatch(["product", "--factor", str(paths[0]), "--factor", str(paths[1]),
+                             "--combiner", "SQRT_SUM_SQ", "--verify"])
+    where = f"(0, {fileio.format_rational(F(distance))})"
+    assert (code, report["error"]) == (
+        2, f"OutOfRangeError: SQRT_SUM_SQ at {where}: the sum of squares is no positive finite float")
+
+
 def test_matrices_whose_dist_or_rows_are_no_arrays_are_input_errors(tmp_path):
     # both once read as [[0, 1], [1, 0]] and reported the metric axioms true
     good = tmp_path / "good.json"
@@ -503,6 +524,21 @@ def test_grid_verbs(tmp_path):
     code, report = dispatch(["fixed-point", "--grid", str(square_path)])
     assert code == 1
     assert F(report["verdicts"][0]["max_deviation"]) > 0
+
+
+def test_a_grid_dimension_beyond_its_values_is_refused_before_any_index_is_built(tmp_path):
+    # n = 10**6 once took 44 MB and printed a 3 MB index; a lattice has at least 2**n points
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1000000, "T": "1", "h": "1", "values": []}))
+    code, report = dispatch(["lemma42", "--grid", str(path)])
+    assert code == 2 and len(render(report)) < 1024
+    assert report["error"] == (
+        f"LoadError: {path}: missing lattice values: 0 are too few for dimension n, as 2**n are needed")
+    # three points on a line and two values: the dimension fits, and the missing index is named
+    path.write_text(json.dumps({"n": 1, "T": "2", "h": "1", "values": [
+        {"point": ["0"], "value": "0"}, {"point": ["2"], "value": "1"}]}))
+    code, report = dispatch(["lemma42", "--grid", str(path)])
+    assert (code, report["error"]) == (2, f"LoadError: {path}: missing lattice value at index (1,)")
 
 
 def test_exit_code_2_cases(tmp_path):

@@ -11,6 +11,7 @@ exact values, equals the file's own fields, so ``"dim": 1.9`` read as 1 fails he
 examples and the MALFORMED files cost about 1 s of Tier-1.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -26,10 +27,11 @@ from isoprod.fixtures import fixture_generate
 from isoprod.verbs import dispatch
 
 # the loader each reading verb calls on the file
+SQUARE_MATRIX = functools.partial(fileio.load_matrix, square=True)
 LOADERS = {
     "check": fileio.load_sampled_function, "envelope": fileio.load_sampled_function,
     "extend-amenable": fileio.load_sampled_function, "extend-sup": fileio.load_points,
-    "verify-metric": fileio.load_matrix, "extract": fileio.load_matrix, "omega": fileio.load_grid_function,
+    "verify-metric": SQUARE_MATRIX, "extract": fileio.load_matrix, "omega": fileio.load_grid_function,
     "lemma42": fileio.load_grid_function, "universal": fileio.load_rational_set, "embed": fileio.load_rational_set,
 }
 
@@ -98,7 +100,7 @@ def _read_back(kind, loader, loaded, data, path):
                 {tuple(_exact(c.strip()) for c in row[:-1]): _exact(row[-1].strip()) for row in rows}
         mine = fileio.sampled_function_jsonable(loaded)
         return (_typed(mine["dim"]), _entries(mine["entries"])), (_typed(data["dim"]), _entries(data["entries"]))
-    if loader in (fileio.load_matrix, fileio.load_metric_space):
+    if loader in (fileio.load_matrix, SQUARE_MATRIX, fileio.load_metric_space):
         labels, dist = (loaded.labels, loaded.dist) if loader is fileio.load_metric_space else loaded
         mine = fileio.matrix_jsonable(labels, dist)
         default = [str(i) for i in range(len(data["dist"]))]

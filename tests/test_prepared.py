@@ -140,9 +140,11 @@ def per_probe_cover(f, y, c):
     ground.sort(key=lambda item: item[0].coords)
     _, flat = scale_to_integers([co for p, _ in ground for co in p.coords] + list(y.coords))
     rows = [tuple(flat[k:k + f.dim]) for k in range(0, len(flat), f.dim)]
-    costs, certificate = continuation._min_cover(
-        [(p, v, row) for (p, v), row in zip(ground, rows)], [rows[-1]], [y])
-    return costs[0], certificate(0)
+    den, values = scale_to_integers(v for _, v in ground)
+    costs, cover = continuation._min_cover(
+        [(p, v, row) for (p, _), v, row in zip(ground, values, rows)], [rows[-1]])
+    cost = F(costs[0], den)
+    return cost, continuation.CoverCertificate(y, cover(0), cost)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -156,8 +158,7 @@ def test_one_envelope_dispatch_builds_one_table_for_its_sample_supported_probes(
     tables = []
     min_cover = continuation._min_cover
     monkeypatch.setattr(continuation, "_min_cover",
-                        lambda ground, demands, targets: tables.append(list(targets)) or
-                        min_cover(ground, demands, targets))
+                        lambda ground, demands: tables.append(list(demands)) or min_cover(ground, demands))
     path = tmp_path / "f.json"
     # axis 3 carries no positive sample, so only probes positive on it need axis points
     fileio.dump_sampled_function(SampledFunction(
@@ -165,9 +166,11 @@ def test_one_envelope_dispatch_builds_one_table_for_its_sample_supported_probes(
     probes = ["(2,1,0)", "(1/3,2/7,0)", "(0,0,1)", "(0,0,0)", "(5,0,0)", "(1,1,1/2)", "(1,0,1)"]
     code, report = dispatch(["envelope", "--function", str(path), *[a for p in probes for a in ("--probe", p)]])
     assert code == 0 and len(report["verdicts"]) == 7
-    # one table for the sample-supported probes, one per set of axis points, in order of first need
+    # one table for the sample-supported probes, one per set of axis points, in order of first need;
+    # the sample coordinates are integers, so a probe's demand is its coordinates rounded up
     groups = [[0, 1, 3, 4], [2, 6], [5]]
-    assert tables == [[fileio.parse_point_string(probes[i]) for i in group] for group in groups]
+    demand = lambda p: tuple(-(-t.numerator // t.denominator) for t in p.coords)
+    assert tables == [[demand(fileio.parse_point_string(probes[i])) for i in group] for group in groups]
 
 
 def line(n):

@@ -6,19 +6,27 @@
 (c) The subadditive envelope is the greatest isotone subadditive
     minorant of the samples: at or below f on every sample, and equal to
     f on all of them exactly when ``is_subadditive`` holds.
+(d) The modulus table of every grid function satisfies the difference
+    bound |w(x) - w(y)| <= w(|x - y|) on the lattice.
+(e) A grid function g with g(0) = 0 is its own lattice modulus exactly
+    when the sampled function of its lattice points is isotone and
+    subadditive: the first moduli of continuity, on the lattice.
 
 Random isotone functions of n = 1-3 with coordinates and probes of
-denominators 1-6; hypothesis runs derandomized with a fixed number of
-examples, about 1 s in all.
+denominators 1-6, and lattice functions of n = 1-2 with steps 1, 1/2 and
+1/3; hypothesis runs derandomized with a fixed number of examples, about
+3 s in all, (d) and (e) about 1 s of it.
 """
 
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 from isoprod.continuation import amenable_isotone_continuation, subadditive_envelopes, sup_continuation
+from isoprod.modulus import GridFunction, difference_bound_holds, is_fixed_point, modulus_table
 from isoprod.points import PointN, axis_vector, leq
-from isoprod.sampled import SampledFunction, is_subadditive
+from isoprod.sampled import SampledFunction, is_isotone, is_subadditive
 
 COORDS = (F(0), F(0), F(1), F(1, 2), F(2, 3), F(3, 4), F(6, 5), F(4, 3), F(3, 2), F(2))
 PROBE_COORDS = COORDS + (F(1, 6), F(5, 6), F(7, 4), F(5, 2))
@@ -62,3 +70,40 @@ def test_envelope_meets_the_samples_exactly_when_subadditive(f):
     envelope = [value for value, _ in subadditive_envelopes(f, f.domain)]
     assert all(e <= f.value(a) for e, a in zip(envelope, f.domain))
     assert is_subadditive(f)[0] == all(e == f.value(a) for e, a in zip(envelope, f.domain))
+
+
+@st.composite
+def lattice_functions(draw, zero_at_origin=False):
+    """A grid function of n = 1-2 with values from VALUES, raised to the maximum over their
+    lower cone in most examples, so isotone functions and fixed points are common."""
+    n = draw(st.integers(1, 2))
+    cells = draw(st.integers(1, {1: 6, 2: 3}[n]))
+    step = draw(st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+    idxs = list(itertools.product(range(cells + 1), repeat=n))
+    values = {idx: draw(st.sampled_from(VALUES)) for idx in idxs}
+    if draw(st.integers(0, 3)):
+        values = {i: max(v for j, v in values.items() if all(map(int.__le__, j, i))) for i in idxs}
+    if zero_at_origin:
+        values[(0,) * n] = F(0)
+    return GridFunction(n, cells * step, step, values)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(lattice_functions())
+def test_modulus_table_meets_the_difference_bound(g):
+    assert difference_bound_holds(modulus_table(g)) == (True, None)
+
+
+def test_fixed_points_are_the_isotone_subadditive_lattice_functions():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(lattice_functions(zero_at_origin=True))
+    def check(g):
+        f = SampledFunction(g.items())
+        fixed = is_fixed_point(g)[0]
+        assert fixed == (is_isotone(f)[0] and is_subadditive(f)[0])
+        seen.add(fixed)
+
+    check()
+    assert seen == {True, False}

@@ -186,6 +186,99 @@ def test_loader_error_texts_are_pinned(tmp_path):
     assert str(info.value) == f"{csv_path}:2: bad rational '1/0': Fraction(1, 0)"
 
 
+def line(*entries, n=1, T="1", h="1"):
+    """A grid file of (point, value) entries; a str or int point is one coordinate."""
+    values = [{"point": p if isinstance(p, list) else [p], "value": v} for p, v in entries]
+    return {"n": n, "T": T, "h": h, "values": values}
+
+
+ON_LINE = (("0", "0"), ("1", "1"))
+# (grid file, the LoadError text after the file name): one fault, then several at once, where the
+# text shows which fault the loader reports first
+GRID_ERRORS = [
+    # single faults
+    (line(*ON_LINE, n=0), "point dimension 1 != lattice dimension 0"),
+    (line(*ON_LINE, n=-1), "point dimension 1 != lattice dimension -1"),
+    (line(n=0), "dimension must be at least 1"),
+    (line(*ON_LINE, h="0"), "bound and step must be positive"),
+    (line(*ON_LINE, h="-1/2"), "bound and step must be positive"),
+    (line(*ON_LINE, T="0"), "bound and step must be positive"),
+    (line(("0", "0"), ("1", "1"), h="3/7"), "(1) is not a lattice point"),
+    (line(("0", "0"), ("3/7", "1"), h="3/7"), "step 3/7 does not divide bound 1"),
+    (line(("0", "0"), ("1", "1"), ("1", "2")), "duplicate lattice point (1)"),
+    (line(("0", "0"), (1, "1"), ("1", "2")), "duplicate lattice point (1)"),  # a JSON number and a string
+    (line(("0", "-1"), ("1", "1")), "negative value -1 at index (0,)"),
+    (line(("0", "0"), ("2", "1"), T="2"), "missing lattice value at index (1,)"),
+    (line(("0", "0")), "missing lattice values: 1 are too few for dimension n, as 2**n are needed"),
+    (line(("0", "0"), ("-1", "1")), "negative coordinate -1 not allowed"),
+    (line(("0", "0"), ([], "1")), "a point needs at least one coordinate"),
+    (line(("0", "0"), (["0", "1"], "1")), "point dimension 2 != lattice dimension 1"),
+    (line(("0", "0"), ("x", "1")), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("0", "0"), ("1", "1/0")), "bad rational '1/0': Fraction(1, 0)"),
+    (line(("0", "0"), ("1", True)), "expected a rational, got boolean True"),
+    # float, boolean, nested-array and object coordinates, also where an equal string was read before
+    (line(("0", "0"), (0.5, "1")), "expected a rational string, got 0.5"),
+    (line(("0", "0"), ("1", "1"), (1.0, "1")), "expected a rational string, got 1.0"),
+    (line(("0", "0"), (True, "1")), "expected a rational, got boolean True"),
+    (line(("1", "0"), (True, "1")), "expected a rational, got boolean True"),
+    (line(("0", "0"), ([["1"]], "1")), "expected a rational string, got ['1']"),
+    (line(("0", "0"), ({"c": "1"}, "1")), "expected a rational string, got {'c': '1'}"),
+    # shapes
+    ({"n": 1, "T": "1", "h": "1", "values": {}}, "values: expected an array"),
+    (line(*ON_LINE) | {"values": [{"point": ["0"], "value": "0"}, ["1"]]}, "values[1]: expected an object"),
+    (line(*ON_LINE) | {"values": [{"point": "0", "value": "0"}]}, "values[0].point: expected an array"),
+    (line(*ON_LINE) | {"n": True}, "n: expected an integer"),
+    # several faults: every entry is parsed before any is indexed
+    (line(("1/3", "0"), ("x", "1")), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("1/3", "0"), ("1", "x")), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("0", "0"), (["-1", "x"], "1"), n=2), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("0", "0"), (["-1", "0"], "x"), n=2), "negative coordinate -1 not allowed"),
+    (line(("1/3", "0"), ("-1", "1")), "negative coordinate -1 not allowed"),
+    (line(("1/3", "0"), ("1", "1"), h="0"), "bound and step must be positive"),
+    (line(("1/3", "0"), ("1", "x"), h="0"), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("1/2", "0"), ("1", "1"), h="0"), "bound and step must be positive"),
+    # then entry by entry: the dimension, the lattice, a repeat
+    (line(("2", "0"), (["0", "0"], "0"), ("0", "0")), "(2) is not a lattice point"),
+    (line((["0", "0"], "0"), ("2", "0"), ("0", "0")), "point dimension 2 != lattice dimension 1"),
+    (line(("0", "0"), ("0", "1"), ("1/2", "0")), "duplicate lattice point (0)"),
+    (line(("0", "0"), ("1/2", "1"), ("0", "0")), "(1/2) is not a lattice point"),
+    (line(("0", "-1"), ("1", "1"), ("1", "1")), "duplicate lattice point (1)"),
+    (line(("0", "0"), ("1", "1"), ("3/7", "1"), h="3/7"), "(1) is not a lattice point"),
+    # then the step, the dimension and the values in lattice order
+    (line(("0", "-1"), ("3/7", "1"), h="3/7"), "step 3/7 does not divide bound 1"),
+    (line((["0", "0"], "-1"), n=2), "missing lattice values: 1 are too few for dimension n, as 2**n are needed"),
+    (line(("2", "-1"), ("0", "0"), T="2"), "missing lattice value at index (1,)"),
+    (line(("2", "0"), ("1", "-1"), ("0", "-2"), T="2"), "negative value -2 at index (0,)"),
+    (line(("1", "-1"), ("0", "0"), T="2"), "negative value -1 at index (1,)"),
+    (line((["1", "1"], "-1/2"), (["0", "0"], "0"), (["0", "1"], "0"), (["1", "0"], "0"), n=2),
+     "negative value -1/2 at index (1, 1)"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(GRID_ERRORS)))
+def test_grid_loader_error_texts_and_precedence_are_pinned(tmp_path, k):
+    data, text = GRID_ERRORS[k]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(LoadError) as info:
+        fileio.load_grid_function(path)
+    assert str(info.value) == f"{path}: {text}"
+
+
+def test_loaded_grids_keep_the_ints_they_were_written_from(tmp_path):
+    # every grid fixture_generate writes, and a line written out of lattice order with JSON numbers
+    for seed, combiner in enumerate(("SUM", "MAX", "CAPPED_SUM", "SQUARE_SUM") * 3):
+        cap = F(seed % 3 + 1, 2)
+        (path,) = fixture_generate("named-combiner-grid", seed, tmp_path, combiner=combiner, cap=cap)
+        g, loaded = combiner_grid(combiner, cap=cap), fileio.load_grid_function(path)
+        assert (loaded.n, loaded.bound, loaded.step, loaded.cells) == (g.n, g.bound, g.step, g.cells)
+        assert (loaded._value_den, loaded._int_values) == (g._value_den, g._int_values)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(line(("2", "1/3"), (0, 0), ("1/2", "1/2"), ("1", 2), ("3/2", "2/3"), T="2", h="1/2")))
+    loaded = fileio.load_grid_function(path)
+    assert (loaded._value_den, loaded._int_values) == (6, [0, 3, 12, 4, 2])
+
+
 def test_point_string_parsing():
     assert fileio.parse_point_string("(2,0)") == point(2, 0)
     assert fileio.parse_point_string("[2, 1/2]") == point(2, "1/2")

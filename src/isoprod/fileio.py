@@ -3,7 +3,9 @@
 Rationals travel as strings "p/q" (or "p" for integers) everywhere, so
 reports and fixtures are bit-stable across platforms and locales.  A
 loader parses each distinct string of its file once: a product matrix or
-a lattice file repeats a few values many times.
+a lattice file repeats a few values many times.  A lattice file also
+indexes each distinct coordinate string once and loads straight to flat
+lattice codes, with no point built per entry.
 
 A loader checks the JSON type of each object and array before reading
 into it.  An input error names the file once, as ``<file>: <json path>:
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -292,14 +295,62 @@ def grid_function_jsonable(g: GridFunction) -> dict:
 
 
 def load_grid_function(path: PathLike) -> GridFunction:
-    from .modulus import GridFunction
+    """A grid function file, loaded straight to flat lattice codes.
+
+    Each distinct coordinate string is indexed on the lattice once; an entry
+    becomes its flat code and its value, with no point built.  Every entry
+    is parsed before any is indexed, so a bad rational or a negative
+    coordinate is reported first, then a step that is not positive; then,
+    entry by entry, a point of another dimension, off the lattice or
+    repeated; then the checks of ``GridFunction.from_codes``.
+    """
+    from .modulus import GridFunction, _axis_index, _code, _index_of
 
     with _Reading(path) as source:
         data = _expect(source.json(), (dict, "a grid function object"))
         n = _expect(data.get("n"), _INTEGER, "n")
-        bound, step = source.parse(data.get("T")), source.parse(data.get("h"))
-        # every entry is parsed before any is indexed: a bad rational is reported first
-        return GridFunction.from_points(n, bound, step, _entries(data, "values", source.parse))
+        if n < 1:
+            raise LoadError("dimension must be at least 1")
+        parse = source.parse
+        bound, step = parse(data.get("T")), parse(data.get("h"))
+        entries = _expect(data.get("values"), _ARRAY, "values")
+        points = [_expect(_expect(e, _OBJECT, "values", i).get("point"), _ARRAY, "values", i, "point")
+                  for i, e in enumerate(entries)]
+        axis = {}  # coordinate string -> its index on the axis, as _axis_index gives it
+        get = axis.__getitem__
+
+        def index(c) -> int:
+            if c.__class__ is not str:  # as in the parse memo: a bool or a float reaches its own error
+                return _axis_index(parse(c), bound, step)
+            i = axis.get(c)
+            if i is None:
+                i = axis[c] = _axis_index(parse(c), bound, step)
+            return i
+
+        rows, values = [], []
+        for p, e in zip(points, entries):
+            try:
+                row = list(map(get, p))
+            except (KeyError, TypeError):  # a coordinate not indexed yet, or no string
+                row = list(map(index, p))
+            if not row or min(row) < -1:
+                PointN(tuple(map(parse, p)))  # raises the empty point or the negative coordinate
+            rows.append(row)
+            values.append(parse(e.get("value")))
+        if bound <= 0 or step <= 0:
+            raise LoadError("bound and step must be positive")
+        # fewer than 2 ** n entries fail GridFunction's dimension check once they pass theirs, and n
+        # may then be too large for flat codes: a repeat is found by the index row itself
+        code = partial(_code, m=int(bound / step) + 1) if len(entries).bit_length() > n else tuple
+        codes = {}
+        for row, value, p in zip(rows, values, points):
+            if len(row) != n or min(row) < 0:
+                _index_of(parse_point(p, parse), n, bound, step)  # raises the dimension or lattice error
+            c = code(row)
+            if c in codes:
+                raise LoadError(f"duplicate lattice point {parse_point(p, parse)}")
+            codes[c] = value
+        return GridFunction.from_codes(n, bound, step, codes, len(entries))
 
 
 def dump_grid_function(g: GridFunction, path: PathLike) -> None:

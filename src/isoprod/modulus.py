@@ -6,11 +6,16 @@ the function itself, so the fixed-point test is an exact equality, not
 an approximation; for arbitrary functions the lattice value is a
 certified lower bound of the continuous modulus.
 
-The pair scans walk flat integer codes.  Lattice index i has the code
+The kernels walk flat integer codes.  Lattice index i has the code
 sum(i_k * (cells + 1) ** (n - 1 - k)), which keeps the lexicographic
 order; the difference |x - y| of two lattice points is a lattice point.
 The values are scaled to ints over one denominator once, where a grid
-function is built; only a reported value becomes a Fraction.
+function is built (a grid file is loaded straight to codes and values,
+``GridFunction.from_codes``); only a reported value becomes a Fraction.
+The modulus at one box is a separable window max over the values; the
+modulus at every box, ``modulus_table``, is one scan over all pairs,
+which the fixed-point test reads and which is the reference for the
+window max.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, attrgetter, gt
-from typing import Callable, Iterable, Optional
+from operator import add, attrgetter, gt, sub
+from typing import Callable, Optional
 
 from .errors import OffLatticeError
 from .points import PointN, RationalLike, Record, rat, scale_to_integers
@@ -42,44 +47,40 @@ class GridFunction:
             raise ValueError("dimension must be at least 1")
         if bound <= 0 or step <= 0:
             raise ValueError("bound and step must be positive")
+        m = int(bound / step) + 1  # a step that does not divide the bound is refused before a code is read
+        on = {_code(idx, m): rat(v) for idx, v in values.items() if len(idx) == n and all(0 <= i < m for i in idx)}
+        self._fill(n, bound, step, on, len(values))
+        if len(on) != len(values):
+            raise ValueError("values contain off-lattice entries")
+
+    @classmethod
+    def from_codes(cls, n: int, bound: Fraction, step: Fraction, values: dict[int, Fraction], given: int) -> "GridFunction":
+        """The function with values[c] at the lattice point of flat code c, read from given entries,
+        of which values holds those on the lattice; the caller has checked n >= 1 and that the
+        bound and the step are positive."""
+        g = object.__new__(cls)
+        g._fill(n, bound, step, values, given)
+        return g
+
+    def _fill(self, n: int, bound: Fraction, step: Fraction, values: dict[int, Fraction], given: int) -> None:
+        """Check that the step divides the bound, that the given entries are at least the 2 ** n
+        points of the smallest lattice, and that every lattice point, in lattice order, has a
+        value and no negative one; then keep the values as flat ints over one denominator."""
         cells = bound / step
         if cells.denominator != 1:
             raise ValueError(f"step {step} does not divide bound {bound}")
-        self._n = n
-        self._bound = bound
-        self._step = step
-        self._cells = int(cells)
-        if len(values).bit_length() <= n:  # 2 ** n > len(values): no index is built for a dimension this large
-            raise ValueError(f"missing lattice values: {len(values)} are too few for dimension n, as 2**n are needed")
-        flat = []
-        for idx in self.indices():
-            if idx not in values:
-                raise ValueError(f"missing lattice value at index {idx}")
-            v = rat(values[idx])
-            if v < 0:
-                raise ValueError(f"negative value {v} at index {idx}")
-            flat.append(v)
-        if len(values) != len(flat):
-            raise ValueError("values contain off-lattice entries")
-        self._value_den, self._int_values = scale_to_integers(flat)
-
-    @classmethod
-    def from_points(cls, n: int, bound, step, entries: Iterable[tuple[PointN, RationalLike]]) -> "GridFunction":
-        bound = rat(bound)
-        step = rat(step)
-        if bound <= 0 or step <= 0:  # before _index_of divides by the step
-            raise ValueError("bound and step must be positive")
-        values = {}
-        axis_index = {}  # each distinct coordinate is indexed once
-        for p, v in entries:
-            idx = tuple(map(axis_index.get, p.coords))
-            if len(idx) != n or None in idx:
-                idx = _index_of(p, n, bound, step)
-                axis_index.update(zip(p.coords, idx))
-            if idx in values:
-                raise ValueError(f"duplicate lattice point {p}")
-            values[idx] = rat(v)
-        return cls(n, bound, step, values)
+        if given.bit_length() <= n:  # 2 ** n > given: no index is built for a dimension this large
+            raise ValueError(f"missing lattice values: {given} are too few for dimension n, as 2**n are needed")
+        self._n, self._bound, self._step, self._cells = n, bound, step, int(cells)
+        self._value_den, ints = scale_to_integers(values.values())
+        ints = dict(zip(values, ints))
+        size = (self._cells + 1) ** n
+        if len(ints) < size or min(ints.values()) < 0:  # name the first point without a value or with a negative one
+            code = next(c for c in itertools.count() if ints.get(c, -1) < 0)
+            if code not in ints:
+                raise ValueError(f"missing lattice value at index {self._index(code)}")
+            raise ValueError(f"negative value {Fraction(ints[code], self._value_den)} at index {self._index(code)}")
+        self._int_values = list(map(ints.__getitem__, range(size)))
 
     @classmethod
     def from_callable(cls, n: int, bound, step, fn: Callable[[tuple[Fraction, ...]], RationalLike]) -> "GridFunction":
@@ -110,10 +111,14 @@ class GridFunction:
     def point(self, idx: tuple[int, ...]) -> PointN:
         return PointN(tuple(self._step * i for i in idx))
 
+    def _index(self, code: int) -> tuple[int, ...]:
+        """The index tuple of flat code `code`."""
+        m = self._cells + 1
+        return tuple(code // m ** k % m for k in reversed(range(self._n)))
+
     def _point_at(self, code: int) -> PointN:
         """The lattice point with flat code `code`."""
-        m = self._cells + 1
-        return self.point(tuple(code // m ** k % m for k in reversed(range(self._n))))
+        return self.point(self._index(code))
 
     def _like(self, values: list[int]) -> "GridFunction":
         """The function with these flat values, ints over this function's denominator, on the same lattice."""
@@ -126,7 +131,7 @@ class GridFunction:
         m = self._cells + 1
         if len(idx) != self._n or not all(0 <= i < m for i in idx):  # the list would serve these silently
             raise KeyError(idx)
-        return Fraction(self._int_values[reduce(lambda code, i: code * m + i, idx, 0)], self._value_den)
+        return Fraction(self._int_values[_code(idx, m)], self._value_den)
 
     def value(self, p: PointN) -> Fraction:
         return self.value_at(_index_of(p, self._n, self._bound, self._step))
@@ -140,27 +145,56 @@ class GridFunction:
             [v * other._value_den for v in self._int_values] == [v * self._value_den for v in other._int_values])
 
 
+def _code(idx, m: int) -> int:
+    """The flat code of index tuple idx on a lattice of m points per axis."""
+    return reduce(lambda code, i: code * m + i, idx, 0)
+
+
+def _axis_index(c: Fraction, bound: Fraction, step: Fraction) -> int:
+    """The index of coordinate c on the axis {0, step, ..., bound}: -2 when c < 0, and -1 when
+    c is past the bound, no multiple of the step, or the step is not positive."""
+    if c < 0:
+        return -2
+    if step <= 0 or c > bound:
+        return -1
+    q = c / step
+    return q.numerator if q.denominator == 1 else -1
+
+
 def _index_of(p: PointN, n: int, bound: Fraction, step: Fraction) -> tuple[int, ...]:
     if p.dim != n:
         raise OffLatticeError(f"point dimension {p.dim} != lattice dimension {n}")
-    cells = bound / step
-    idx = []
-    for c in p.coords:
-        q = c / step
-        if q.denominator != 1 or not 0 <= q <= cells:
-            raise OffLatticeError(f"{p} is not a lattice point")
-        idx.append(int(q))
-    return tuple(idx)
+    idx = tuple(_axis_index(c, bound, step) for c in p.coords)
+    if min(idx) < 0:
+        raise OffLatticeError(f"{p} is not a lattice point")
+    return idx
 
 
 def modulus(g: GridFunction, eps: PointN) -> Fraction:
     """Largest value gap over lattice pairs within the coordinatewise box eps.
 
-    Zero when eps is the origin.  eps must be a lattice point; the
-    value is read from :func:`modulus_table`.
+    Zero when eps is the origin; eps must be a lattice point.  The pair set
+    is symmetric, so the modulus is the largest g(y) - g(x) with y in the box
+    x +- eps, clipped at the lattice edge.  The box max is separable: each
+    axis leads the flat codes in turn, and a pass for a positive radius r
+    takes the max of the flat ints shifted by -r .. r steps along the
+    leading axis, a shift the lattice edge clips.  Then the axes rotate, the
+    leading one last, so after n rotations the codes are in lattice order
+    again.  Only the result becomes a Fraction.
     """
-    eps_idx = _index_of(eps, g.n, g.bound, g.step)
-    return modulus_table(g).value_at(eps_idx)
+    radii = _index_of(eps, g.n, g.bound, g.step)
+    values = g._int_values
+    rest = len(values) // (g.cells + 1)  # codes per index of the leading axis
+    box = values
+    for r in radii:
+        if r:
+            line, box = box, box[:]
+            for shift in range(rest, r * rest + 1, rest):  # a comprehension compares faster than map(max, ...)
+                box[:-shift] = [a if a > b else b for a, b in zip(box[:-shift], line[shift:])]
+                box[shift:] = [a if a > b else b for a, b in zip(box[shift:], line[:-shift])]
+        # rotate the axes: the rows of the leading axis, transposed, make it the last
+        box = list(itertools.chain.from_iterable(zip(*(box[a:a + rest] for a in range(0, len(box), rest)))))
+    return Fraction(max(map(sub, box, values)), g._value_den)
 
 
 def _pair_rows(g: GridFunction, values: list[int]):

@@ -197,8 +197,9 @@ ON_LINE = (("0", "0"), ("1", "1"))
 # text shows which fault the loader reports first
 GRID_ERRORS = [
     # single faults
-    (line(*ON_LINE, n=0), "point dimension 1 != lattice dimension 0"),
-    (line(*ON_LINE, n=-1), "point dimension 1 != lattice dimension -1"),
+    (line(*ON_LINE, n=0), "dimension must be at least 1"),  # "point dimension 1 != lattice dimension 0" once
+    (line(*ON_LINE, n=-1), "dimension must be at least 1"),
+    (line(("x", "0"), n=0, h="0"), "dimension must be at least 1"),  # checked where n is read
     (line(n=0), "dimension must be at least 1"),
     (line(*ON_LINE, h="0"), "bound and step must be positive"),
     (line(*ON_LINE, h="-1/2"), "bound and step must be positive"),

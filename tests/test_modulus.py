@@ -165,7 +165,46 @@ def test_flat_code_table_agrees_with_enumeration_at_every_box():
         g = GridFunction(n, cells * step, step, values)
         table = modulus_table(g)
         for idx in g.indices():
-            assert table.value_at(idx) == modulus_enumerate(g, g.point(idx)), (n, cells, idx)
+            eps = g.point(idx)
+            assert table.value_at(idx) == modulus_enumerate(g, eps) == modulus(g, eps), (n, cells, idx)
+
+
+@st.composite
+def mixed_grids(draw):
+    """A grid of n = 1-3 with values of mixed denominators, so the flat ints share a large one."""
+    n = draw(st.integers(1, 3))
+    cells = draw(st.integers(1, {1: 12, 2: 6, 3: 3}[n]))
+    step = draw(st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 5)]))
+    values = {idx: F(draw(st.integers(0, 30)), draw(st.sampled_from([1, 2, 3, 5, 7])))
+              for idx in itertools.product(range(cells + 1), repeat=n)}
+    return GridFunction(n, cells * step, step, values)
+
+
+def assert_window_max_matches_table(g):
+    table = modulus_table(g)
+    for idx in g.indices():
+        assert modulus(g, g.point(idx)) == table.value_at(idx), idx
+    values = [v for _, v in g.items()]
+    assert modulus(g, g.point((0,) * g.n)) == 0
+    assert modulus(g, g.point((g.cells,) * g.n)) == max(values) - min(values)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(mixed_grids())
+def test_window_max_modulus_agrees_with_the_table_at_every_box(g):
+    # the separable window max against the pair-scan table; 150 derandomized examples, about 0.5 s
+    assert_window_max_matches_table(g)
+
+
+def test_window_max_modulus_agrees_with_the_table_on_the_benchmark_shapes():
+    # n = 2 with 14 cells and n = 3 with 5: named combiners and random values, about 0.5 s
+    rng = random.Random(1903)
+    for n, cells, step in ((2, 14, F(1, 4)), (3, 5, F(1, 3))):
+        assert_window_max_matches_table(combiner_grid("SQUARE_SUM", n=n, bound=cells * step, step=step))
+        assert_window_max_matches_table(combiner_grid("CAPPED_SUM", n=n, bound=cells * step, step=step, cap=2))
+        values = {idx: F(rng.randint(0, 40), rng.choice([1, 2, 3, 5, 7]))
+                  for idx in itertools.product(range(cells + 1), repeat=n)}
+        assert_window_max_matches_table(GridFunction(n, cells * step, step, values))
 
 
 def test_fixed_point_examples():

@@ -1,5 +1,10 @@
 """The paper's characterization as checks of one module's verdict against another's.
 
+(a) A function f sampled on the distance grid of some factor spaces that
+    is metric-preserving by ``metric_preserving_verdict`` (isotone,
+    amenable, subadditive) makes their product through ``ProductSpec`` a
+    metric: it passes ``verify_metric`` and ``is_distance_increasing``,
+    and ``extract_product_function`` gives f back.
 (b) The sup-continuation is the least isotone extension of the samples,
     so at every probe it lies at or below the amenable isotone
     continuation, which also extends them isotonically.
@@ -13,17 +18,29 @@
     subadditive: the first moduli of continuity, on the lattice.
 
 Random isotone functions of n = 1-3 with coordinates and probes of
-denominators 1-6, and lattice functions of n = 1-2 with steps 1, 1/2 and
-1/3; hypothesis runs derandomized with a fixed number of examples, about
-3 s in all, (d) and (e) about 1 s of it.
+denominators 1-6, lattice functions of n = 1-2 with steps 1, 1/2 and
+1/3, and products of one to three spaces of two or three points on the
+line or with random distances; hypothesis runs derandomized with a fixed
+number of examples, about 4 s in all, (a) about 1 s of it and (d) and (e)
+about 1 s.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 from isoprod.continuation import amenable_isotone_continuation, subadditive_envelopes, sup_continuation
+from isoprod.fixtures import line_space, random_metric_space
+from isoprod.metric import (
+    ProductSpec,
+    extract_product_function,
+    is_distance_increasing,
+    metric_preserving_verdict,
+    product_metric,
+    verify_metric,
+)
 from isoprod.modulus import GridFunction, difference_bound_holds, is_fixed_point, modulus_table
 from isoprod.points import PointN, axis_vector, leq
 from isoprod.sampled import SampledFunction, is_isotone, is_subadditive
@@ -45,6 +62,53 @@ def isotone_functions(draw, amenable=False):
         raw = {p: v or F(1) for p, v in raw.items()}
         raw[PointN((F(0),) * dim)] = F(0)
     return SampledFunction({p: max(v for q, v in raw.items() if leq(q, p)) for p in raw})
+
+
+@st.composite
+def factors_and_grid_functions(draw):
+    """Factor spaces and an isotone f on their distance grid, zero at the origin: raised to the
+    maximum over its lower cone, or min(cap, w . t) or max(w_i t_i), which preserve metrics when
+    no weight is zero, or (w . t) ** 2, which is seldom subadditive."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            factors.append(line_space(draw(st.lists(st.sampled_from(COORDS[1:]), min_size=2, max_size=3, unique=True))))
+        else:
+            factors.append(random_metric_space(random.Random(draw(st.integers(0, 10 ** 6))), max_points=3))
+    grid = list(itertools.product(*(sp.distance_set() for sp in factors)))
+    weights = [draw(st.sampled_from([F(0), F(1), F(1, 2), F(2)])) for _ in factors]
+    kind = draw(st.sampled_from(["lower cone", "capped sum", "max", "square"]))
+    if kind == "capped sum":
+        cap = draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(5)]))
+        values = {t: min(cap, sum(w * c for w, c in zip(weights, t))) for t in grid}
+    elif kind == "max":
+        values = {t: max(w * c for w, c in zip(weights, t)) for t in grid}
+    elif kind == "square":
+        values = {t: sum(w * c for w, c in zip(weights, t)) ** 2 for t in grid}
+    else:
+        raw = {t: draw(st.sampled_from(VALUES[1:] if draw(st.integers(0, 3)) else VALUES)) for t in grid}
+        values = {t: max(v for u, v in raw.items() if all(map(F.__le__, u, t))) for t in grid}
+    values[grid[0]] = F(0)  # the origin: every distance set starts at 0
+    return tuple(factors), SampledFunction({PointN(t): v for t, v in values.items()})
+
+
+def test_metric_preserving_samples_make_product_metrics():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(factors_and_grid_functions())
+    def check(case):
+        factors, f = case
+        preserving, report = metric_preserving_verdict(f)
+        seen.add((preserving, report.amenable))
+        if preserving:
+            _, matrix = product_metric(ProductSpec(factors, f))
+            assert verify_metric(matrix) == (True, None)
+            assert is_distance_increasing(matrix, factors) == (True, None)
+            assert extract_product_function(matrix, factors) == f
+
+    check()
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @st.composite

@@ -3,9 +3,9 @@
 Rationals travel as strings "p/q" (or "p" for integers) everywhere, so
 reports and fixtures are bit-stable across platforms and locales.  A
 loader parses each distinct string of its file once: a product matrix or
-a lattice file repeats a few values many times.  A lattice file also
-indexes each distinct coordinate string once and loads straight to flat
-lattice codes, with no point built per entry.
+a lattice file repeats a few values many times.  A matrix is coded to its
+distinct strings at C speed; a lattice file indexes each distinct
+coordinate string once and loads straight to flat lattice codes.
 
 A loader checks the JSON type of each object and array before reading
 into it.  An input error names the file once, as ``<file>: <json path>:
@@ -224,7 +224,8 @@ def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:
 
 # -- metric spaces and matrices ----------------------------------------
 
-def matrix_jsonable(labels: Sequence, matrix) -> dict:
+def matrix_jsonable(labels: Sequence, matrix, *, values=None) -> dict:
+    """The matrix file object; given values, the rows are indices into it, each value written once."""
     texts = {}  # a product matrix holds few distinct values; an int pair hashes cheaper than a Fraction
 
     def entry(v):
@@ -236,6 +237,8 @@ def matrix_jsonable(labels: Sequence, matrix) -> dict:
             text = texts[key] = format_rational(v)
         return text
 
+    if values is not None:
+        entry = list(map(entry, values)).__getitem__
     return {
         "labels": [
             "|".join(lab) if isinstance(lab, tuple) else str(lab) for lab in labels
@@ -244,17 +247,34 @@ def matrix_jsonable(labels: Sequence, matrix) -> dict:
     }
 
 
-def load_matrix(path: PathLike, *, square: bool = False) -> tuple[list[str], list[list[Fraction]]]:
+def load_matrix(path: PathLike, *, square: bool = False, values=None) -> tuple[list[str], list[list[Fraction]]]:
     """Load a labeled candidate matrix without metric validation: its rows have one
     length, as many as the rows when square is set, and its labels are distinct
-    strings, one per row."""
+    strings, one per row.  Given a list values, the rows are indices into it and the
+    parsed values are appended to it.  Each distinct string is parsed once, in row-major
+    order of first use, so the first bad entry is still the one reported."""
+    from itertools import chain
+
     with _Reading(path) as source:
         data = _expect(source.json(), (dict, "a matrix object"))
         rows = _expect(data.get("dist"), _ARRAY, "dist")
         for i, row in enumerate(rows):
             if len(_expect(row, _ARRAY, "dist", i)) != len(rows[0]):
                 raise LoadError(f"dist[{i}]: expected {len(rows[0])} entries as in dist[0], got {len(row)}")
-        dist = [list(map(source.parse, row)) for row in rows]
+        try:  # only strings are coded by value: 1, true and 1.0 hash alike, and an array not at all
+            keys = list(dict.fromkeys(chain.from_iterable(rows)))
+            strings = {*map(type, keys)} <= {str}
+        except TypeError:
+            strings = False
+        if strings:
+            parsed = list(map(parse_rational, keys))
+        else:  # each entry is parsed in turn and coded by its place
+            parsed, width = list(map(source.parse, chain.from_iterable(rows))), len(rows[0]) if rows else 0
+            keys, rows = range(len(parsed)), [range(i * width, i * width + width) for i in range(len(rows))]
+        code = dict(zip(keys, parsed if values is None else range(len(keys)))).__getitem__
+        dist = [list(map(code, row)) for row in rows]
+        if values is not None:
+            values.extend(parsed)
         labels = [str(i) for i in range(len(dist))]
         if "labels" in data:
             labels = _expect(data["labels"], _ARRAY, "labels")

@@ -1,11 +1,13 @@
 """Finite metric spaces, metric products and their decompositions.
 
 The matrices here are plain nested sequences so a candidate can be fed
-to :func:`verify_metric` before anyone promises it is a metric.  All
-checks are exact on rational entries and an exact tolerance (the
-``verify-metric --tol`` option); only float entries or a float
-tolerance, which the inexact Euclidean-style combiner needs, are
-compared in floating point.
+to :func:`verify_metric` before anyone promises it is a metric.  A
+product matrix holds a few distinct values, so it can also travel coded
+(``values=``): a list of values and rows of int indices into it, each
+value checked, scaled and written once.  All checks are exact on
+rational entries and an exact tolerance (the ``verify-metric --tol``
+option); only float entries or a float tolerance, which the inexact
+Euclidean-style combiner needs, are compared in floating point.
 
 Products, and the scans that take them apart, read each pair's distance
 tuple as its grid index in ``itertools.product(*distance sets)``.
@@ -16,6 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
+from operator import eq, ge, lt
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
@@ -32,7 +36,7 @@ class MetricViolation(Record):
     detail: str
 
 
-def verify_metric(matrix, tol=0) -> tuple[bool, Optional[MetricViolation]]:
+def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricViolation]]:
     """Check the metric axioms on a square nonnegative matrix.
 
     Returns the first violation in axiom order (symmetry, identity of
@@ -41,7 +45,9 @@ def verify_metric(matrix, tol=0) -> tuple[bool, Optional[MetricViolation]]:
     d(i,k) <= d(i,j) + d(j,k) may then exceed by up to tol; tol = 0 (the
     default) is the exact check.
 
-    Exact entries and an exact tol are scaled to integers together, and
+    With values, entry (i, j) is values[matrix[i][j]]; without, the matrix
+    is its own value list.  Exact values and an exact tol are scaled to
+    integers together, each row is read as ints through its codes, and
     the triangles (i, j, .) of one row pair are asked at once: with every
     row packed into one int, one field per column, a sum and a mask over
     rows i and j test every k (see :func:`_packed_triangle_failures`).
@@ -53,35 +59,36 @@ def verify_metric(matrix, tol=0) -> tuple[bool, Optional[MetricViolation]]:
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
+    if values is None:
+        values, matrix = list(itertools.chain.from_iterable(matrix)), [range(i * n, i * n + n) for i in range(n)]
     if tol == 0:
         tol = 0  # a float zero is still the exact check
-    m, bound = matrix, tol
-    exact = isinstance(tol, (Fraction, int)) and all(
-        isinstance(v, (Fraction, int)) for row in matrix for v in row
-    )
+    ints, bound = values, tol
+    exact = isinstance(tol, (Fraction, int)) and all(isinstance(v, (Fraction, int)) for v in values)
     if exact:
-        _, (bound, *flat) = scale_to_integers([tol, *(v for row in matrix for v in row)])
-        m = [flat[i * n:(i + 1) * n] for i in range(n)]
+        _, (bound, *ints) = scale_to_integers([tol, *values])
+    m = [list(map(ints.__getitem__, row)) for row in matrix]
 
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v < 0:
-                raise ValueError(f"negative entry at ({i}, {j})")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(m[i][j] - m[j][i]) > bound:
-                return False, MetricViolation(
-                    "symmetry", (i, j), f"d({i},{j})={matrix[i][j]} != d({j},{i})={matrix[j][i]}"
-                )
+    def d(i, j):  # an entry as given, for the witness texts
+        return values[matrix[i][j]]
+
+    if any(map(lt, ints, itertools.repeat(0))):
+        for i, row in enumerate(m):
+            if any(map(lt, row, itertools.repeat(0))):
+                raise ValueError(f"negative entry at ({i}, {[v < 0 for v in row].index(True)})")
+    if not (bound >= 0 and all(map(eq, m, map(list, zip(*m))))):  # a symmetric matrix differs by 0 only
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(m[i][j] - m[j][i]) > bound:
+                    return False, MetricViolation("symmetry", (i, j), f"d({i},{j})={d(i, j)} != d({j},{i})={d(j, i)}")
     for i in range(n):
         if m[i][i] > bound:
-            return False, MetricViolation("identity", (i, i), f"d({i},{i})={matrix[i][i]} != 0")
+            return False, MetricViolation("identity", (i, i), f"d({i},{i})={d(i, i)} != 0")
+    vanishing = set(filter(partial(ge, bound), ints))
     for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if i != j and v <= bound:
-                return False, MetricViolation(
-                    "identity", (i, j), f"d({i},{j})={matrix[i][j]} vanishes off the diagonal"
-                )
+        if sum(map(row.count, vanishing)) > (row[i] <= bound):  # an entry off the diagonal vanishes
+            j = next(j for j, v in enumerate(row) if j != i and v <= bound)
+            return False, MetricViolation("identity", (i, j), f"d({i},{j})={d(i, j)} vanishes off the diagonal")
 
     pairs = _packed_triangle_failures(m, bound) if exact else itertools.product(range(n), repeat=2)
     for i, j in pairs:
@@ -91,8 +98,7 @@ def verify_metric(matrix, tol=0) -> tuple[bool, Optional[MetricViolation]]:
                 return False, MetricViolation(
                     "triangle",
                     (i, j, k),
-                    f"d({i},{k})={matrix[i][k]} > d({i},{j})+d({j},{k})"
-                    f"={matrix[i][j]}+{matrix[j][k]}",
+                    f"d({i},{k})={d(i, k)} > d({i},{j})+d({j},{k})={d(i, j)}+{d(j, k)}",
                 )
         if exact:
             raise AssertionError(f"packed triangle test failed row pair ({i}, {j}) without a witness")
@@ -109,18 +115,22 @@ def _packed_triangle_failures(m: list[list[int]], bound: int):
     every entry in [0, top], s lies in [-top, 2*top + bound], and w keeps
     2*top + bound below 2**(w-1); so every field lies in [0, 2**w), no
     field borrows from its neighbour, and its top bit is set exactly when
-    s >= 0, that is, when the triangle (i, j, k) holds.
+    s >= 0, that is, when the triangle (i, j, k) holds.  A field of w <= 8
+    bits is widened to a byte, so a row packs at C speed as its bytes.
     """
     n = len(m)
     w = (2 * max(map(max, m), default=0) + bound).bit_length() + 1
+    if w <= 8:
+        w, packed = 8, [int.from_bytes(bytes(row), "little") for row in m]
+    else:
+        packed = [sum(d << (w * k) for k, d in enumerate(row)) for row in m]
     ones = sum(1 << (w * k) for k in range(n))
     high = ones << (w - 1)
-    packed = [sum(d << (w * k) for k, d in enumerate(row)) for row in m]
     lifted = [p + bound * ones + high for p in packed]
     for i, row in enumerate(m):
-        neg = -packed[i]
+        step = {dij: dij * ones - packed[i] for dij in set(row)}
         for j, dij in enumerate(row):
-            if (lifted[j] + dij * ones + neg) & high != high:
+            if (lifted[j] + step[dij]) & high != high:
                 yield i, j
 
 
@@ -204,19 +214,23 @@ def _distance_codes(factors: Sequence[FiniteMetricSpace]) -> tuple[list[tuple], 
     return list(itertools.product(*sets)), codes
 
 
-def product_metric(spec: ProductSpec) -> tuple[list[tuple[str, ...]], list[list]]:
+def product_metric(spec: ProductSpec, *, values=None) -> tuple[list[tuple[str, ...]], list[list]]:
     """Candidate distance matrix on the product point set.
 
     Entry (p, q) is the combiner applied to the coordinate distances.
     The combiner is called once per tuple of the factor distance grid,
     in ``itertools.product`` order, and entry (p, q) reads its value at
-    the pair's grid index (:func:`_distance_codes`).  The result is not
-    guaranteed to satisfy the metric axioms; pair it with
+    the pair's grid index (:func:`_distance_codes`); given a list values,
+    the rows are these indices and the table is appended to values.  The
+    result is not guaranteed to satisfy the metric axioms; pair it with
     :func:`verify_metric`.
     """
     grid, codes = _distance_codes(spec.factors)
     table = [_apply_combiner(spec.combiner, tup) for tup in grid]
-    return product_labels(spec.factors), [[table[c] for c in row] for row in codes]
+    if values is not None:
+        values.extend(table)
+        return product_labels(spec.factors), codes
+    return product_labels(spec.factors), [list(map(table.__getitem__, row)) for row in codes]
 
 
 class DistanceIncreaseViolation(Record):
@@ -235,7 +249,8 @@ def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...]):
 
     A pair is two product labels.  Pairs are scanned row by row over
     i <= j, lazily, so a caller that stops early reads no further.  A
-    pair is keyed on its grid index (:func:`_distance_codes`) and entry.
+    pair's entry is compared by ``in`` (identity first) with the entries
+    met at its grid index (:func:`_distance_codes`).
     """
     grid, codes = _distance_codes(factors)
     n = len(codes)
@@ -245,13 +260,13 @@ def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...]):
         if len(row) != n:
             raise IsoprodError(f"product of factor sizes is {n} but row {i} has {len(row)} entries")
     labels = product_labels(factors)
-    seen = set()
+    met = [[] for _ in grid]  # per grid index, the entries met with it
     for i, (code_row, row) in enumerate(zip(codes, matrix)):
         for j in range(i, n):
-            key = (code_row[j], row[j])
-            if key not in seen:
-                seen.add(key)
-                yield (grid[code_row[j]], row[j]), (labels[i], labels[j])
+            entries, v = met[code_row[j]], row[j]
+            if v not in entries:
+                entries.append(v)
+                yield (grid[code_row[j]], v), (labels[i], labels[j])
 
 
 def is_distance_increasing(

@@ -59,11 +59,11 @@ def _point_witness(pair) -> list:
     return [format_point(p) for p in pair]
 
 
-def _metric_axioms_entry(matrix, tol, label_of) -> dict:
-    """The metric-axioms verdict; a violation names its points by label_of(index)."""
+def _metric_axioms_entry(matrix, tol, label_of, values) -> dict:
+    """The metric-axioms verdict of a matrix of codes into values; a violation names its points by label_of(index)."""
     from .metric import verify_metric
 
-    ok, violation = verify_metric(matrix, tol)
+    ok, violation = verify_metric(matrix, tol, values=values)
     entry = {"check": "metric-axioms", "ok": ok}
     if violation is not None:
         entry["witness"] = {
@@ -132,11 +132,12 @@ def _run_envelope(args, inputs):
 def _run_verify_metric(args, inputs):
     from .fileio import load_matrix, parse_rational
 
-    labels, matrix = _load(functools.partial(load_matrix, square=True), args.space, inputs)
+    values = []
+    labels, codes = _load(functools.partial(load_matrix, square=True, values=values), args.space, inputs)
     tol = parse_rational(args.tol)  # exact: nan and infinities are input errors
     if tol < 0:
         raise OutOfRangeError(f"the tolerance must be nonnegative, got {args.tol}")
-    return [_metric_axioms_entry(matrix, tol, labels.__getitem__)]
+    return [_metric_axioms_entry(codes, tol, labels.__getitem__, values)]
 
 
 def _load_product_inputs(args, inputs):
@@ -167,11 +168,12 @@ def _run_product(args, inputs):
     from .metric import product_metric
 
     spec = _load_product_inputs(args, inputs)
-    labels, matrix = product_metric(spec)
-    verdicts = [{"check": "product-matrix", "ok": True, "matrix": matrix_jsonable(labels, matrix)}]
+    table = []  # the combiner's value at each grid index; the matrix holds the indices
+    labels, codes = product_metric(spec, values=table)
+    verdicts = [{"check": "product-matrix", "ok": True, "matrix": matrix_jsonable(labels, codes, values=table)}]
     if args.verify:
         tol = 0 if getattr(spec.combiner, "exact", True) else 1e-12
-        verdicts.append(_metric_axioms_entry(matrix, tol, lambda i: "|".join(labels[i])))
+        verdicts.append(_metric_axioms_entry(codes, tol, lambda i: "|".join(labels[i]), table))
     return verdicts
 
 

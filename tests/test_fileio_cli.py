@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -184,6 +185,48 @@ def test_loader_error_texts_are_pinned(tmp_path):
     with pytest.raises(LoadError) as info:
         fileio.load_sampled_function(csv_path)
     assert str(info.value) == f"{csv_path}:2: bad rational '1/0': Fraction(1, 0)"
+
+
+# JSON entries that hash or compare alike (1, true, 1.0), that no dict can key (arrays, objects), and
+# strings good and bad; the good strings come most often, so many matrices load
+MATRIX_ENTRIES = ["1", "1", "2", "1/2", "0", "0", "2/4", 1, 2, 0, True, False, 1.0, 0.5, None, ["1"], {"1": 1}, "x", "1/0"]
+
+
+def test_load_matrix_keeps_json_types_apart_and_errors_row_major(tmp_path):
+    # the loader codes a matrix of strings by value: it must load what parsing each entry in
+    # row-major order loads, or raise that parse's first error
+    rng, outcomes = random.Random(2020), Counter()
+    for k in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice(MATRIX_ENTRIES[:7] if rng.random() < 0.6 else MATRIX_ENTRIES) for _ in range(n)]
+                for _ in range(n)]
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps({"dist": rows}))
+        try:
+            expected = [[fileio.parse_rational(v) for v in row] for row in rows]
+        except LoadError as exc:
+            expected = f"{path}: {exc}"
+        for values in (None, []):
+            try:
+                _, dist = fileio.load_matrix(path, values=values)
+            except LoadError as exc:
+                dist = str(exc)
+            if values is not None and not isinstance(dist, str):
+                dist = [[values[c] for c in row] for row in dist]
+            assert dist == expected, rows
+            if not isinstance(dist, str):
+                assert {type(v) for row in dist for v in row} == {F}
+        outcomes[expected.partition(": ")[2] if isinstance(expected, str) else "loaded"] += 1
+    assert outcomes["loaded"] >= 50
+    assert {"expected a rational, got boolean True", "expected a rational string, got 1.0",
+            "expected a rational string, got None", "expected a rational string, got ['1']",
+            "expected a rational string, got {'1': 1}", "bad rational '1/0': Fraction(1, 0)"} <= set(outcomes)
+    # a matrix of JSON integers loads as its string twin does
+    numbers = [[0, 3, 12], [3, 0, 9], [12, 9, 0]]
+    twins = [tmp_path / "ints.json", tmp_path / "strings.json"]
+    twins[0].write_text(json.dumps({"dist": numbers}))
+    twins[1].write_text(json.dumps({"dist": [[str(v) for v in row] for row in numbers]}))
+    assert fileio.load_matrix(twins[0]) == fileio.load_matrix(twins[1]) == (["0", "1", "2"], numbers)
 
 
 def line(*entries, n=1, T="1", h="1"):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from oracles import (
     product_conflict,
     product_pairs,
 )
+from isoprod import fileio, metric
 from isoprod.combiners import COMBINER_NAMES, named_combiner
 from isoprod.errors import (
     CombinerDomainGapError,
@@ -40,6 +42,7 @@ from isoprod.metric import (
 )
 from isoprod.points import PointN, point
 from isoprod.sampled import SampledFunction
+from isoprod.verbs import dispatch
 
 
 def two_point_space(name, d):
@@ -130,8 +133,8 @@ def _candidate_matrices(seed, count):
         yield matrix, tol
 
 
-def _library_violation(matrix, tol):
-    ok, violation = verify_metric(matrix, tol)
+def _library_violation(matrix, tol, **values):
+    ok, violation = verify_metric(matrix, tol, **values)
     return None if ok else (violation.kind, violation.indices, violation.detail)
 
 
@@ -152,6 +155,56 @@ def test_verify_metric_agrees_with_direct_scan():
     assert kinds["metric", True] >= 250
     assert kinds["metric", False] >= 20  # n = 0 and n = 1
     assert {"symmetry", "identity", "error"} <= {kind for kind, _ in kinds}
+
+
+def _coded(matrix, rng):
+    """values and codes with values[codes[i][j]] == matrix[i][j]: either each distinct value once
+    (its first object, so an int may stand for an equal Fraction) or one code per entry, shuffled."""
+    if rng.random() < 0.5:
+        index = {}
+        codes = [[index.setdefault(v, len(index)) for v in row] for row in matrix]
+        return list(index), codes
+    n = len(matrix)
+    order = list(range(n * n))
+    rng.shuffle(order)
+    values = [None] * (n * n)
+    for k, v in zip(order, itertools.chain.from_iterable(matrix)):
+        values[k] = v
+    return values, [order[i * n:(i + 1) * n] for i in range(n)]
+
+
+def test_verify_metric_on_codes_and_the_verb_agree_with_direct_scan(tmp_path, monkeypatch):
+    # 300 candidates, about 1 s: verify_metric on codes, and each exact matrix as a file through
+    # verify-metric, against the direct scan; the packed test runs with byte fields and wider ones
+    packed, widths = metric._packed_triangle_failures, set()
+
+    def recording(m, bound):
+        widths.add(2 * max(map(max, m), default=0) + bound < 2 ** 7)  # fields of w <= 8 bits
+        return packed(m, bound)
+
+    monkeypatch.setattr(metric, "_packed_triangle_failures", recording)
+    rng, kinds = random.Random(9191), Counter()
+    for k, (matrix, tol) in enumerate(_candidate_matrices(9090, 300)):
+        expected = _outcome(metric_violation, matrix, tol)
+        values, codes = _coded(matrix, rng)
+        coded = _outcome(lambda _, t: _library_violation(codes, t, values=values), matrix, tol)
+        assert coded == _outcome(_library_violation, matrix, tol) == expected
+        if any(isinstance(v, float) for row in matrix for v in row):
+            continue
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps({"dist": [[fileio.format_rational(v) for v in row] for row in matrix]}))
+        code, report = dispatch(["verify-metric", "--space", str(path), "--tol", fileio.format_rational(tol)])
+        kinds[expected[0] if expected else "metric"] += 1
+        if expected and expected[0] == "error":
+            assert (code, report["error"]) == (2, f"ValueError: {expected[1]}")
+            continue
+        (verdict,) = report["verdicts"]
+        assert (code, verdict["ok"]) == (1, False) if expected else (0, True)
+        if expected:
+            witness = verdict["witness"]
+            assert (witness["kind"], tuple(map(int, witness["labels"])), witness["detail"]) == expected
+    assert widths == {True, False}
+    assert min(kinds[kind] for kind in ("metric", "triangle", "symmetry", "identity", "error")) >= 3
 
 
 def test_product_metric_agrees_with_per_pair_combiner():
@@ -178,6 +231,63 @@ def test_product_metric_agrees_with_per_pair_combiner():
             for pair, tup, value in product_pairs(matrix, factors):
                 assert value == F(apply(tup)), (combiner, pair)
             assert all(row == list(col) for row, col in zip(matrix, zip(*matrix)))
+
+
+def _product_argv(paths, combiner, cap, verify):
+    factors = [arg for path in paths for arg in ("--factor", str(path))]
+    if isinstance(combiner, str):
+        use = ["--combiner", combiner, "--cap", fileio.format_rational(cap)]
+    else:
+        use = ["--combiner-file", str(combiner)]
+    return ["product", *factors, *use, *(["--verify"] if verify else [])]
+
+
+def test_product_verb_matches_the_nested_row_report(tmp_path, monkeypatch):
+    # the product report, coded, equals one built from the nested rows: the matrix as
+    # matrix_jsonable writes the rows, and verify_metric's verdict on them
+    packed, kernel_calls, running = metric._packed_triangle_failures, Counter(), {}
+
+    def recording(m, bound):
+        if len(m) == running.get("size"):  # the product matrix, not a factor being loaded
+            kernel_calls[running["combiner"]] += 1
+        return packed(m, bound)
+
+    monkeypatch.setattr(metric, "_packed_triangle_failures", recording)
+    rng, outcomes = random.Random(4242), Counter()
+    for trial in range(8):
+        # collinear triples fail SQUARE_SUM's triangles; the product outgrows every factor
+        factors = [line_space([0, 1, 2]), line_space([0, 1]),
+                   *(random_metric_space(rng, max_points=3) for _ in range(rng.randint(0, 2)))]
+        paths = [tmp_path / f"t{trial}f{k}.json" for k in range(len(factors))]
+        for space, path in zip(factors, paths):
+            fileio.dump_metric_space(space, path)
+        grid = itertools.product(*(sp.distance_set() for sp in factors))
+        values = {PointN(tup): F(rng.randint(0, 9), rng.choice([1, 3])) for tup in grid}
+        values[PointN((0,) * len(factors))] = F(0)
+        sampled = SampledFunction(values)
+        sampled_path = tmp_path / f"t{trial}c.json"
+        fileio.dump_sampled_function(sampled, sampled_path)
+        cap = F(rng.randint(1, 8), 2)
+        for combiner_name in (*COMBINER_NAMES, "sampled"):
+            combiner = sampled if combiner_name == "sampled" else named_combiner(combiner_name, cap)
+            labels, matrix = product_metric(ProductSpec(tuple(factors), combiner))
+            running.update(size=len(labels), combiner=combiner_name)
+            for verify in (False, True):
+                target = sampled_path if combiner_name == "sampled" else combiner_name
+                code, report = dispatch(_product_argv(paths, target, cap, verify))
+                expected = [{"check": "product-matrix", "ok": True, "matrix": fileio.matrix_jsonable(labels, matrix)}]
+                if verify:
+                    ok, violation = verify_metric(matrix, 1e-12 if combiner_name == "SQRT_SUM_SQ" else 0)
+                    expected.append({"check": "metric-axioms", "ok": ok})
+                    if violation is not None:
+                        expected[1]["witness"] = {"kind": violation.kind, "detail": violation.detail,
+                                                  "labels": ["|".join(labels[i]) for i in violation.indices]}
+                    outcomes[ok] += 1
+                assert (code, report["verdicts"]) == (0 if all(v["ok"] for v in expected) else 1, expected)
+            if combiner_name == "SQRT_SUM_SQ":  # JSON floats, and the float scan
+                assert all(isinstance(v, float) for row in report["verdicts"][0]["matrix"]["dist"] for v in row)
+    assert kernel_calls["SQRT_SUM_SQ"] == 0 and kernel_calls["SUM"] == 2 * 8  # the verb's and the reference's
+    assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
 def test_finite_metric_space_validation():
@@ -332,42 +442,63 @@ def _perturbed_products(seed, count):
         yield factors, matrix
 
 
+def _extract_agrees(factors, matrix):
+    """extract_product_function against a direct i <= j scan: its values, or its conflict pairs and
+    message; whether the matrix was a product."""
+    conflict = product_conflict(matrix, factors)
+    if conflict is None:
+        extracted = extract_product_function(matrix, factors)
+        for _, tup, value in product_pairs(matrix, factors):
+            assert extracted.value(PointN(tup)) == value
+        return True
+    pair_a, pair_b, tup, val_a, val_b = conflict
+    with pytest.raises(NotWellDefinedError) as err:
+        extract_product_function(matrix, factors)
+    assert (err.value.pair_a, err.value.pair_b) == (pair_a, pair_b)
+    assert str(err.value) == (
+        f"pairs {pair_a} and {pair_b} share the distance tuple {PointN(tup)} "
+        f"but have distances {val_a} and {val_b}"
+    )
+    return False
+
+
+def _distance_increasing_agrees(factors, matrix):
+    """is_distance_increasing against the direct scan of first-realizing pairs; its verdict."""
+    expected = distance_increase_violation(matrix, factors)
+    ok, violation = is_distance_increasing(matrix, factors)
+    assert ok == (expected is None)
+    if violation is not None:
+        assert (
+            violation.small_pair, violation.large_pair,
+            violation.small_tuple, violation.large_tuple,
+            violation.small_value, violation.large_value,
+        ) == expected
+    return ok
+
+
 def test_extract_agrees_with_direct_pair_scan():
     # the conflict pairs and message against a direct i <= j scan
-    outcomes = set()
-    for factors, matrix in _perturbed_products(5150, 220):
-        conflict = product_conflict(matrix, factors)
-        outcomes.add(conflict is None)
-        if conflict is None:
-            extracted = extract_product_function(matrix, factors)
-            for _, tup, value in product_pairs(matrix, factors):
-                assert extracted.value(PointN(tup)) == value
-            continue
-        pair_a, pair_b, tup, val_a, val_b = conflict
-        with pytest.raises(NotWellDefinedError) as err:
-            extract_product_function(matrix, factors)
-        assert (err.value.pair_a, err.value.pair_b) == (pair_a, pair_b)
-        assert str(err.value) == (
-            f"pairs {pair_a} and {pair_b} share the distance tuple {PointN(tup)} "
-            f"but have distances {val_a} and {val_b}"
-        )
+    outcomes = {_extract_agrees(factors, matrix) for factors, matrix in _perturbed_products(5150, 220)}
     assert outcomes == {True, False}
 
 
 def test_distance_increasing_agrees_with_direct_pair_scan():
-    outcomes = set()
-    for factors, matrix in _perturbed_products(6160, 220):
-        expected = distance_increase_violation(matrix, factors)
-        ok, violation = is_distance_increasing(matrix, factors)
-        assert ok == (expected is None)
-        outcomes.add(ok)
-        if violation is not None:
-            assert (
-                violation.small_pair, violation.large_pair,
-                violation.small_tuple, violation.large_tuple,
-                violation.small_value, violation.large_value,
-            ) == expected
+    outcomes = {_distance_increasing_agrees(factors, matrix) for factors, matrix in _perturbed_products(6160, 220)}
     assert outcomes == {True, False}
+
+
+def test_pair_scans_compare_entries_by_value_not_identity():
+    # equal entries as distinct objects, integral ones as int or Fraction at random: the
+    # scans' entry comparison is identity first, and must still fall back to equality
+    rng = random.Random(7171)
+    outcomes = set()
+    for factors, matrix in _perturbed_products(7170, 160):
+        fresh = [[v.numerator if v.denominator == 1 and rng.random() < 0.5 else F(v.numerator, v.denominator)
+                  for v in row] for row in matrix]
+        assert fresh == matrix
+        outcomes.add((_extract_agrees(factors, fresh), _distance_increasing_agrees(factors, fresh)))
+    assert {True, False} <= {extractable for extractable, _ in outcomes}
+    assert {True, False} <= {increasing for _, increasing in outcomes}
 
 
 def test_metric_preserving_verdict():

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
-from operator import eq, ge, lt
+from operator import eq
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
@@ -72,9 +71,9 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
     def d(i, j):  # an entry as given, for the witness texts
         return values[matrix[i][j]]
 
-    if any(map(lt, ints, itertools.repeat(0))):
+    if any(v < 0 for v in ints):
         for i, row in enumerate(m):
-            if any(map(lt, row, itertools.repeat(0))):
+            if any(v < 0 for v in row):
                 raise ValueError(f"negative entry at ({i}, {[v < 0 for v in row].index(True)})")
     if not (bound >= 0 and all(map(eq, m, map(list, zip(*m))))):  # a symmetric matrix differs by 0 only
         for i in range(n):
@@ -84,7 +83,7 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
     for i in range(n):
         if m[i][i] > bound:
             return False, MetricViolation("identity", (i, i), f"d({i},{i})={d(i, i)} != 0")
-    vanishing = set(filter(partial(ge, bound), ints))
+    vanishing = {v for v in ints if v <= bound}
     for i, row in enumerate(m):
         if sum(map(row.count, vanishing)) > (row[i] <= bound):  # an entry off the diagonal vanishes
             j = next(j for j, v in enumerate(row) if j != i and v <= bound)

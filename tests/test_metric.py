@@ -174,7 +174,7 @@ def _coded(matrix, rng):
 
 
 def test_verify_metric_on_codes_and_the_verb_agree_with_direct_scan(tmp_path, monkeypatch):
-    # 300 candidates, about 1 s: verify_metric on codes, and each exact matrix as a file through
+    # 250 candidates, about 1 s: verify_metric on codes, and each exact matrix as a file through
     # verify-metric, against the direct scan; the packed test runs with byte fields and wider ones
     packed, widths = metric._packed_triangle_failures, set()
 
@@ -184,7 +184,7 @@ def test_verify_metric_on_codes_and_the_verb_agree_with_direct_scan(tmp_path, mo
 
     monkeypatch.setattr(metric, "_packed_triangle_failures", recording)
     rng, kinds = random.Random(9191), Counter()
-    for k, (matrix, tol) in enumerate(_candidate_matrices(9090, 300)):
+    for k, (matrix, tol) in enumerate(_candidate_matrices(9090, 250)):
         expected = _outcome(metric_violation, matrix, tol)
         values, codes = _coded(matrix, rng)
         coded = _outcome(lambda _, t: _library_violation(codes, t, values=values), matrix, tol)
@@ -199,7 +199,7 @@ def test_verify_metric_on_codes_and_the_verb_agree_with_direct_scan(tmp_path, mo
             assert (code, report["error"]) == (2, f"ValueError: {expected[1]}")
             continue
         (verdict,) = report["verdicts"]
-        assert (code, verdict["ok"]) == (1, False) if expected else (0, True)
+        assert (code, verdict["ok"]) == ((1, False) if expected else (0, True))
         if expected:
             witness = verdict["witness"]
             assert (witness["kind"], tuple(map(int, witness["labels"])), witness["detail"]) == expected

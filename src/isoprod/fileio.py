@@ -226,16 +226,8 @@ def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:
 
 def matrix_jsonable(labels: Sequence, matrix, *, values=None) -> dict:
     """The matrix file object; given values, the rows are indices into it, each value written once."""
-    texts = {}  # a product matrix holds few distinct values; an int pair hashes cheaper than a Fraction
-
     def entry(v):
-        if not isinstance(v, (Fraction, int)):
-            return float(v)
-        key = (v.numerator, v.denominator)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = format_rational(v)
-        return text
+        return format_rational(v) if isinstance(v, (Fraction, int)) else float(v)
 
     if values is not None:
         entry = list(map(entry, values)).__getitem__

@@ -9,8 +9,9 @@ rational entries and an exact tolerance (the ``verify-metric --tol``
 option); only float entries or a float tolerance, which the inexact
 Euclidean-style combiner needs, are compared in floating point.
 
-Products, and the scans that take them apart, read each pair's distance
-tuple as its grid index in ``itertools.product(*distance sets)``.
+A :class:`FiniteMetricSpace` ranks its entries in its sorted distance set
+once, when it is built; products, and the scans that take them apart, read
+those ranks as each pair's grid index in ``itertools.product(*distance sets)``.
 """
 
 from __future__ import annotations
@@ -44,15 +45,18 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
     d(i,k) <= d(i,j) + d(j,k) may then exceed by up to tol; tol = 0 (the
     default) is the exact check.
 
-    With values, entry (i, j) is values[matrix[i][j]]; without, the matrix
-    is its own value list.  Exact values and an exact tol are scaled to
-    integers together, each row is read as ints through its codes, and
-    the triangles (i, j, .) of one row pair are asked at once: with every
-    row packed into one int, one field per column, a sum and a mask over
-    rows i and j test every k (see :func:`_packed_triangle_failures`).
-    Only the first failing pair is scanned over k for its witness.  Float
-    entries or a float tol (the inexact SQRT_SUM_SQ closed form) scan
-    every pair over k.
+    With values, entry (i, j) is values[matrix[i][j]], coded by whoever made
+    the matrix (a FiniteMetricSpace by rank, a loaded file by distinct
+    string, a product by grid index); without, the matrix is its own value
+    list.  Exact values and an exact tol are scaled to integers together,
+    each row is read as ints through its codes, and the triangles (i, j, .)
+    of one row pair are asked at once: with every row packed into one int,
+    one field per column, a sum and a mask over rows i and j test every k
+    (see :func:`_packed_triangle_failures`).  Only the first failing pair is
+    scanned over k for its witness.  Float entries or a float tol (the
+    inexact SQRT_SUM_SQ closed form) scan every pair over k.  After the
+    square and negative-entry checks, a nan or negative tol and a nan or
+    infinite entry raise ValueError.
     """
     n = len(matrix)
     for row in matrix:
@@ -75,7 +79,12 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
         for i, row in enumerate(m):
             if any(v < 0 for v in row):
                 raise ValueError(f"negative entry at ({i}, {[v < 0 for v in row].index(True)})")
-    if not (bound >= 0 and all(map(eq, m, map(list, zip(*m))))):  # a symmetric matrix differs by 0 only
+    if not tol >= 0:
+        raise ValueError(f"the tolerance must be a nonnegative number, got {tol}")
+    if not (exact or all(-math.inf < v < math.inf for v in values)):  # exact values are finite
+        i, j = next((i, j) for i in range(n) for j in range(n) if not -math.inf < d(i, j) < math.inf)
+        raise ValueError(f"entry at ({i}, {j}) is not a finite number: {d(i, j)}")
+    if not all(map(eq, m, map(list, zip(*m)))):  # a symmetric matrix differs by 0 only
         for i in range(n):
             for j in range(i + 1, n):
                 if abs(m[i][j] - m[j][i]) > bound:
@@ -134,7 +143,7 @@ def _packed_triangle_failures(m: list[list[int]], bound: int):
 
 
 class FiniteMetricSpace(Record):
-    """Labeled points with an exact distance matrix, validated on construction."""
+    """Labeled points with an exact distance matrix, ranked in its distance set and validated on construction."""
 
     labels: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
@@ -146,10 +155,16 @@ class FiniteMetricSpace(Record):
         rows = tuple(tuple(rat(v) for v in row) for row in dist)
         if len(rows) != len(labels):
             raise InvalidMetricError(f"{len(labels)} labels but {len(rows)} matrix rows")
-        ok, violation = verify_metric(rows)
+        entries = {id(v): v for row in rows for v in row}  # each distinct object is hashed once
+        distances = tuple(sorted(set(entries.values())))
+        by_value = dict(zip(distances, range(len(distances))))  # equal objects share a rank
+        rank = {key: by_value[v] for key, v in entries.items()}.__getitem__
+        ranks = [list(map(rank, map(id, row))) for row in rows]
+        ok, violation = verify_metric(ranks, values=distances)
         if not ok:
             raise InvalidMetricError(f"not a metric: {violation.detail}")
         super().__init__(labels, rows)
+        self.__dict__.update(_distances=distances, _ranks=ranks)
 
     @property
     def size(self) -> int:
@@ -159,18 +174,15 @@ class FiniteMetricSpace(Record):
         return self.dist[i][j]
 
     def distance_set(self) -> tuple[Fraction, ...]:
-        """All realized distances, sorted, always containing 0."""
-        return tuple(sorted({v for row in self.dist for v in row}))
-
-
-CombinerLike = Union[Combiner, SampledFunction]
+        """All realized distances, sorted, always containing 0 (made on construction)."""
+        return self._distances
 
 
 class ProductSpec(Record):
     """Factor spaces plus the combiner applied to coordinate distances."""
 
     factors: tuple[FiniteMetricSpace, ...]
-    combiner: CombinerLike
+    combiner: Union[Combiner, SampledFunction]
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -186,13 +198,6 @@ class ProductSpec(Record):
                     raise CombinerDomainGapError(f"sampled combiner lacks distance tuple {PointN(tup)}")
 
 
-def _apply_combiner(combiner: CombinerLike, values: tuple[Fraction, ...]):
-    if isinstance(combiner, SampledFunction):
-        # ProductSpec checked that every distance tuple is a sample point
-        return combiner.value(PointN(values))
-    return combiner(values)
-
-
 def product_labels(factors: Sequence[FiniteMetricSpace]) -> list[tuple[str, ...]]:
     return list(itertools.product(*(sp.labels for sp in factors)))
 
@@ -200,17 +205,15 @@ def product_labels(factors: Sequence[FiniteMetricSpace]) -> list[tuple[str, ...]
 def _distance_codes(factors: Sequence[FiniteMetricSpace]) -> tuple[list[tuple], list[list[int]]]:
     """The factor distance grid, and codes[p][q], the grid index of the pair's distance tuple.
 
-    Each factor distance is coded by its index in its factor's distance set
+    Each factor distance is coded by its rank in its factor's distance set
     times the grid size of the factors after it; a pair's code is their sum.
     """
-    sets = [sp.distance_set() for sp in factors]
     codes, stride = [[0]], 1  # grid codes of the factors after the current one
-    for sp, dists in zip(reversed(factors), reversed(sets)):
-        code = {d: c * stride for c, d in enumerate(dists)}
-        coded = [[code[d] for d in row] for row in sp.dist]
+    for sp in reversed(factors):
+        coded = [[rank * stride for rank in row] for row in sp._ranks]
         codes = [[x + y for x in head for y in tail] for head in coded for tail in codes]
-        stride *= len(dists)
-    return list(itertools.product(*sets)), codes
+        stride *= len(sp.distance_set())
+    return list(itertools.product(*(sp.distance_set() for sp in factors))), codes
 
 
 def product_metric(spec: ProductSpec, *, values=None) -> tuple[list[tuple[str, ...]], list[list]]:
@@ -225,7 +228,10 @@ def product_metric(spec: ProductSpec, *, values=None) -> tuple[list[tuple[str, .
     :func:`verify_metric`.
     """
     grid, codes = _distance_codes(spec.factors)
-    table = [_apply_combiner(spec.combiner, tup) for tup in grid]
+    if isinstance(spec.combiner, SampledFunction):  # ProductSpec checked that every distance tuple is a sample point
+        table = [spec.combiner.value(PointN(tup)) for tup in grid]
+    else:
+        table = list(map(spec.combiner, grid))
     if values is not None:
         values.extend(table)
         return product_labels(spec.factors), codes
@@ -243,15 +249,14 @@ class DistanceIncreaseViolation(Record):
     large_value: Fraction
 
 
-def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...]):
-    """Yield each (distance tuple, entry) with the first product pair realizing it.
+def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...], codes: list[list[int]]):
+    """Yield each (grid index, entry) with the first product pair realizing it.
 
-    A pair is two product labels.  Pairs are scanned row by row over
-    i <= j, lazily, so a caller that stops early reads no further.  A
-    pair's entry is compared by ``in`` (identity first) with the entries
-    met at its grid index (:func:`_distance_codes`).
+    A pair is two product labels, and codes[p][q] its grid index.  Pairs are
+    scanned row by row over i <= j, lazily, so a caller that stops early
+    reads no further.  A pair's entry is compared by ``in`` (identity first)
+    with the entries met at its grid index (:func:`_distance_codes`).
     """
-    grid, codes = _distance_codes(factors)
     n = len(codes)
     if len(matrix) != n:
         raise IsoprodError(f"product of factor sizes is {n} but the matrix has {len(matrix)} rows")
@@ -259,26 +264,29 @@ def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...]):
         if len(row) != n:
             raise IsoprodError(f"product of factor sizes is {n} but row {i} has {len(row)} entries")
     labels = product_labels(factors)
-    met = [[] for _ in grid]  # per grid index, the entries met with it
+    met = [[] for _ in range(math.prod(len(sp.distance_set()) for sp in factors))]  # per grid index, the entries met
     for i, (code_row, row) in enumerate(zip(codes, matrix)):
         for j in range(i, n):
             entries, v = met[code_row[j]], row[j]
             if v not in entries:
                 entries.append(v)
-                yield (grid[code_row[j]], v), (labels[i], labels[j])
+                yield (code_row[j], v), (labels[i], labels[j])
 
 
 def is_distance_increasing(
     matrix, factors: Sequence[FiniteMetricSpace]
 ) -> tuple[bool, Optional[DistanceIncreaseViolation]]:
     """Check monotonicity of the product distance in the tuple of coordinate distances."""
-    records = dict(_first_pairs(matrix, tuple(factors)))
-    keys = list(records)
-    inversion = first_inversion([tup for tup, _ in keys], [val for _, val in keys])
+    factors = tuple(factors)
+    grid, codes = _distance_codes(factors)
+    records = list(_first_pairs(matrix, factors, codes))
+    ranks = list(itertools.product(*(range(len(sp.distance_set())) for sp in factors)))  # order as the grid does
+    _, ints = scale_to_integers(Fraction(v) for (_, v), _ in records)  # Fraction(v): a float compares exactly
+    inversion = first_inversion([ranks[code] for (code, _), _ in records], ints)
     if inversion is None:
         return True, None
-    small, large = keys[inversion[0]], keys[inversion[1]]  # each a (distance tuple, entry) key
-    return False, DistanceIncreaseViolation(records[small], records[large], small[0], large[0], small[1], large[1])
+    ((small, a), small_pair), ((large, b), large_pair) = records[inversion[0]], records[inversion[1]]
+    return False, DistanceIncreaseViolation(small_pair, large_pair, grid[small], grid[large], a, b)
 
 
 def extract_product_function(
@@ -293,21 +301,21 @@ def extract_product_function(
     distance, and the earliest such record is the first conflict.
     """
     factors = tuple(factors)
-    table: dict[tuple, tuple] = {}  # distance tuple -> (distance, first pair)
-    for (tup, val), pair in _first_pairs(matrix, factors):
-        if tup in table:
-            first_val, first_pair = table[tup]
+    grid, codes = _distance_codes(factors)
+    table: dict[int, tuple] = {}  # grid index -> (distance, first pair)
+    for (code, val), pair in _first_pairs(matrix, factors, codes):
+        if code in table:
+            first_val, first_pair = table[code]
             raise NotWellDefinedError(
                 f"pairs {first_pair} and {pair} share the distance tuple "
-                f"{PointN(tup)} but have distances {first_val} and {rat(val)}",
+                f"{PointN(grid[code])} but have distances {first_val} and {rat(val)}",
                 pair_a=first_pair,
                 pair_b=pair,
             )
-        table[tup] = (rat(val), pair)
-    size = math.prod(len(sp.distance_set()) for sp in factors)
-    if len(table) != size:
-        raise AssertionError(f"{len(table)} of the {size} distance grid tuples realized")
-    return SampledFunction((PointN(tup), val) for tup, (val, _) in table.items())
+        table[code] = (rat(val), pair)
+    if len(table) != len(grid):
+        raise AssertionError(f"{len(table)} of the {len(grid)} distance grid tuples realized")
+    return SampledFunction((PointN(grid[code]), val) for code, (val, _) in table.items())
 
 
 class MetricPreservingReport(Record):

@@ -11,7 +11,8 @@ matrices and extracted combiners), each of those after three seeded mutations
 (:func:`mutated`), and the fixed MALFORMED files.  Paths in the records are
 relative to OUT/inputs, so the whole dispatch diff of a change is: run this
 script once per tree, each with that tree's ``src`` on PYTHONPATH, and
-``diff`` the two reports.txt files.  It takes a few seconds.
+``diff`` the two reports.txt files.  It takes a few seconds, and prints the
+record count and the count of each exit code to stderr.
 
 The mutation helpers are also read by ``test_loader_fuzz.py``; pytest does not
 collect this file.
@@ -24,6 +25,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,6 +184,7 @@ class Corpus:
 
     def __init__(self, out):
         self.out = out
+        self.exit_codes = Counter()  # one per record
 
     def run(self, argv) -> dict:
         """Run argv as JSON and with --csv, write both records and return the JSON report."""
@@ -190,6 +193,7 @@ class Corpus:
             args = ["--csv", *argv] if as_csv else list(argv)
             code, report = dispatch(args)
             report.pop("timing_ms", None)
+            self.exit_codes[code] += 1
             self.out.write(f"$ {' '.join(args)}\n{code}\n{render(report, as_csv=as_csv)}\n")
             reports.append(report)
         return reports[0]
@@ -287,6 +291,8 @@ def main(argv) -> int:
             corpus.read(kind, write(Path("malformed") / name, data), fixed, "(1)")
         for seed in SEEDS:
             _seed(corpus, seed)
+    codes = ", ".join(f"exit {code}: {count}" for code, count in sorted(corpus.exit_codes.items()))
+    print(f"{sum(corpus.exit_codes.values())} records ({codes})", file=sys.stderr)
     return 0
 
 

@@ -40,7 +40,7 @@ from isoprod.metric import (
     unbounded_witness,
     verify_metric,
 )
-from isoprod.points import PointN, point
+from isoprod.points import PointN, first_inversion, point
 from isoprod.sampled import SampledFunction
 from isoprod.verbs import dispatch
 
@@ -79,6 +79,39 @@ def test_verify_metric_tolerance():
     assert ok
     ok, violation = verify_metric(matrix, tol=1e-14)
     assert not ok and violation.kind == "triangle"
+
+
+def test_verify_metric_refuses_what_no_verdict_answers():
+    # a nan or infinite entry and a nan or negative tol raise ValueError, after the square and
+    # negative-entry checks: a nan compares false, so it would pass every check (about 1 ms)
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ([[0.0, nan], [nan, 0.0]], 1e-12, "entry at (0, 1) is not a finite number: nan"),
+        ([[0.0, 1.0], [inf, 0.0]], 1e-12, "entry at (1, 0) is not a finite number: inf"),
+        ([[F(0), F(1)], [F(1), inf]], 0, "entry at (1, 1) is not a finite number: inf"),
+        ([[F(0), F(1)], [F(1), F(0)]], nan, "the tolerance must be a nonnegative number, got nan"),
+        ([[0.0, 5.0], [1.0, 0.0]], nan, "the tolerance must be a nonnegative number, got nan"),
+        ([[F(0), F(1)], [F(1), F(0)]], -1, "the tolerance must be a nonnegative number, got -1"),
+        ([[F(0), F(1)], [F(1), F(0)]], F(-1, 2), "the tolerance must be a nonnegative number, got -1/2"),
+        ([[0.0, 1.0], [1.0, 0.0]], -1e-12, "the tolerance must be a nonnegative number, got -1e-12"),
+        # the earlier checks keep their texts and their precedence
+        ([[0.0, nan], [nan, 0.0], [0.0, 0.0]], nan, "matrix is not square"),
+        ([[0.0, nan], [-1.0, 0.0]], nan, "negative entry at (1, 0)"),
+        ([[0.0, -inf], [nan, 0.0]], 1e-12, "negative entry at (0, 1)"),
+        ([[0.0, nan], [nan, 0.0]], -1, "the tolerance must be a nonnegative number, got -1"),
+    ]
+    for matrix, tol, text in cases:
+        for coded in (False, True):  # nested rows, and the same matrix coded by position
+            values = [v for row in matrix for v in row] if coded else None
+            rows = [range(i * len(row), (i + 1) * len(row)) for i, row in enumerate(matrix)] if coded else matrix
+            with pytest.raises(ValueError) as err:
+                verify_metric(rows, tol, values=values)
+            assert str(err.value) == text
+    # an infinite tol is still a question with an answer (every entry vanishes within it), and
+    # so is a zero one of either type
+    ok, violation = verify_metric([[0.0, 1.0], [2.0, 0.0]], inf)
+    assert not ok and (violation.kind, violation.indices) == ("identity", (0, 1))
+    assert verify_metric([[F(0), F(1)], [F(1), F(0)]], -0.0) == (True, None)
 
 
 def _candidate_matrices(seed, count):
@@ -423,20 +456,22 @@ def test_distance_increasing_iff_extractable_isotone():
         assert increasing
 
 
-def _perturbed_products(seed, count):
-    """Random 1-3 factor products, most with a few entries moved off the combiner."""
+def _perturbed_products(seed, count, combiners=("SUM", "MAX", "CAPPED_SUM", "SQUARE_SUM")):
+    """Random 1-3 factor products, most with a few entries moved off the combiner; a moved
+    entry of an inexact combiner's float matrix is a float."""
     rng = random.Random(seed)
     for _ in range(count):
         factors = tuple(
             random_metric_space(rng, max_points=3) for _ in range(rng.randint(1, 3))
         )
-        combiner = named_combiner(rng.choice(["SUM", "MAX", "CAPPED_SUM", "SQUARE_SUM"]))
+        combiner = named_combiner(rng.choice(combiners))
         _, matrix = product_metric(ProductSpec(factors, combiner))
         n = len(matrix)
         for _ in range(rng.randint(0, 3)):
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
-                matrix[i][j] = F(rng.randint(1, 12), rng.choice([1, 2, 4]))
+                value = F(rng.randint(1, 12), rng.choice([1, 2, 4]))
+                matrix[i][j] = value if combiner.exact else float(value)
                 if rng.random() < 0.7:  # else the matrix is left asymmetric
                     matrix[j][i] = matrix[i][j]
         yield factors, matrix
@@ -482,9 +517,23 @@ def test_extract_agrees_with_direct_pair_scan():
     assert outcomes == {True, False}
 
 
-def test_distance_increasing_agrees_with_direct_pair_scan():
+def test_distance_increasing_agrees_with_direct_pair_scan(monkeypatch):
+    # the exact products, then 80 SQRT_SUM_SQ products of float entries (about 0.04 s more); the
+    # quadratic scan is handed int rank tuples and ints only, a float scaled exactly through Fraction
+    handed = set()
+
+    def recording(keys, values):
+        handed.update(type(x) for key in keys for x in (key, *key))
+        handed.update(map(type, values))
+        return first_inversion(keys, values)
+
+    monkeypatch.setattr(metric, "first_inversion", recording)
     outcomes = {_distance_increasing_agrees(factors, matrix) for factors, matrix in _perturbed_products(6160, 220)}
     assert outcomes == {True, False}
+    floats = [(factors, matrix) for factors, matrix in _perturbed_products(6161, 80, ("SQRT_SUM_SQ",))]
+    assert all(isinstance(v, float) for _, matrix in floats for row in matrix for v in row)
+    assert {_distance_increasing_agrees(factors, matrix) for factors, matrix in floats} == {True, False}
+    assert handed == {tuple, int}
 
 
 def test_pair_scans_compare_entries_by_value_not_identity():
@@ -499,6 +548,62 @@ def test_pair_scans_compare_entries_by_value_not_identity():
         outcomes.add((_extract_agrees(factors, fresh), _distance_increasing_agrees(factors, fresh)))
     assert {True, False} <= {extractable for extractable, _ in outcomes}
     assert {True, False} <= {increasing for _, increasing in outcomes}
+
+
+def test_equal_distances_held_by_distinct_objects_get_one_rank(tmp_path):
+    # "1/2" beside "2/4" and 1 beside "1" load as distinct but equal objects, and so do int, str
+    # and Fraction entries built in-process; each distance must get one rank, or the distance
+    # set, the product verb and its verdict, extract and is_distance_increasing part from the
+    # oracles.  About 0.05 s.
+    labels = ["a0", "a1", "a2"]
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps({"labels": labels, "dist": [["0", "1/2", 1], ["2/4", "0", "1/2"], ["1", "2/4", 0]]}))
+    loaded = fileio.load_metric_space(path)
+    built = FiniteMetricSpace(labels, [[0, F(1, 2), 1], ["2/4", F(0), "1/2"], [F(1), F(2, 4), "0"]])
+    assert loaded == built and loaded.distance_set() == built.distance_set() == (F(0), F(1, 2), F(1))
+    line = line_space([0, 1])
+    line_path = tmp_path / "line.json"
+    fileio.dump_metric_space(line, line_path)
+    checked, rng = Counter(), random.Random(2121)
+    for factors, paths in (((loaded,), [path]), ((loaded, line), [path, line_path]), ((line, loaded), [line_path, path])):
+        for name in ("SUM", "MAX", "SQUARE_SUM"):
+            combiner = named_combiner(name)
+            code, report = dispatch(_product_argv(paths, name, 1, True))
+            text = report["verdicts"][0]["matrix"]
+            matrix = [[F(v) for v in row] for row in text["dist"]]
+            grid = set(itertools.product(*(sp.distance_set() for sp in factors)))
+            assert {tup for _, tup, _ in product_pairs(matrix, factors)} == grid
+            index = {label: k for k, label in enumerate(text["labels"])}
+            for (p, q), tup, value in product_pairs(matrix, factors):
+                assert value == combiner(tup) == matrix[index["|".join(q)]][index["|".join(p)]]
+            expected = metric_violation(matrix)
+            assert (code, report["verdicts"][1]["ok"]) == ((1, False) if expected else (0, True))
+            if expected:
+                witness = report["verdicts"][1]["witness"]
+                assert (witness["kind"], tuple(index[label] for label in witness["labels"])) == expected[:2]
+            checked[expected is None] += 1
+            # the matrix file writes half of its 1/2 entries as 2/4; the in-process matrix holds
+            # equal entries as int, Fraction and float objects at random
+            halves = itertools.count()
+            text["dist"] = [[("2/4" if next(halves) % 2 else v) if v == "1/2" else v for v in row]
+                            for row in text["dist"]]
+            product_path = tmp_path / f"product-{len(factors)}-{name}.json"
+            product_path.write_text(json.dumps(text))
+            factor_args = [arg for p in paths for arg in ("--factor", str(p))]
+            code, report = dispatch(["extract", "--product", str(product_path), *factor_args])
+            assert code == 0 and product_conflict(matrix, factors) is None
+            entries = report["verdicts"][0]["function"]["entries"]
+            assert {tuple(map(F, e["point"])): F(e["value"]) for e in entries} == {
+                tup: value for _, tup, value in product_pairs(matrix, factors)}
+            for spaces in (factors, tuple(built if sp is loaded else sp for sp in factors)):
+                fresh = [[rng.choice([F(v.numerator, v.denominator), float(v)] + [int(v)] * (v.denominator == 1))
+                          for v in row] for row in matrix]
+                _distance_increasing_agrees(spaces, fresh)
+                _extract_agrees(spaces, [[F(v) for v in row] for row in fresh])
+                inverted = [row[:] for row in fresh]
+                inverted[0][-1] = inverted[-1][0] = F(1, 8)  # the farthest pair, nearer than any other
+                assert not _distance_increasing_agrees(spaces, inverted)
+    assert checked[True] >= 6 and checked[False] >= 1
 
 
 def test_metric_preserving_verdict():

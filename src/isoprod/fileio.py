@@ -289,7 +289,8 @@ def load_metric_space(path: PathLike) -> FiniteMetricSpace:
 
 
 def dump_metric_space(space: FiniteMetricSpace, path: PathLike) -> None:
-    write_canonical_json(path, matrix_jsonable(space.labels, space.dist))
+    # rows of ranks into the distance set: each distinct distance is formatted once
+    write_canonical_json(path, matrix_jsonable(space.labels, space._ranks, values=space.distance_set()))
 
 
 # -- grid functions ----------------------------------------------------

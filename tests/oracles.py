@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from isoprod.points import PointN, axis_vector, leq
 from isoprod.sampled import SampledFunction
@@ -95,7 +95,7 @@ def modulus_enumerate(g, eps: PointN) -> Fraction:
     best = Fraction(0)
     pts = [(idx, g.value_at(idx)) for idx in g.indices()]
     step = g.step
-    limits = [c / step for c in eps.coords]
+    limits = [floor(c / step) for c in eps.coords]  # an int gap is within c / step exactly when within its floor
     for x, gx in pts:
         for y, gy in pts:
             if all(abs(a - b) <= e for a, b, e in zip(x, y, limits)):
@@ -155,13 +155,13 @@ def isotone_pairs_hold(f: SampledFunction) -> bool:
 def difference_bound_enumerate(g):
     """First ordered lattice pair, x-major, with |g(x) - g(y)| > g(|x - y|), or None.
 
-    Scans the full square of index pairs in Fractions.
+    Scans the full square of index pairs in Fractions, each value read once.
     """
-    indices = list(g.indices())
-    for x in indices:
-        for y in indices:
+    value = {idx: g.value_at(idx) for idx in g.indices()}
+    for x in value:
+        for y in value:
             d = tuple(abs(a - b) for a, b in zip(x, y))
-            if abs(g.value_at(x) - g.value_at(y)) > g.value_at(d):
+            if abs(value[x] - value[y]) > value[d]:
                 return g.point(x), g.point(y)
     return None
 

@@ -121,13 +121,20 @@ def bound_test_grid(rng, k, n, cells):
 
 
 def test_difference_bound_agrees_with_full_square_scan():
-    # verdict and witness against the x-major Fraction scan of every ordered pair
+    # verdict and witness against the x-major Fraction scan of every ordered pair; after 240
+    # random shapes of n = 1-3, n = 4, where the shift scan recurses deepest, and lines up to 40 cells
     rng = random.Random(4242)
     cells_of = {1: 8, 2: 4, 3: 2}
+
+    def shapes():
+        for _ in range(240):
+            n = rng.randint(1, 3)
+            yield n, rng.randint(1, cells_of[n])
+        yield from [(4, 1), (4, 2)] * 6 + [(1, cells) for cells in range(9, 41)]
+
     outcomes = set()
-    for k in range(240):
-        n = rng.randint(1, 3)
-        g = bound_test_grid(rng, k, n, rng.randint(1, cells_of[n]))
+    for k, (n, cells) in enumerate(shapes()):
+        g = bound_test_grid(rng, k, n, cells)
         witness = difference_bound_enumerate(g)
         assert difference_bound_holds(g) == (witness is None, witness)
         outcomes.add(witness is None)
@@ -148,13 +155,14 @@ def test_difference_bound_agrees_with_full_square_scan_on_larger_grids():
 
 
 def test_flat_code_table_agrees_with_enumeration_at_every_box():
-    # 152 grids, n = 1-3, cells from 1 up (n = 2 up to 8), values of mixed denominators;
-    # the oracle scans every pair at every box, so the larger shapes are few
+    # 159 grids, n = 1-4, cells from 1 up (n = 1 up to 40, n = 2 up to 8), values of mixed
+    # denominators; the oracle scans every pair at every box, so the larger shapes are few
     rng = random.Random(1203)
     shapes = (
         [(1, cells) for cells in range(1, 21)] * 3
         + [(2, cells) for cells in range(1, 4)] * 17 + [(2, 4), (2, 5), (2, 8)]
         + [(3, 1)] * 30 + [(3, 2)] * 8
+        + [(4, 1)] * 4 + [(4, 2), (1, 30), (1, 40)]
     )
     for n, cells in shapes:
         step = F(1, rng.choice([1, 2, 3]))

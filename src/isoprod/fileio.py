@@ -4,13 +4,16 @@ Rationals travel as strings "p/q" (or "p" for integers) everywhere, so
 reports and fixtures are bit-stable across platforms and locales.  A
 loader parses each distinct string of its file once: a product matrix or
 a lattice file repeats a few values many times.  A matrix is coded to its
-distinct strings at C speed; a lattice file indexes each distinct
-coordinate string once and loads straight to flat lattice codes.
+distinct strings at C speed, and so is a well-formed lattice file, straight
+to flat lattice codes; a faulty one is read entry by entry to name the fault.
+Reports and written files are :func:`indented_json`, ``json.dumps(obj,
+indent=2)`` written by C calls.
 
 A loader checks the JSON type of each object and array before reading
 into it.  An input error names the file once, as ``<file>: <json path>:
 expected ...`` (``f.json: dist[1]: expected an array``) or ``<file>:<line>:``
-in a CSV row; rationals are parsed without a per-entry path.
+in a CSV row.  Rationals are parsed without a per-entry path, except on a
+lattice file's error branch (``g.json: values[1].value: bad rational ...``).
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from operator import add, mul
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import IsoprodError, LoadError
 from .points import PointN
@@ -114,14 +119,34 @@ def file_digest(path: PathLike) -> str:
 _OBJECT, _ARRAY, _INTEGER, _STRING = (dict, "an object"), (list, "an array"), (int, "an integer"), (str, "a string")
 
 
+def _located(message: str, path) -> LoadError:
+    """LoadError('<json path>: message'), path being the keys and indices of a value in its file,
+    as ("dist", 1) for ``dist[1]``; LoadError(message) for the whole file."""
+    where = "".join(f"[{p}]" if p.__class__ is int else f".{p}" for p in path).lstrip(".")
+    return LoadError(f"{where}: {message}" if where else message)
+
+
 def _expect(value, kind, *path):
     """value, if its JSON type is kind (the class json.loads gives it, and its name; a boolean is
-    no integer); else LoadError('<json path>: expected an array'), path being the keys and indices
-    of value in its file, as ("dist", 1) for ``dist[1]``, or none for the whole file."""
+    no integer); else LoadError('<json path>: expected an array'), path being where value is."""
     if value.__class__ is not kind[0]:
-        where = "".join(f"[{p}]" if p.__class__ is int else f".{p}" for p in path).lstrip(".")
-        raise LoadError(f"{where}: expected {kind[1]}" if where else f"expected {kind[1]}")
+        raise _located(f"expected {kind[1]}", path)
     return value
+
+
+def _parsed(parse, value, *path) -> Fraction:
+    """parse(value); a value that is no rational is a LoadError that names its path."""
+    try:
+        return parse(value)
+    except LoadError as exc:
+        raise _located(str(exc), path) from None
+
+
+def _field(obj: dict, key: str, parse, *path) -> Fraction:
+    """The rational at obj[key], obj being at path; a missing key names the path of obj."""
+    if key not in obj:
+        raise _located(f"expected a {json.dumps(key)} key", path)
+    return _parsed(parse, obj[key], *path, key)
 
 
 class _Reading:
@@ -245,8 +270,6 @@ def load_matrix(path: PathLike, *, square: bool = False, values=None) -> tuple[l
     strings, one per row.  Given a list values, the rows are indices into it and the
     parsed values are appended to it.  Each distinct string is parsed once, in row-major
     order of first use, so the first bad entry is still the one reported."""
-    from itertools import chain
-
     with _Reading(path) as source:
         data = _expect(source.json(), (dict, "a matrix object"))
         rows = _expect(data.get("dist"), _ARRAY, "dist")
@@ -310,60 +333,87 @@ def grid_function_jsonable(g: GridFunction) -> dict:
 def load_grid_function(path: PathLike) -> GridFunction:
     """A grid function file, loaded straight to flat lattice codes.
 
-    Each distinct coordinate string is indexed on the lattice once; an entry
-    becomes its flat code and its value, with no point built.  Every entry
-    is parsed before any is indexed, so a bad rational or a negative
-    coordinate is reported first, then a step that is not positive; then,
-    entry by entry, a point of another dimension, off the lattice or
-    repeated; then the checks of ``GridFunction.from_codes``.
+    A well-formed file is coded in bulk (:func:`_grid_codes`), with each distinct
+    coordinate and value string parsed once and no point built.  A file with a fault,
+    or with a coordinate or value that is no string, is scanned entry by entry, which
+    names the fault: every entry is parsed before any is indexed, so a bad rational or
+    a negative coordinate is reported first, then a step that is not positive; then,
+    entry by entry, a point of another dimension, off the lattice or repeated; then the
+    checks of ``GridFunction.from_codes``.  A missing key or a bad rational names its
+    JSON path, as ``values[1].value: expected a rational string, got None``.
     """
-    from .modulus import GridFunction, _axis_index, _code, _index_of
+    from .modulus import GridFunction
 
     with _Reading(path) as source:
         data = _expect(source.json(), (dict, "a grid function object"))
         n = _expect(data.get("n"), _INTEGER, "n")
         if n < 1:
             raise LoadError("dimension must be at least 1")
-        parse = source.parse
-        bound, step = parse(data.get("T")), parse(data.get("h"))
+        bound, step = (_field(data, key, source.parse) for key in ("T", "h"))
         entries = _expect(data.get("values"), _ARRAY, "values")
-        points = [_expect(_expect(e, _OBJECT, "values", i).get("point"), _ARRAY, "values", i, "point")
-                  for i, e in enumerate(entries)]
-        axis = {}  # coordinate string -> its index on the axis, as _axis_index gives it
-        get = axis.__getitem__
-
-        def index(c) -> int:
-            if c.__class__ is not str:  # as in the parse memo: a bool or a float reaches its own error
-                return _axis_index(parse(c), bound, step)
-            i = axis.get(c)
-            if i is None:
-                i = axis[c] = _axis_index(parse(c), bound, step)
-            return i
-
-        rows, values = [], []
-        for p, e in zip(points, entries):
-            try:
-                row = list(map(get, p))
-            except (KeyError, TypeError):  # a coordinate not indexed yet, or no string
-                row = list(map(index, p))
-            if not row or min(row) < -1:
-                PointN(tuple(map(parse, p)))  # raises the empty point or the negative coordinate
-            rows.append(row)
-            values.append(parse(e.get("value")))
-        if bound <= 0 or step <= 0:
-            raise LoadError("bound and step must be positive")
-        # fewer than 2 ** n entries fail GridFunction's dimension check once they pass theirs, and n
-        # may then be too large for flat codes: a repeat is found by the index row itself
-        code = partial(_code, m=int(bound / step) + 1) if len(entries).bit_length() > n else tuple
-        codes = {}
-        for row, value, p in zip(rows, values, points):
-            if len(row) != n or min(row) < 0:
-                _index_of(parse_point(p, parse), n, bound, step)  # raises the dimension or lattice error
-            c = code(row)
-            if c in codes:
-                raise LoadError(f"duplicate lattice point {parse_point(p, parse)}")
-            codes[c] = value
+        codes = _grid_codes(entries, n, bound, step, source.parse)
+        if codes is None:
+            codes = _scan_grid_codes(entries, n, bound, step, source.parse)
         return GridFunction.from_codes(n, bound, step, codes, len(entries))
+
+
+def _grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, parse) -> Optional[dict]:
+    """The value at each flat code of a well-formed grid file's entries, found in C-level
+    passes over all entries at once; None at any fault, and below the 2 ** n entries that
+    GridFunction needs, so that the scan names what is wrong."""
+    from .modulus import _axis_index
+
+    if len(entries).bit_length() <= n or bound <= 0 or step <= 0 or {*map(type, entries)} != {dict}:
+        return None
+    points, values = (list(map(dict.get, entries, repeat(key))) for key in ("point", "value"))
+    if {*map(type, points)} != {list} or {*map(len, points)} != {n}:
+        return None
+    coords = list(chain.from_iterable(points))
+    if {*map(type, coords)} | {*map(type, values)} != {str}:
+        return None
+    try:
+        axis = {c: _axis_index(parse(c), bound, step) for c in dict.fromkeys(coords)}
+        parsed = {v: parse(v) for v in dict.fromkeys(values)}
+    except LoadError:
+        return None
+    index = list(map(axis.__getitem__, coords))
+    if min(index) < 0:
+        return None
+    codes, m = index[::n], int(bound / step) + 1
+    for k in range(1, n):
+        codes = list(map(add, map(mul, codes, repeat(m)), index[k::n]))
+    found = dict(zip(codes, map(parsed.__getitem__, values)))
+    return found if len(found) == len(entries) else None
+
+
+def _scan_grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, parse) -> dict:
+    """The value at each flat code of the grid entries, read entry by entry: raises the
+    first fault in the order :func:`load_grid_function` gives."""
+    from .modulus import _axis_index, _code, _index_of
+
+    points = [_expect(_expect(e, _OBJECT, "values", i).get("point"), _ARRAY, "values", i, "point")
+              for i, e in enumerate(entries)]
+    rows, values = [], []
+    for i, (p, e) in enumerate(zip(points, entries)):
+        row = [_axis_index(_parsed(parse, c, "values", i, "point", j), bound, step) for j, c in enumerate(p)]
+        if not row or min(row) < -1:
+            PointN(tuple(map(parse, p)))  # raises the empty point or the negative coordinate
+        rows.append(row)
+        values.append(_field(e, "value", parse, "values", i))
+    if bound <= 0 or step <= 0:
+        raise LoadError("bound and step must be positive")
+    # fewer than 2 ** n entries fail GridFunction's dimension check once they pass theirs, and n
+    # may then be too large for flat codes: a repeat is found by the index row itself
+    code = partial(_code, m=int(bound / step) + 1) if len(entries).bit_length() > n else tuple
+    codes = {}
+    for row, value, p in zip(rows, values, points):
+        if len(row) != n or min(row) < 0:
+            _index_of(parse_point(p, parse), n, bound, step)  # raises the dimension or lattice error
+        c = code(row)
+        if c in codes:
+            raise LoadError(f"duplicate lattice point {parse_point(p, parse)}")
+        codes[c] = value
+    return codes
 
 
 def dump_grid_function(g: GridFunction, path: PathLike) -> None:
@@ -430,5 +480,52 @@ def certificate_jsonable(cert: CoverCertificate) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def indented_json(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, or the exception it raises, written by C calls:
+    json's C encoder runs only without an indent.  Open containers sit on a stack, not in a
+    recursion; each item is written with the separator after it, which the closing text of its
+    container replaces on the last one.  A list of strings (a product matrix row) is one join
+    over json's C quote function, a string, int, boolean or None is written by its class, and any
+    other value by ``json.dumps``.  A container met inside itself raises ValueError, as in json.
+    """
+    out, open_ids, stack = [], set(), [(iter([obj]), False, "", "", None)]
+    while stack:
+        items, keyed, sep, close, mark = stack[-1]
+        for value in items:
+            key = ""
+            if keyed:
+                key, value = value
+                key = (_quote(key) if key.__class__ is str else json.dumps({key: 0})[1:-4]) + ": "
+            write = _SCALARS.get(value.__class__)
+            if write is not None or not isinstance(value, (list, tuple, dict)) or not value:
+                out.append(f"{key}{(write or json.dumps)(value)}{sep}")
+                continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            inner = "\n" + "  " * len(stack)
+            if not isinstance(value, dict):
+                try:  # every item a string: one C-level join
+                    out.append(f"{key}[{inner}{(',' + inner).join(map(_quote, value))}{inner[:-2]}]{sep}")
+                    continue
+                except TypeError:
+                    pass
+            pair, keyed = ("{}", True) if isinstance(value, dict) else ("[]", False)
+            out.append(key + pair[0] + inner)
+            stack.append((iter(value.items() if keyed else value), keyed, "," + inner, inner[:-2] + pair[1], id(value)))
+            open_ids.add(id(value))
+            break
+        else:
+            stack.pop()
+            out[-1] = out[-1][:len(out[-1]) - len(sep)] + close
+            open_ids.discard(mark)
+            if stack:  # the separator after this container in the one that holds it
+                out.append(stack[-1][2])
+    return "".join(out)
+
+
 def write_canonical_json(path: PathLike, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(indented_json(obj) + "\n", encoding="utf-8")

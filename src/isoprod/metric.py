@@ -36,7 +36,7 @@ class MetricViolation(Record):
     detail: str
 
 
-def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricViolation]]:
+def verify_metric(matrix, tol=0, *, values=None, squares=None) -> tuple[bool, Optional[MetricViolation]]:
     """Check the metric axioms on a square nonnegative matrix.
 
     Returns the first violation in axiom order (symmetry, identity of
@@ -57,6 +57,14 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
     inexact SQRT_SUM_SQ closed form) scan every pair over k.  After the
     square and negative-entry checks, a nan or negative tol and a nan or
     infinite entry raise ValueError.
+
+    Given squares, the exact squares of the values under the same codes
+    (the SQUARE_SUM table of a SQRT_SUM_SQ product), the verdict is decided
+    on them with tol = 0, and values only print the witness: symmetry and
+    identity hold on the roots exactly when they hold on the squares, and
+    sqrt(a) <= sqrt(b) + sqrt(c) exactly when a - b - c <= 0 or
+    (a - b - c) ** 2 <= 4bc.  A failing root triangle fails a <= b + c, so
+    the packed test on the squares flags every row pair to scan over k.
     """
     n = len(matrix)
     for row in matrix:
@@ -70,6 +78,8 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
     exact = isinstance(tol, (Fraction, int)) and all(isinstance(v, (Fraction, int)) for v in values)
     if exact:
         _, (bound, *ints) = scale_to_integers([tol, *values])
+    if squares is not None:
+        exact, (_, ints), bound = True, scale_to_integers(squares), 0
     m = [list(map(ints.__getitem__, row)) for row in matrix]
 
     def d(i, j):  # an entry as given, for the witness texts
@@ -102,13 +112,14 @@ def verify_metric(matrix, tol=0, *, values=None) -> tuple[bool, Optional[MetricV
     for i, j in pairs:
         row_i, row_j, dij = m[i], m[j], m[i][j]
         for k in range(n):
-            if row_i[k] > dij + row_j[k] + bound:
+            if row_i[k] > dij + row_j[k] + bound and (
+                    squares is None or (row_i[k] - dij - row_j[k]) ** 2 > 4 * dij * row_j[k]):
                 return False, MetricViolation(
                     "triangle",
                     (i, j, k),
                     f"d({i},{k})={d(i, k)} > d({i},{j})+d({j},{k})={d(i, j)}+{d(j, k)}",
                 )
-        if exact:
+        if exact and squares is None:
             raise AssertionError(f"packed triangle test failed row pair ({i}, {j}) without a witness")
     return True, None
 

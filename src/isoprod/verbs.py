@@ -59,11 +59,12 @@ def _point_witness(pair) -> list:
     return [format_point(p) for p in pair]
 
 
-def _metric_axioms_entry(matrix, tol, label_of, values) -> dict:
-    """The metric-axioms verdict of a matrix of codes into values; a violation names its points by label_of(index)."""
+def _metric_axioms_entry(matrix, tol, label_of, values, squares=None) -> dict:
+    """The metric-axioms verdict of a matrix of codes into values (decided on their squares, given
+    those); a violation names its points by label_of(index)."""
     from .metric import verify_metric
 
-    ok, violation = verify_metric(matrix, tol, values=values)
+    ok, violation = verify_metric(matrix, tol, values=values, squares=squares)
     entry = {"check": "metric-axioms", "ok": ok}
     if violation is not None:
         entry["witness"] = {
@@ -164,16 +165,20 @@ def _load_product_inputs(args, inputs):
 
 
 def _run_product(args, inputs):
+    from .combiners import named_combiner
     from .fileio import matrix_jsonable
-    from .metric import product_metric
+    from .metric import ProductSpec, product_metric
 
     spec = _load_product_inputs(args, inputs)
     table = []  # the combiner's value at each grid index; the matrix holds the indices
     labels, codes = product_metric(spec, values=table)
     verdicts = [{"check": "product-matrix", "ok": True, "matrix": matrix_jsonable(labels, codes, values=table)}]
     if args.verify:
-        tol = 0 if getattr(spec.combiner, "exact", True) else 1e-12
-        verdicts.append(_metric_axioms_entry(codes, tol, lambda i: "|".join(labels[i]), table))
+        squares = None
+        if not getattr(spec.combiner, "exact", True):  # SQRT_SUM_SQ: decided exactly on its squares
+            squares = []
+            product_metric(ProductSpec(spec.factors, named_combiner("SQUARE_SUM")), values=squares)
+        verdicts.append(_metric_axioms_entry(codes, 0, lambda i: "|".join(labels[i]), table, squares))
     return verdicts
 
 
@@ -493,8 +498,11 @@ def dispatch(argv) -> tuple[int, dict]:
 
 
 def render(report: dict, as_csv: bool = False) -> str:
+    """The report as ``json.dumps(report, indent=2)`` writes it (by ``fileio.indented_json``), or as CSV."""
     if not as_csv:
-        return json.dumps(report, indent=2)
+        from .fileio import indented_json
+
+        return indented_json(report)
     import csv
     import io
 

@@ -247,6 +247,31 @@ def metric_violation(matrix, tol=0):
     return None
 
 
+def root_metric_violation(squares):
+    """The first failed metric axiom of the matrix of square roots of squares (exact, nonnegative
+    rationals), by direct scan in the order of :func:`metric_violation`, as (kind, indices), or None.
+
+    No root is taken: sqrt(a) <= sqrt(b) + sqrt(c) holds exactly when a - b - c <= 0 or
+    (a - b - c)**2 <= 4bc, the two sides being nonnegative; roots are equal or zero exactly
+    when their squares are.
+    """
+    n = len(squares)
+    for i, j in itertools.combinations(range(n), 2):
+        if squares[i][j] != squares[j][i]:
+            return "symmetry", (i, j)
+    for i in range(n):
+        if squares[i][i] != 0:
+            return "identity", (i, i)
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j and squares[i][j] == 0:
+            return "identity", (i, j)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b, c = squares[i][k], squares[i][j], squares[j][k]
+        if a - b - c > 0 and (a - b - c) ** 2 > 4 * b * c:
+            return "triangle", (i, j, k)
+    return None
+
+
 def amenable_continuation_value(f: SampledFunction, y: PointN) -> Fraction:
     """The amenable isotone continuation at y, straight off its definition.
 

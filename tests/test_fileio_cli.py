@@ -130,7 +130,7 @@ def test_loader_error_texts_are_pinned(tmp_path):
     off_then_bad = [{"point": ["1/3", "0"], "value": "1"}, *full[1:4], {"point": ["0", "1/2"], "value": "x/2"}, *full[5:]]
     cases = [
         (fileio.load_grid_function, grid(off_then_bad),
-         LoadError, "{path}: bad rational 'x/2': Invalid literal for Fraction: 'x/2'"),
+         LoadError, "{path}: values[4].value: bad rational 'x/2': Invalid literal for Fraction: 'x/2'"),
         (fileio.load_grid_function, grid(full + [{"point": ["1/2", "0"], "value": "7"}]),
          LoadError, "{path}: duplicate lattice point (1/2, 0)"),
         (fileio.load_grid_function, grid(full[:3] + [{"point": ["1"], "value": "1"}] + full[4:]),
@@ -257,29 +257,34 @@ GRID_ERRORS = [
     (line(("0", "0"), ("-1", "1")), "negative coordinate -1 not allowed"),
     (line(("0", "0"), ([], "1")), "a point needs at least one coordinate"),
     (line(("0", "0"), (["0", "1"], "1")), "point dimension 2 != lattice dimension 1"),
-    (line(("0", "0"), ("x", "1")), "bad rational 'x': Invalid literal for Fraction: 'x'"),
-    (line(("0", "0"), ("1", "1/0")), "bad rational '1/0': Fraction(1, 0)"),
-    (line(("0", "0"), ("1", True)), "expected a rational, got boolean True"),
+    (line(("0", "0"), ("x", "1")), "values[1].point[0]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("0", "0"), ("1", "1/0")), "values[1].value: bad rational '1/0': Fraction(1, 0)"),
+    (line(("0", "0"), ("1", True)), "values[1].value: expected a rational, got boolean True"),
+    (line(("0", "0"), ("1", None)), "values[1].value: expected a rational string, got None"),
+    (line(("0", "0"), ("1", "1")) | {"values": [{"point": ["0"], "value": "0"}, {"point": ["1"]}]},
+     'values[1]: expected a "value" key'),
+    ({"n": 1, "h": "1", "values": [{"point": ["0"], "value": "0"}]}, 'expected a "T" key'),
+    (line(*ON_LINE, h=None), "h: expected a rational string, got None"),
     # float, boolean, nested-array and object coordinates, also where an equal string was read before
-    (line(("0", "0"), (0.5, "1")), "expected a rational string, got 0.5"),
-    (line(("0", "0"), ("1", "1"), (1.0, "1")), "expected a rational string, got 1.0"),
-    (line(("0", "0"), (True, "1")), "expected a rational, got boolean True"),
-    (line(("1", "0"), (True, "1")), "expected a rational, got boolean True"),
-    (line(("0", "0"), ([["1"]], "1")), "expected a rational string, got ['1']"),
-    (line(("0", "0"), ({"c": "1"}, "1")), "expected a rational string, got {'c': '1'}"),
+    (line(("0", "0"), (0.5, "1")), "values[1].point[0]: expected a rational string, got 0.5"),
+    (line(("0", "0"), ("1", "1"), (1.0, "1")), "values[2].point[0]: expected a rational string, got 1.0"),
+    (line(("0", "0"), (True, "1")), "values[1].point[0]: expected a rational, got boolean True"),
+    (line(("1", "0"), (True, "1")), "values[1].point[0]: expected a rational, got boolean True"),
+    (line(("0", "0"), ([["1"]], "1")), "values[1].point[0]: expected a rational string, got ['1']"),
+    (line(("0", "0"), ({"c": "1"}, "1")), "values[1].point[0]: expected a rational string, got {'c': '1'}"),
     # shapes
     ({"n": 1, "T": "1", "h": "1", "values": {}}, "values: expected an array"),
     (line(*ON_LINE) | {"values": [{"point": ["0"], "value": "0"}, ["1"]]}, "values[1]: expected an object"),
     (line(*ON_LINE) | {"values": [{"point": "0", "value": "0"}]}, "values[0].point: expected an array"),
     (line(*ON_LINE) | {"n": True}, "n: expected an integer"),
     # several faults: every entry is parsed before any is indexed
-    (line(("1/3", "0"), ("x", "1")), "bad rational 'x': Invalid literal for Fraction: 'x'"),
-    (line(("1/3", "0"), ("1", "x")), "bad rational 'x': Invalid literal for Fraction: 'x'"),
-    (line(("0", "0"), (["-1", "x"], "1"), n=2), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("1/3", "0"), ("x", "1")), "values[1].point[0]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("1/3", "0"), ("1", "x")), "values[1].value: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("0", "0"), (["-1", "x"], "1"), n=2), "values[1].point[1]: bad rational 'x': Invalid literal for Fraction: 'x'"),
     (line(("0", "0"), (["-1", "0"], "x"), n=2), "negative coordinate -1 not allowed"),
     (line(("1/3", "0"), ("-1", "1")), "negative coordinate -1 not allowed"),
     (line(("1/3", "0"), ("1", "1"), h="0"), "bound and step must be positive"),
-    (line(("1/3", "0"), ("1", "x"), h="0"), "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (line(("1/3", "0"), ("1", "x"), h="0"), "values[1].value: bad rational 'x': Invalid literal for Fraction: 'x'"),
     (line(("1/2", "0"), ("1", "1"), h="0"), "bound and step must be positive"),
     # then entry by entry: the dimension, the lattice, a repeat
     (line(("2", "0"), (["0", "0"], "0"), ("0", "0")), "(2) is not a lattice point"),
@@ -300,13 +305,17 @@ GRID_ERRORS = [
 
 
 @pytest.mark.parametrize("k", range(len(GRID_ERRORS)))
-def test_grid_loader_error_texts_and_precedence_are_pinned(tmp_path, k):
+def test_grid_loader_error_texts_and_precedence_are_pinned(tmp_path, monkeypatch, k):
+    # through the bulk pass, and through the entry-by-entry scan alone
     data, text = GRID_ERRORS[k]
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(LoadError) as info:
-        fileio.load_grid_function(path)
-    assert str(info.value) == f"{path}: {text}"
+    for scan_only in (False, True):
+        if scan_only:
+            monkeypatch.setattr(fileio, "_grid_codes", lambda *args: None)
+        with pytest.raises(LoadError) as info:
+            fileio.load_grid_function(path)
+        assert str(info.value) == f"{path}: {text}"
 
 
 def test_loaded_grids_keep_the_ints_they_were_written_from(tmp_path):
@@ -321,6 +330,75 @@ def test_loaded_grids_keep_the_ints_they_were_written_from(tmp_path):
     path.write_text(json.dumps(line(("2", "1/3"), (0, 0), ("1/2", "1/2"), ("1", 2), ("3/2", "2/3"), T="2", h="1/2")))
     loaded = fileio.load_grid_function(path)
     assert (loaded._value_den, loaded._int_values) == (6, [0, 3, 12, 4, 2])
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# unicode with control characters and lone surrogates, and str subclasses
+_TEXT = st.text(st.one_of(st.characters(), st.characters(max_codepoint=0x1F),
+                          st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"])), max_size=6)
+_TEXTS = st.one_of(_TEXT, _TEXT.map(_Str))
+_INTS = st.one_of(st.integers(-5, 5), st.integers(), st.integers(-10 ** 60, 10 ** 60), st.integers().map(_Int))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]))
+_SCALARS = st.one_of(_TEXTS, _INTS, _FLOATS, st.booleans(), st.none())
+_KEYS = st.one_of(_TEXTS, _INTS, _FLOATS, st.booleans(), st.none())
+
+
+def _containers(children, keys=_KEYS):
+    lists = st.lists(children, max_size=5)
+    dicts = st.dictionaries(keys, children, max_size=5)
+    return st.one_of(lists, lists.map(tuple), lists.map(_List), st.lists(_TEXTS, max_size=8), dicts, dicts.map(_Dict))
+
+
+# one value in four also holds what json refuses: a set, bytes, a complex number or an object,
+# or a tuple as a key
+_REFUSED = st.sampled_from([{1}, b"x", 1j, object()])
+_JSONISH = st.one_of(*[st.recursive(_SCALARS, _containers, max_leaves=20)] * 3, st.recursive(
+    st.one_of(_SCALARS, _REFUSED), lambda children: _containers(children, st.one_of(_KEYS, st.tuples(_INTS))),
+    max_leaves=20))
+
+
+def _dumped(encode, obj):
+    try:
+        return encode(obj)
+    except Exception as exc:  # the same type and message as json.dumps
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(_JSONISH)
+def test_indented_json_writes_what_json_dumps_writes(obj):
+    # 250 examples, about 2 s: the bytes of json.dumps(obj, indent=2), or its exception
+    assert _dumped(fileio.indented_json, obj) == _dumped(lambda o: json.dumps(o, indent=2), obj)
+
+
+def test_indented_json_on_deep_and_self_containing_values():
+    deep_list, deep_dict = ["x"], {"k": 1}
+    for _ in range(150):  # deeper than the fast paths, within json.dumps's own recursion
+        deep_list, deep_dict = [deep_list, 1], {"k": deep_dict, "": [deep_list]}
+    for obj in (deep_list, deep_dict, [], {}, [[]], [{}], {"a": []}, [[], ["a"], "b"]):
+        assert fileio.indented_json(obj) == json.dumps(obj, indent=2)
+    looped, nested = [1, "a"], {"k": []}
+    looped.append(looped)
+    nested["k"].append(nested)
+    twice = ["a"]  # in the same list twice, not inside itself
+    for obj in (looped, nested, [twice, twice, [twice]]):
+        assert _dumped(fileio.indented_json, obj) == _dumped(lambda o: json.dumps(o, indent=2), obj)
+    assert _dumped(fileio.indented_json, looped) == (ValueError, "Circular reference detected")
 
 
 def test_point_string_parsing():

@@ -15,7 +15,9 @@ import functools
 import itertools
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -190,3 +192,77 @@ def test_malformed_files_name_the_file_at_fault(name, tmp_path):
             assert report["error"].startswith(f"LoadError: {culprit}:"), report
             assert report["error"].count(str(tmp_path)) == 1, report
     assert 2 in codes
+
+
+def _grid_fields(path):
+    """The loaded grid's fields, or the LoadError text."""
+    try:
+        g = fileio.load_grid_function(path)
+    except LoadError as exc:
+        return str(exc)
+    return g.n, g.bound, g.step, g.cells, g._value_den, g._int_values
+
+
+def _bulk_and_scan(path, monkeypatch):
+    """The grid file through the bulk pass (and the scan when it finds a fault), then through
+    the entry-by-entry scan alone; and whether the bulk pass coded the file itself."""
+    coded, bulk_codes = [], fileio._grid_codes
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "_grid_codes", lambda *args: coded.append(bulk_codes(*args)) or coded[-1])
+        bulk = _grid_fields(path)
+        patch.setattr(fileio, "_grid_codes", lambda *args: None)
+        return bulk, _grid_fields(path), coded not in ([], [None])
+
+
+def _spellings(c):
+    """Texts of one rational: "p/q", "2p/2q", a decimal where one is exact, and an integer
+    as a JSON number, which only the scan reads."""
+    p, q = c.numerator, c.denominator
+    texts = [str(c), f"{2 * p}/{2 * q}"]
+    if 10 ** 6 % q == 0:
+        texts.append(str(Decimal(p) / Decimal(q)))
+    return texts + [p] * (q == 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_bulk_grid_codes_agree_with_the_entry_scan(tmp_path, monkeypatch, data):
+    # 100 grid files, about 1.5 s: each point and value in a drawn spelling, entries shuffled, and
+    # at most one fault (a point again in another spelling, a point missing or off the lattice,
+    # a value that is no rational or negative); both paths give the same grid or the same error
+    n = data.draw(st.integers(1, 3))
+    cells, step = data.draw(st.integers(1, 5 - n)), data.draw(st.sampled_from([F(1), F(1, 2), F(1, 4), F(2, 5)]))
+    spell = lambda c: data.draw(st.sampled_from(_spellings(F(c))))  # noqa: E731
+    # a value grows with the flat code, so a point coded on the wrong axis moves its value
+    entries = [{"point": [spell(i * step) for i in idx], "value": spell(F(code + data.draw(st.integers(0, 9)), 2))}
+               for code, idx in enumerate(itertools.product(range(cells + 1), repeat=n))]
+    fault = data.draw(st.sampled_from(["none", "none", "repeat", "missing", "off", "value", "negative"]))
+    k = data.draw(st.integers(0, len(entries) - 1))
+    if fault == "repeat":
+        entries.append({"point": [spell(F(c)) for c in entries[k]["point"]], "value": spell(F(1))})
+    elif fault == "missing":
+        del entries[k]
+    elif fault == "off":
+        entries[k]["point"][-1] = str(step / 3)
+    elif fault in ("value", "negative"):
+        entries[k]["value"] = "1/x" if fault == "value" else "-1/2"
+    path = tmp_path / f"grid{next(_COUNTER)}.json"
+    path.write_text(json.dumps({"n": n, "T": str(cells * step), "h": str(step), "values": data.draw(st.permutations(entries))}))
+    bulk, scan, coded = _bulk_and_scan(path, monkeypatch)
+    assert bulk == scan
+    assert isinstance(bulk, str) == (fault != "none")
+    # the bulk pass codes a file with no fault and no JSON number, and leaves one with a fault in
+    # its entries to the scan (a missing or negative value is GridFunction's to find)
+    if fault == "none" and all(isinstance(c, str) for e in entries for c in e["point"]):
+        assert coded
+    assert not (coded and fault in ("repeat", "off", "value"))
+
+
+def test_one_point_in_three_spellings_is_one_repeated_point(tmp_path, monkeypatch):
+    values = [{"point": [c], "value": "1"} for c in ("0", "1/2", "1", "2/4", "0.5")]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 1, "T": "1", "h": "1/2", "values": values}))
+    assert _bulk_and_scan(path, monkeypatch) == (f"{path}: duplicate lattice point (1/2)",) * 2 + (False,)
+    path.write_text(json.dumps({"n": 1, "T": "1", "h": "1/2", "values": [values[0], values[4], values[2]]}))
+    assert _bulk_and_scan(path, monkeypatch) == ((1, 1, F(1, 2), 2, 1, [1, 1, 1]),) * 2 + (True,)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from oracles import (
     metric_violation,
     product_conflict,
     product_pairs,
+    root_metric_violation,
 )
 from isoprod import fileio, metric
 from isoprod.combiners import COMBINER_NAMES, named_combiner
@@ -309,18 +311,83 @@ def test_product_verb_matches_the_nested_row_report(tmp_path, monkeypatch):
                 target = sampled_path if combiner_name == "sampled" else combiner_name
                 code, report = dispatch(_product_argv(paths, target, cap, verify))
                 expected = [{"check": "product-matrix", "ok": True, "matrix": fileio.matrix_jsonable(labels, matrix)}]
-                if verify:
-                    ok, violation = verify_metric(matrix, 1e-12 if combiner_name == "SQRT_SUM_SQ" else 0)
+                if verify and combiner_name == "SQRT_SUM_SQ":  # decided on the exact squares
+                    squares = product_metric(ProductSpec(tuple(factors), named_combiner("SQUARE_SUM")))[1]
+                    assert root_metric_violation(squares) is None
+                    expected.append({"check": "metric-axioms", "ok": True})
+                elif verify:
+                    ok, violation = verify_metric(matrix)
                     expected.append({"check": "metric-axioms", "ok": ok})
                     if violation is not None:
                         expected[1]["witness"] = {"kind": violation.kind, "detail": violation.detail,
                                                   "labels": ["|".join(labels[i]) for i in violation.indices]}
                     outcomes[ok] += 1
                 assert (code, report["verdicts"]) == (0 if all(v["ok"] for v in expected) else 1, expected)
-            if combiner_name == "SQRT_SUM_SQ":  # JSON floats, and the float scan
+            if combiner_name == "SQRT_SUM_SQ":  # JSON floats, and the packed test on the squares
                 assert all(isinstance(v, float) for row in report["verdicts"][0]["matrix"]["dist"] for v in row)
-    assert kernel_calls["SQRT_SUM_SQ"] == 0 and kernel_calls["SUM"] == 2 * 8  # the verb's and the reference's
+    assert kernel_calls["SQRT_SUM_SQ"] == 8 and kernel_calls["SUM"] == 2 * 8  # the verb's; and the reference's
     assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+
+def _squared_distances(rng):
+    """Squared distances of up to 7 rational points in the plane, a third of the time all on one
+    line, so many root triangles hold with equality; then one entry pair raised or lowered by a
+    small rational, or set to 0, or one entry alone changed."""
+    n = rng.randint(2, 7)
+    line = rng.random() < 1 / 3
+    pts = [(F(rng.randint(-6, 6), rng.choice([1, 2, 3])), 0 if line else F(rng.randint(-6, 6), rng.choice([1, 5])))
+           for _ in range(n)]
+    squares = [[(x - u) ** 2 + (y - v) ** 2 for u, v in pts] for x, y in pts]
+    i, k = rng.sample(range(n), 2)
+    delta, move = F(1, rng.choice([1, 7, 10 ** 6, 10 ** 15])), rng.random()
+    if move < 0.35:
+        squares[i][k] = squares[k][i] = squares[i][k] + delta
+    elif move < 0.5:
+        squares[i][k] = squares[k][i] = max(squares[i][k] - delta, F(0))
+    elif move < 0.55:
+        squares[i][k] = squares[k][i] = F(0)
+    elif move < 0.6:
+        squares[i][k] += delta
+    elif move < 0.62:
+        squares[i][i] = delta
+    return squares
+
+
+def test_sqrt_sum_sq_is_decided_exactly_on_its_squares(tmp_path):
+    # 600 squared-distance matrices (about 0.3 s): verify_metric on float roots, decided on the
+    # squares, gives the first violation of the algebraic direct scan; then the product verb
+    rng, kinds = random.Random(2323), Counter()
+    for _ in range(600):
+        squares = _squared_distances(rng)
+        index = {}
+        codes = [[index.setdefault(v, len(index)) for v in row] for row in squares]
+        roots = [math.sqrt(v) for v in index]
+        ok, violation = verify_metric(codes, values=roots, squares=list(index))
+        expected = root_metric_violation(squares)
+        assert (None if ok else (violation.kind, violation.indices)) == expected
+        if violation is not None:
+            i, j, *rest = violation.indices
+            assert violation.detail.startswith(f"d({i},{rest[0] if rest else j})={roots[codes[i][rest[0] if rest else j]]}")
+        kinds[expected[0] if expected else "metric"] += 1
+    assert min(kinds[kind] for kind in ("metric", "triangle", "symmetry", "identity")) >= 20, kinds
+    # the verb: line factors, whose products hold collinear triples, and distances below 1e-12,
+    # which the old absolute tolerance 1e-12 took for zero (identity, exit 1)
+    tiny = FiniteMetricSpace(["a", "b"], [[0, F(1, 10 ** 13)], [F(1, 10 ** 13), 0]])
+    spaces = [tiny, line_space([0, 1, 3]), line_space([0, F(1, 10 ** 14), 1]), random_metric_space(rng, max_points=4)]
+    for trial in range(6):
+        factors = rng.sample(spaces, rng.randint(1, 3))
+        paths = [tmp_path / f"t{trial}f{k}.json" for k in range(len(factors))]
+        for space, path in zip(factors, paths):
+            fileio.dump_metric_space(space, path)
+        code, report = dispatch(_product_argv(paths, "SQRT_SUM_SQ", 1, True))
+        squares = product_metric(ProductSpec(tuple(factors), named_combiner("SQUARE_SUM")))[1]
+        assert root_metric_violation(squares) is None
+        assert (code, report["verdicts"][1]) == (0, {"check": "metric-axioms", "ok": True})
+    # the reported case, through the verb's own argument parsing
+    (tmp_path / "small.json").write_text(json.dumps({"labels": ["a", "b"], "dist": [
+        ["0", "1/10000000000000"], ["1/10000000000000", "0"]]}))
+    code, report = dispatch(["product", "--factor", str(tmp_path / "small.json"), "--combiner", "SQRT_SUM_SQ", "--verify"])
+    assert (code, report["verdicts"][1]) == (0, {"check": "metric-axioms", "ok": True})
 
 
 def test_finite_metric_space_validation():

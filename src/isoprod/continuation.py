@@ -34,7 +34,7 @@ from operator import add, le, mul
 from typing import Callable, Sequence
 
 from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
-from .points import PointN, Record, axis_vector, leq, origin, rat, sort_key
+from .points import PointN, Record, axis_vector, rat, sort_key
 from .sampled import SampledFunction, is_amenable, require_isotone
 
 COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
@@ -122,12 +122,15 @@ class CoverCertificate(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "cost", rat(self.cost))
-        total = origin(self.target.dim)
+        dim = self.target.dim
+        total = [0] * dim  # the coordinatewise sum of the parts
         for p, mult in self.parts:
             if mult <= 0:
                 raise ValueError("part multiplicities must be positive")
-            total = total + PointN(tuple(mult * x for x in p.coords))
-        if not leq(self.target, total):
+            if p.dim != dim:
+                raise DimensionMismatchError(f"dimension mismatch: {dim} vs {p.dim}")
+            total = [t + mult * x for t, x in zip(total, p.coords)]
+        if not all(map(le, self.target.coords, total)):
             raise ValueError(f"parts do not cover {self.target}")
 
     def part_count(self) -> int:

@@ -12,8 +12,9 @@ indent=2)`` written by C calls.
 A loader checks the JSON type of each object and array before reading
 into it.  An input error names the file once, as ``<file>: <json path>:
 expected ...`` (``f.json: dist[1]: expected an array``) or ``<file>:<line>:``
-in a CSV row.  Rationals are parsed without a per-entry path, except on a
-lattice file's error branch (``g.json: values[1].value: bad rational ...``).
+in a CSV row.  Rationals are parsed without a per-entry path, except on the
+error branch of a lattice or sampled function file (``g.json: values[1].value:
+bad rational ...``).
 """
 
 from __future__ import annotations
@@ -187,10 +188,19 @@ class _Reading:
 
 
 def _entries(data: dict, key: str, parse) -> list[tuple[PointN, Fraction]]:
-    """The (point, value) pairs of data[key], an array of {"point": [...], "value": ...} objects."""
+    """The (point, value) pairs of data[key], an array of {"point": [...], "value": ...} objects.
+    A missing value or a bad rational is found by one pass without paths, then read again entry
+    by entry in the same order to name its JSON path, as ``entries[1].point[0]: bad rational ...``."""
     entries = _expect(data.get(key), _ARRAY, key)
     points = [_expect(_expect(e, _OBJECT, key, i).get("point"), _ARRAY, key, i, "point") for i, e in enumerate(entries)]
-    return [(parse_point(p, parse), parse(e.get("value"))) for p, e in zip(points, entries)]
+    try:
+        return [(parse_point(p, parse), parse(e.get("value"))) for p, e in zip(points, entries)]
+    except LoadError:  # no point's own error came before it
+        for i, (p, e) in enumerate(zip(points, entries)):
+            for j, c in enumerate(p):
+                _parsed(parse, c, key, i, "point", j)
+            _field(e, "value", parse, key, i)
+        raise
 
 
 def load_points(path: PathLike) -> list[PointN]:

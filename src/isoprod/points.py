@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
@@ -72,6 +72,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+_numerator = attrgetter("numerator")
+
+
 class PointN(Record):
     """An immutable point of the nonnegative rational orthant.
 
@@ -82,12 +85,11 @@ class PointN(Record):
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords):
-        coords = tuple(rat(c) for c in coords)
+        coords = tuple(map(rat, coords))
         if not coords:
             raise ValueError("a point needs at least one coordinate")
-        for c in coords:
-            if c < 0:
-                raise ValueError(f"negative coordinate {c} not allowed")
+        if min(map(_numerator, coords)) < 0:  # a Fraction has the sign of its numerator
+            raise ValueError(f"negative coordinate {next(c for c in coords if c < 0)} not allowed")
         object.__setattr__(self, "coords", coords)
 
     def __eq__(self, other):  # the record's, unrolled: points are the key of every hot loop

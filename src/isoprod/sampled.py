@@ -4,10 +4,13 @@ A :class:`SampledFunction` carries finitely many exact samples and the
 decision procedures for the three structural properties every other
 module cares about: isotone, amenable, subadditive.  Each function is
 prepared at construction, the one place its points and values become
-integers: its items in domain order, its points as integer rows over one
-common denominator, its values as ints over another, and the per-axis row
-maxima.  Order scans, cone lookups and cover tables compare those ints; the
-isotone and amenable verdicts are kept after their first call.
+integers: its points as integer rows over one common denominator, its
+values as ints over another, and the per-axis row maxima.  The domain
+order is the rows' order, which is the points' lexicographic order, as
+each row is its point times one positive denominator; the items, rows and
+int values are in that order.  Order scans, cone lookups and cover tables
+compare those ints; the isotone and amenable verdicts are kept after their
+first call.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ from .errors import (
     MissingOriginError,
     NotIsotoneError,
 )
-from .points import PointN, RationalLike, first_inversion, origin, rat, scale_to_integers, sort_key
+from .points import PointN, RationalLike, first_inversion, origin, rat, scale_to_integers
 
 
 class SampledFunction:
     """A finite map A -> Q+ on points of one common dimension.
 
     Keys are distinct points (it is a function, not a relation), values
-    are exact nonnegative rationals, and the domain is never empty.
+    are exact nonnegative rationals, and the domain is never empty.  Each
+    entry is checked in turn, its dimension, then its value, then whether
+    its point repeats, and each point is hashed once.  The domain is sorted
+    by the points' integer rows, in lexicographic order of the points.
     """
 
     __slots__ = ("_dim", "_entries", "_sorted_domain", "_items", "_den", "_rows", "_caps", "_value_den", "_int_values",
@@ -49,18 +55,20 @@ class SampledFunction:
                     f"point {p} has dimension {p.dim}, expected {dim}"
                 )
             value = rat(v)
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError(f"negative value {value} at {p}")
-            if p in table:
-                raise ValueError(f"duplicate point {p}")
+            size = len(table)
             table[p] = value
+            if len(table) == size:  # p was a key already: the one hash of p both finds and stores it
+                raise ValueError(f"duplicate point {p}")
         self._dim = dim
         self._entries = table
-        self._sorted_domain = tuple(sorted(table, key=sort_key))
-        self._items = tuple((p, table[p]) for p in self._sorted_domain)
-        # row k is domain point k times the common denominator _den, and int value k its value times _value_den
-        self._den, flat = scale_to_integers(c for p in self._sorted_domain for c in p.coords)
-        self._rows = tuple(tuple(flat[k:k + dim]) for k in range(0, len(flat), dim))
+        # row k is domain point k times the common denominator _den, and int value k its value times _value_den;
+        # distinct points have distinct rows, in the points' order, so the sort never compares two items
+        self._den, flat = scale_to_integers(c for p in table for c in p.coords)
+        rows = (tuple(flat[k:k + dim]) for k in range(0, len(flat), dim))
+        self._rows, self._items = zip(*sorted(zip(rows, table.items())))
+        self._sorted_domain = tuple(p for p, _ in self._items)
         self._caps = tuple(map(max, zip(*self._rows)))
         self._value_den, self._int_values = scale_to_integers(v for _, v in self._items)
         self._isotone = self._amenable = None  # filled by the first is_isotone, is_amenable
@@ -133,10 +141,10 @@ def is_amenable(f: SampledFunction) -> tuple[bool, Optional[PointN]]:
     The origin must be a sample point; otherwise the property is not
     even well posed and MissingOriginError is raised.  The verdict is kept.
     """
-    zero = origin(f.dim)
-    if zero not in f:
-        raise MissingOriginError("the origin is not a sample point")
-    if f._amenable is None:
+    if f._amenable is None:  # a kept verdict means the origin was found
+        zero = origin(f.dim)
+        if zero not in f:
+            raise MissingOriginError("the origin is not a sample point")
         zeros = [p for p, v in zip(f.domain, f._int_values) if not v and p != zero]
         f._amenable = (False, zero) if f.value(zero) else (not zeros, zeros[0] if zeros else None)
     return f._amenable

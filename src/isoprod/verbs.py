@@ -165,9 +165,11 @@ def _load_product_inputs(args, inputs):
 
 
 def _run_product(args, inputs):
+    from itertools import product
+
     from .combiners import named_combiner
     from .fileio import matrix_jsonable
-    from .metric import ProductSpec, product_metric
+    from .metric import product_metric
 
     spec = _load_product_inputs(args, inputs)
     table = []  # the combiner's value at each grid index; the matrix holds the indices
@@ -175,9 +177,8 @@ def _run_product(args, inputs):
     verdicts = [{"check": "product-matrix", "ok": True, "matrix": matrix_jsonable(labels, codes, values=table)}]
     if args.verify:
         squares = None
-        if not getattr(spec.combiner, "exact", True):  # SQRT_SUM_SQ: decided exactly on its squares
-            squares = []
-            product_metric(ProductSpec(spec.factors, named_combiner("SQUARE_SUM")), values=squares)
+        if not getattr(spec.combiner, "exact", True):  # SQRT_SUM_SQ: decided exactly on its squares, indexed as table
+            squares = list(map(named_combiner("SQUARE_SUM"), product(*(sp.distance_set() for sp in spec.factors))))
         verdicts.append(_metric_axioms_entry(codes, 0, lambda i: "|".join(labels[i]), table, squares))
     return verdicts
 

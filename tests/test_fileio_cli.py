@@ -127,6 +127,9 @@ def test_loader_error_texts_are_pinned(tmp_path):
     def grid(values):
         return {"n": 2, "T": "1", "h": "1/2", "values": values}
 
+    def sampled(*entries):
+        return {"dim": len(entries[0][0]), "entries": [dict(zip(("point", "value"), e)) for e in entries]}
+
     off_then_bad = [{"point": ["1/3", "0"], "value": "1"}, *full[1:4], {"point": ["0", "1/2"], "value": "x/2"}, *full[5:]]
     cases = [
         (fileio.load_grid_function, grid(off_then_bad),
@@ -143,6 +146,23 @@ def test_loader_error_texts_are_pinned(tmp_path):
          LoadError, "{path}: negative value -1 at index (1, 0)"),
         (fileio.load_sampled_function, {"dim": 1, "entries": [{"point": ["0"], "value": "0"}, {"point": ["1"], "value": "-2"}]},
          LoadError, "{path}: negative value -2 at (1)"),
+        # a sampled function file names the JSON path of a missing value or a bad rational; entry by
+        # entry, the point before its value, and a point's own error where it comes first
+        (fileio.load_sampled_function, sampled([["0"], "0"], [["1"]]),
+         LoadError, '{path}: entries[1]: expected a "value" key'),
+        (fileio.load_sampled_function, sampled([["0"], "0"], [["1"], None]),
+         LoadError, "{path}: entries[1].value: expected a rational string, got None"),
+        (fileio.load_sampled_function, sampled([["0", "0"], "0"], [["1/2", "x"], "1"], [["1", "1"], "y"]),
+         LoadError, "{path}: entries[1].point[1]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+        (fileio.load_sampled_function, sampled([["0"], "1/0"], [["x"]]),
+         LoadError, "{path}: entries[0].value: bad rational '1/0': Fraction(1, 0)"),
+        (fileio.load_sampled_function, sampled([[True]], [["1"], "x"]),
+         LoadError, "{path}: entries[0].point[0]: expected a rational, got boolean True"),
+        (fileio.load_sampled_function, sampled([["-1"], "0"], [["x"], "1"]),
+         LoadError, "{path}: negative coordinate -1 not allowed"),
+        # the function checks its values and repeats once every entry is read
+        (fileio.load_sampled_function, sampled([["1"], "-1"], [["1"], "x"]),
+         LoadError, "{path}: entries[1].value: bad rational 'x': Invalid literal for Fraction: 'x'"),
         (fileio.load_matrix, {"labels": ["a", "b"], "dist": [[0, 1], ["1", True]]},
          LoadError, "{path}: expected a rational, got boolean True"),
         (fileio.load_matrix, {"dist": [["0", "1/2"], ["1/2", 0.5]]},
@@ -870,7 +890,7 @@ def _check_oversized_rationals(tmp_path):
         {"point": ["0"], "value": "0"}, {"point": ["1"], "value": "1e5000"}]}))
     code, report = dispatch(["check", "--function", str(path)])
     assert code == 2
-    assert report["error"].startswith(f"LoadError: {path}: bad rational '1e5000'")
+    assert report["error"].startswith(f"LoadError: {path}: entries[1].value: bad rational '1e5000'")
 
 
 def test_reports_are_stable(tmp_path):

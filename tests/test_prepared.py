@@ -11,6 +11,7 @@ derandomized with a fixed number of examples, about 2.5 s in all.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +78,40 @@ def test_isotone_scan_on_int_rows_agrees_with_fraction_scans(f):
     if PointN((F(0),) * f.dim) in f:
         assert is_amenable(f) == amenable_scan(f)
         assert is_amenable(f) is is_amenable(f)  # the kept verdict
+
+
+# coordinates over 2, 3 and 7: rows share one denominator of 42
+MIXED_COORDS = (F(0), F(1, 2), F(1), F(2, 3), F(4, 3), F(3, 7), F(9, 7), F(5, 2))
+
+
+@st.composite
+def shuffled_entries(draw):
+    dim = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.sampled_from(MIXED_COORDS)] * dim), min_size=1, max_size=9, unique=True))
+    return draw(st.permutations([(PointN(p), draw(st.sampled_from(VALUES))) for p in pts]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shuffled_entries())
+def test_prepared_fields_agree_with_a_fraction_sort_reference(entries):
+    # the domain order, rows, int values and caps come from int rows sorted in entry order; the
+    # reference sorts the points by their Fraction coordinates and scales each field on its own
+    f = SampledFunction(entries)
+    items = sorted(entries, key=lambda item: item[0].coords)
+    den = 1
+    for p, _ in items:
+        for c in p.coords:
+            den = den * c.denominator // gcd(den, c.denominator)
+    value_den = 1
+    for _, v in items:
+        value_den = value_den * v.denominator // gcd(value_den, v.denominator)
+    rows = tuple(tuple(int(c * den) for c in p.coords) for p, _ in items)
+    assert f.domain == tuple(p for p, _ in items)
+    assert f.items() == tuple(items)
+    assert (f._den, f._rows) == (den, rows)
+    assert (f._value_den, f._int_values) == (value_den, [int(v * value_den) for _, v in items])
+    assert f._caps == tuple(max(row[j] for row in rows) for j in range(f.dim))
+    assert all(f.value(p) == v for p, v in entries) and len(f) == len(entries)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -21,7 +21,7 @@ from isoprod.cantor import (
 )
 from isoprod.combiners import Combiner, named_combiner
 from isoprod.continuation import CoverCertificate, subadditive_envelope
-from isoprod.errors import CombinerDomainGapError, DimensionMismatchError
+from isoprod.errors import CombinerDomainGapError, DimensionMismatchError, EmptyDomainError
 from isoprod.metric import (
     DistanceIncreaseViolation,
     FiniteMetricSpace,
@@ -232,6 +232,18 @@ def test_validation_errors_are_unchanged():
          "the axis constant must be positive, got 0"),
         (lambda: subadditive_envelope(f, point(1, 1), "-1/2"), ValueError,
          "the axis constant must be positive, got -1/2"),
+        # a sampled function checks each entry in turn: its dimension, then its value, then a repeat
+        (lambda: SampledFunction([]), EmptyDomainError, "a sampled function needs at least one entry"),
+        (lambda: SampledFunction([(point(0), 0), (point(0), 1), (point(1), -1), (point(1, 1), 1)]), ValueError,
+         "duplicate point (0)"),
+        (lambda: SampledFunction([(point(0), 0), (point(0), "-1/2")]), ValueError, "negative value -1/2 at (0)"),
+        (lambda: SampledFunction([(point(0), 0), (point("1/2"), -1), (point(1, 1), 1)]), ValueError,
+         "negative value -1 at (1/2)"),
+        (lambda: SampledFunction([(point(0, 0), 0), (point(1), -1), (point(0, 0), 1)]), DimensionMismatchError,
+         "point (1) has dimension 1, expected 2"),
+        (lambda: SampledFunction([(point(0), 0), (point(1), "1/3"), (point(1), F(1, 3))]), ValueError,
+         "duplicate point (1)"),
+        (lambda: SampledFunction([(point(0), 0.5)]), TypeError, "cannot interpret 0.5 as an exact rational"),
     ]
     for fn, kind, text in cases:
         assert _error(fn) == (kind, text)

@@ -5,7 +5,7 @@ import pytest
 
 import isoprod.sampled as sampled
 from oracles import isotone_pairs_hold, subadditive_violation
-from isoprod.continuation import subadditive_envelope, sup_continuation
+from isoprod.continuation import CoverCertificate, subadditive_envelope, sup_continuation
 from isoprod.errors import (
     DimensionMismatchError,
     EmptyDomainError,
@@ -13,7 +13,7 @@ from isoprod.errors import (
     NotIsotoneError,
 )
 from isoprod.fixtures import random_point, random_sampled_function
-from isoprod.points import leq, origin, point
+from isoprod.points import PointN, leq, origin, point
 from isoprod.sampled import (
     SampledFunction,
     is_amenable,
@@ -178,3 +178,34 @@ def test_isotone_scan_runs_once_per_function(monkeypatch):
     g = SampledFunction(dict(f.items()))  # an equal but new object scans again
     sup_continuation(g, random_point(rng, 2))
     assert len(scans) == 2 and scans[1] is g
+
+
+def test_construction_hashes_each_point_once_and_compares_no_coordinate(monkeypatch):
+    # about 0.1 s: a sampled function of N points hashes each once; a valid point, the kept
+    # amenable verdict and a cover certificate build or compare no Fraction coordinate
+    hashes, compares, points = [], [], []
+    point_hash, point_init = PointN.__hash__, PointN.__init__
+    monkeypatch.setattr(PointN, "__hash__", lambda p: hashes.append(p) or point_hash(p))
+    monkeypatch.setattr(PointN, "__init__", lambda p, coords: points.append(coords) or point_init(p, coords))
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        method = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda a, b, method=method: compares.append(a) or method(a, b))
+    rng = random.Random(29)
+    for dim in (1, 2, 3):
+        f = random_sampled_function(rng, dim=dim, size=6, mode="amenable")
+        entries = [(PointN(p.coords), v) for p, v in f.items()]
+        rng.shuffle(entries)
+        hashes.clear()
+        g = SampledFunction(entries)
+        assert len(hashes) == len(g) == 6
+        compares.clear()
+        PointN((F(1, 2), 3, "0", F(7, 3))[:dim])
+        assert compares == []
+        is_amenable(g)
+        hashes.clear(), points.clear()
+        assert is_amenable(g)[0] and hashes == points == []  # the kept verdict
+        parts = tuple((p, k) for k, p in enumerate(g.domain[1:4], start=1))
+        target = PointN(tuple(map(sum, zip(*([c * k for c in p.coords] for p, k in parts)))))
+        points.clear()
+        CoverCertificate(target, parts, 1)
+        assert points == []

@@ -9,9 +9,10 @@ computed in exact arbitrary-precision rational arithmetic.
 ``import isoprod`` loads no submodule: each name in ``__all__`` imports
 its defining module on first access (PEP 562).  Where no bytecode cache
 is written (``PYTHONDONTWRITEBYTECODE=1``) a process compiles every module
-it imports, so ``python -m isoprod`` loads only the modules of the verb it
-runs.  ``isoprod.modulus`` is the submodule; its function of the same
-name is ``isoprod.modulus.modulus``.
+it imports, so ``python -m isoprod`` loads ``verbs``, ``errors``, ``text``
+and the verb's handler module and layers only; ``fileio`` only for a verb
+that reads a file.  ``isoprod.modulus`` is the submodule; its function of
+the same name is ``isoprod.modulus.modulus``.
 """
 
 __version__ = "0.1.0"

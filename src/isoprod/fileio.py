@@ -1,26 +1,25 @@
 """JSON and CSV file formats for every object the CLI consumes.
 
-Rationals travel as strings "p/q" (or "p" for integers) everywhere, so
-reports and fixtures are bit-stable across platforms and locales.  A
+Rationals are the strings of :mod:`isoprod.text`, whose ``parse_rational``,
+``format_rational`` and ``indented_json`` this module imports back.  A
 loader parses each distinct string of its file once: a product matrix or
 a lattice file repeats a few values many times.  A matrix is coded to its
 distinct strings at C speed, and so is a well-formed lattice file, straight
 to flat lattice codes; a faulty one is read entry by entry to name the fault.
-Reports and written files are :func:`indented_json`, ``json.dumps(obj,
-indent=2)`` written by C calls.
+Written files are :func:`indented_json`, ``json.dumps(obj, indent=2)``
+written by C calls.
 
 A loader checks the JSON type of each object and array before reading
 into it.  An input error names the file once, as ``<file>: <json path>:
 expected ...`` (``f.json: dist[1]: expected an array``) or ``<file>:<line>:``
-in a CSV row.  Rationals are parsed without a per-entry path, except on the
-error branch of a lattice or sampled function file (``g.json: values[1].value:
-bad rational ...``).
+in a CSV row.  A bad rational names its JSON path too (``m.json: dist[1][2]:
+bad rational ...``); a matrix, lattice or sampled function file is parsed
+without paths, and read again entry by entry only when it is faulty.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
@@ -30,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import IsoprodError, LoadError
 from .points import PointN
+from .text import format_rational, indented_json, parse_rational
 
 if TYPE_CHECKING:  # each loader imports the record type it builds when it first runs
     from .continuation import CoverCertificate
@@ -38,56 +38,6 @@ if TYPE_CHECKING:  # each loader imports the record type it builds when it first
     from .sampled import SampledFunction
 
 PathLike = Union[str, Path]
-
-
-def format_rational(value: Fraction) -> str:
-    if not isinstance(value, (Fraction, int)):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(value) -> Fraction:
-    """An int, a Fraction or a Fraction string, as an exact Fraction.
-
-    Refuses a value whose numerator or denominator has more digits than
-    the interpreter converts to text (``sys.get_int_max_str_digits()``);
-    a string whose exponent is beyond that limit is refused unexpanded.
-    A plain "p" or "p/q" of ASCII digits skips the Fraction string parser.
-    """
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            try:
-                # int() and Fraction() raise here what Fraction(value) would raise
-                return Fraction(int(num), int(den) if slash else 1)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise LoadError(f"bad rational {value!r}: {exc}") from None
-    if isinstance(value, bool):
-        raise LoadError(f"expected a rational, got boolean {value}")
-    if not isinstance(value, (int, str)):
-        if isinstance(value, Fraction):
-            return value
-        raise LoadError(f"expected a rational string, got {value!r}")
-    limit = sys.get_int_max_str_digits()
-    # Fraction refuses a longer digit string itself; an int, an exponent or
-    # a decimal point can make a longer numerator or denominator
-    unbounded = limit and (isinstance(value, int) or "." in value or "e" in value or "E" in value)
-    if unbounded and isinstance(value, str):
-        digits = value.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
-            raise LoadError(f"bad rational {value!r}: exponent beyond {limit}")
-    try:
-        result = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LoadError(f"bad rational {value!r}: {exc}") from None
-    if unbounded:
-        big = max(abs(result.numerator), result.denominator)
-        # below 2 ** (3 * limit) < 10 ** limit, big has at most limit digits
-        if big.bit_length() > 3 * limit and big >= 10 ** limit:
-            raise LoadError(f"bad rational: more than {limit} digits")
-    return result
 
 
 def format_point(p: PointN) -> list[str]:
@@ -99,13 +49,15 @@ def parse_point(values: Sequence, parse=parse_rational) -> PointN:
 
 
 def parse_point_string(text: str) -> PointN:
-    """Parse CLI probe syntax: "(2,0)", "[2, 0]" or "2,0"."""
+    """Parse CLI probe syntax: "(2,0)", "[2, 0]" or "2,0"; "(2,)" is the 1-tuple (2)."""
     body = text.strip()
     if body and body[0] in "([" and body[-1] in ")]":
         body = body[1:-1]
-    parts = [piece.strip() for piece in body.split(",") if piece.strip()]
-    if not parts:
-        raise LoadError(f"empty probe {text!r}")
+    parts = [piece.strip() for piece in body.split(",")]
+    if len(parts) == 2 and parts[0] and not parts[1]:
+        parts.pop()
+    if "" in parts:  # "(1,,2)" is no 2-D point
+        raise LoadError(f"empty probe {text!r}" if parts == [""] else f"empty coordinate in probe {text!r}")
     return PointN(tuple(parse_rational(piece) for piece in parts))
 
 
@@ -113,6 +65,13 @@ def file_digest(path: PathLike) -> str:
     import hashlib  # here, not at module top: only a job that reads a file pays for it
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return f"sha256:{digest}"
+
+
+def load_recorded(loader, path: PathLike, inputs: dict):
+    """loader(path), the file's digest recorded in inputs under the path as given."""
+    value = loader(path)
+    inputs[str(path)] = file_digest(path)
+    return value
 
 
 # -- shape checks and file names ---------------------------------------
@@ -148,6 +107,11 @@ def _field(obj: dict, key: str, parse, *path) -> Fraction:
     if key not in obj:
         raise _located(f"expected a {json.dumps(key)} key", path)
     return _parsed(parse, obj[key], *path, key)
+
+
+def _each_parsed(parse, values, *path) -> list:
+    """[parse(v) for v in values], values being at path; a bad one names its own path, as ``dist[1][2]``."""
+    return [_parsed(parse, v, *path, j) for j, v in enumerate(values)]
 
 
 class _Reading:
@@ -197,8 +161,7 @@ def _entries(data: dict, key: str, parse) -> list[tuple[PointN, Fraction]]:
         return [(parse_point(p, parse), parse(e.get("value"))) for p, e in zip(points, entries)]
     except LoadError:  # no point's own error came before it
         for i, (p, e) in enumerate(zip(points, entries)):
-            for j, c in enumerate(p):
-                _parsed(parse, c, key, i, "point", j)
+            _each_parsed(parse, p, key, i, "point")
             _field(e, "value", parse, key, i)
         raise
 
@@ -291,11 +254,16 @@ def load_matrix(path: PathLike, *, square: bool = False, values=None) -> tuple[l
             strings = {*map(type, keys)} <= {str}
         except TypeError:
             strings = False
-        if strings:
-            parsed = list(map(parse_rational, keys))
-        else:  # each entry is parsed in turn and coded by its place
-            parsed, width = list(map(source.parse, chain.from_iterable(rows))), len(rows[0]) if rows else 0
-            keys, rows = range(len(parsed)), [range(i * width, i * width + width) for i in range(len(rows))]
+        try:
+            if strings:
+                parsed = list(map(parse_rational, keys))
+            else:  # each entry is parsed in turn and coded by its place
+                parsed, width = list(map(source.parse, chain.from_iterable(rows))), len(rows[0]) if rows else 0
+                keys, rows = range(len(parsed)), [range(i * width, i * width + width) for i in range(len(rows))]
+        except LoadError:  # read again row by row to name the first bad entry
+            for i, row in enumerate(rows):
+                _each_parsed(source.parse, row, "dist", i)
+            raise
         code = dict(zip(keys, parsed if values is None else range(len(keys)))).__getitem__
         dist = [list(map(code, row)) for row in rows]
         if values is not None:
@@ -435,8 +403,9 @@ def dump_grid_function(g: GridFunction, path: PathLike) -> None:
 def load_rational_set(path: PathLike) -> list[Fraction]:
     with _Reading(path) as source:
         data = source.json()
-        values = data.get("values") if data.__class__ is dict else data
-        return list(map(source.parse, _expect(values, (list, "an array of rationals"))))
+        path = ("values",) if data.__class__ is dict else ()
+        values = _expect(data.get("values") if path else data, (list, "an array of rationals"))
+        return _each_parsed(source.parse, values, *path)
 
 
 def rational_set_jsonable(values: Iterable[Fraction]) -> dict:
@@ -488,53 +457,6 @@ def certificate_jsonable(cert: CoverCertificate) -> dict:
         ],
         "cost": format_rational(cert.cost),
     }
-
-
-_quote = json.encoder.encode_basestring_ascii
-_SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
-
-
-def indented_json(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, or the exception it raises, written by C calls:
-    json's C encoder runs only without an indent.  Open containers sit on a stack, not in a
-    recursion; each item is written with the separator after it, which the closing text of its
-    container replaces on the last one.  A list of strings (a product matrix row) is one join
-    over json's C quote function, a string, int, boolean or None is written by its class, and any
-    other value by ``json.dumps``.  A container met inside itself raises ValueError, as in json.
-    """
-    out, open_ids, stack = [], set(), [(iter([obj]), False, "", "", None)]
-    while stack:
-        items, keyed, sep, close, mark = stack[-1]
-        for value in items:
-            key = ""
-            if keyed:
-                key, value = value
-                key = (_quote(key) if key.__class__ is str else json.dumps({key: 0})[1:-4]) + ": "
-            write = _SCALARS.get(value.__class__)
-            if write is not None or not isinstance(value, (list, tuple, dict)) or not value:
-                out.append(f"{key}{(write or json.dumps)(value)}{sep}")
-                continue
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            inner = "\n" + "  " * len(stack)
-            if not isinstance(value, dict):
-                try:  # every item a string: one C-level join
-                    out.append(f"{key}[{inner}{(',' + inner).join(map(_quote, value))}{inner[:-2]}]{sep}")
-                    continue
-                except TypeError:
-                    pass
-            pair, keyed = ("{}", True) if isinstance(value, dict) else ("[]", False)
-            out.append(key + pair[0] + inner)
-            stack.append((iter(value.items() if keyed else value), keyed, "," + inner, inner[:-2] + pair[1], id(value)))
-            open_ids.add(id(value))
-            break
-        else:
-            stack.pop()
-            out[-1] = out[-1][:len(out[-1]) - len(sep)] + close
-            open_ids.discard(mark)
-            if stack:  # the separator after this container in the one that holds it
-                out.append(stack[-1][2])
-    return "".join(out)
 
 
 def write_canonical_json(path: PathLike, obj) -> None:

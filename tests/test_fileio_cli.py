@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isoprod import fileio
 from isoprod.cli import dispatch, render
-from isoprod.errors import LoadError
+from isoprod.errors import IsoprodError, LoadError
 from isoprod.fixtures import combiner_grid, fixture_generate, random_metric_space, sampled_combiner
 from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
@@ -163,16 +164,25 @@ def test_loader_error_texts_are_pinned(tmp_path):
         # the function checks its values and repeats once every entry is read
         (fileio.load_sampled_function, sampled([["1"], "-1"], [["1"], "x"]),
          LoadError, "{path}: entries[1].value: bad rational 'x': Invalid literal for Fraction: 'x'"),
+        # a matrix or rational set file names the JSON path of its first bad rational, in row-major order
         (fileio.load_matrix, {"labels": ["a", "b"], "dist": [[0, 1], ["1", True]]},
-         LoadError, "{path}: expected a rational, got boolean True"),
+         LoadError, "{path}: dist[1][1]: expected a rational, got boolean True"),
         (fileio.load_matrix, {"dist": [["0", "1/2"], ["1/2", 0.5]]},
-         LoadError, "{path}: expected a rational string, got 0.5"),
+         LoadError, "{path}: dist[1][1]: expected a rational string, got 0.5"),
         (fileio.load_matrix, {"dist": [["0", "1e5000"], ["1e5000", "0"]]},
-         LoadError, f"{{path}}: bad rational '1e5000': exponent beyond {LIMIT}"),
+         LoadError, f"{{path}}: dist[0][1]: bad rational '1e5000': exponent beyond {LIMIT}"),
         (fileio.load_matrix, {"dist": [["1/0", "1/0"], ["1/0", "1/0"]]},
-         LoadError, "{path}: bad rational '1/0': Fraction(1, 0)"),
+         LoadError, "{path}: dist[0][0]: bad rational '1/0': Fraction(1, 0)"),
+        (fileio.load_matrix, {"dist": [["0", "1", "2"], ["1", "0", "x"], ["2", "y", "x"]]},
+         LoadError, "{path}: dist[1][2]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+        (fileio.load_matrix, {"dist": [["0", 1], [None, "x"]]},
+         LoadError, "{path}: dist[1][0]: expected a rational string, got None"),
         (fileio.load_rational_set, ["1/0", "1/2", "1/0"],
-         LoadError, "{path}: bad rational '1/0': Fraction(1, 0)"),
+         LoadError, "{path}: [0]: bad rational '1/0': Fraction(1, 0)"),
+        (fileio.load_rational_set, {"values": ["0", "1/2", "1/3", "x", True]},
+         LoadError, "{path}: values[3]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+        (fileio.load_rational_set, {"values": ["0", False]},
+         LoadError, "{path}: values[1]: expected a rational, got boolean False"),
         # labels that are no array; a string once split into one label per character
         (fileio.load_matrix, {"labels": 5, "dist": [["0"]]},
          LoadError, "{path}: labels: expected an array"),
@@ -222,10 +232,14 @@ def test_load_matrix_keeps_json_types_apart_and_errors_row_major(tmp_path):
                 for _ in range(n)]
         path = tmp_path / f"m{k}.json"
         path.write_text(json.dumps({"dist": rows}))
-        try:
+        for i, j in itertools.product(range(n), repeat=2):  # the first bad entry names its path
+            try:
+                fileio.parse_rational(rows[i][j])
+            except LoadError as exc:
+                expected = f"{path}: dist[{i}][{j}]: {exc}"
+                break
+        else:
             expected = [[fileio.parse_rational(v) for v in row] for row in rows]
-        except LoadError as exc:
-            expected = f"{path}: {exc}"
         for values in (None, []):
             try:
                 _, dist = fileio.load_matrix(path, values=values)
@@ -236,7 +250,7 @@ def test_load_matrix_keeps_json_types_apart_and_errors_row_major(tmp_path):
             assert dist == expected, rows
             if not isinstance(dist, str):
                 assert {type(v) for row in dist for v in row} == {F}
-        outcomes[expected.partition(": ")[2] if isinstance(expected, str) else "loaded"] += 1
+        outcomes[expected.split(": ", 2)[2] if isinstance(expected, str) else "loaded"] += 1
     assert outcomes["loaded"] >= 50
     assert {"expected a rational, got boolean True", "expected a rational string, got 1.0",
             "expected a rational string, got None", "expected a rational string, got ['1']",
@@ -425,8 +439,15 @@ def test_point_string_parsing():
     assert fileio.parse_point_string("(2,0)") == point(2, 0)
     assert fileio.parse_point_string("[2, 1/2]") == point(2, "1/2")
     assert fileio.parse_point_string("3") == point(3)
-    with pytest.raises(LoadError):
-        fileio.parse_point_string("()")
+    assert fileio.parse_point_string("(1,)") == fileio.parse_point_string("1,") == point(1)
+    # an empty coordinate is an input error that names the probe, not a point of lower dimension
+    for text, error in (("()", "empty probe '()'"), ("  ", "empty probe '  '"),
+                        ("(1,,2)", "empty coordinate in probe '(1,,2)'"), ("1,2,", "empty coordinate in probe '1,2,'"),
+                        ("(1,2,)", "empty coordinate in probe '(1,2,)'"), ("(,1)", "empty coordinate in probe '(,1)'"),
+                        ("(,)", "empty coordinate in probe '(,)'"), ("[1, ,2]", "empty coordinate in probe '[1, ,2]'")):
+        with pytest.raises(LoadError) as info:
+            fileio.parse_point_string(text)
+        assert str(info.value) == error, text
 
 
 def test_sampled_function_json_round_trip(tmp_path):
@@ -800,13 +821,11 @@ def test_exit_code_2_cases(tmp_path):
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch):
-    from isoprod import verbs
-
     def broken(*args):
         raise RuntimeError("broken handler")
 
-    # the handler itself is bound when the process builds its parser
-    monkeypatch.setattr(verbs, "_load", broken)
+    # the handler is imported by name when the verb runs, and loads its file by fileio.load_recorded
+    monkeypatch.setattr(fileio, "load_recorded", broken)
     path = tmp_path / "f.json"
     write_sum_function(path)
     code, report = dispatch(["check", "--function", str(path)])
@@ -963,6 +982,46 @@ def test_every_verb_answers_help_and_a_bad_verb_lists_them_all(capsys):
                         (["cantor", "nope"], f"argument cantor_verb: invalid choice: 'nope' (choose from {cantor})"),
                         (["universal", "nope"], "argument universal_verb: invalid choice: 'nope' (choose from 'search')")):
         assert dispatch(argv) == (2, {"command": " ".join(argv), "error": error})
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What parse(argv) returns, or the error it raises, or the code it exits with; then its stdout and stderr."""
+    try:
+        result = parse(argv)
+    except IsoprodError as exc:
+        result = f"error: {exc}"
+    except SystemExit as exc:
+        result = f"exit {exc.code}"
+    return result, *capsys.readouterr()
+
+
+def test_a_verb_branch_parses_as_the_whole_tree(capsys, monkeypatch):
+    # an argv that names a verb is parsed by that verb's branch alone; the branch must give the
+    # Namespace of the whole tree, and any argv it refuses the whole tree's texts
+    from isoprod import verbs
+
+    full, build, built = verbs.build_parser(), verbs.build_parser, []
+    monkeypatch.setattr(verbs, "build_parser", lambda only=None: built.append(only) or build(only))
+    verbs._parser.cache_clear()
+    argvs = [["-h"], ["cantor"], ["cantor", "-h"], ["universal", "-h"], ["nosuchverb"], ["cantor", "nope"], []]
+    for command, _, _, arguments in verbs.VERBS:
+        valid = command.split()
+        for name, options in arguments.items():
+            choices = options.get("choices")
+            value = (verbs._named(choices) if isinstance(choices, str) else choices or ["1"])[0]
+            valid += [value] if not name.startswith("-") else [name, value] if options.get("required") else []
+        built.clear()
+        assert verbs._parse(valid) == full.parse_args(valid), command
+        assert verbs._parse(["--csv", *valid]) == full.parse_args(["--csv", *valid]), command
+        assert built == [command] and "csv" in verbs._parse(valid), command
+        # the branch holds its own group's parser and its verb's alone
+        assert build(command).format_usage().split()[4] == f"{{{command.split()[0]}}}", command
+        words = command.split()
+        argvs += [[*words, "-h"], words, ["--bogus", *valid], [*valid, "--bogus"], ["--cs", *valid],
+                  [*valid, "--csv"], [*valid, "--cs"], [*words, "--", "-1"]]
+    capsys.readouterr()
+    for argv in argvs:
+        assert _parse_outcome(verbs._parse, argv, capsys) == _parse_outcome(full.parse_args, argv, capsys), argv
 
 
 def test_usage_errors_keep_the_argparse_message(capsys):

@@ -110,21 +110,28 @@ def _modules_imported(args: list[str]) -> set[str]:
     "args, layers",
     [
         (["-c", "import isoprod.cli"], None),
-        (["-m", "isoprod", "cantor", "member", "1/4"], {"cantor", "fileio"}),
-        (["-m", "isoprod", "check", "--function", "FUNCTION"], {"fileio", "sampled", "continuation"}),
-        (["-m", "isoprod", "witness-unbounded", "1/2"], {"fileio", "metric", "combiners", "sampled"}),
+        (["-m", "isoprod", "cantor", "member", "1/4"], {"verbs_cantor", "cantor"}),
+        (["-m", "isoprod", "cantor", "decompose", "1/3"], {"verbs_cantor", "cantor"}),
+        (["-m", "isoprod", "cantor", "refute-ce-triple", "--level", "2"], {"verbs_cantor", "cantor"}),
+        (["-m", "isoprod", "universal", "search", "--ce-level", "2", "--a", "1/3", "--b", "1/3"],
+         {"verbs_cantor", "cantor"}),
+        (["-m", "isoprod", "embed", "--set", "SET"], {"verbs_cantor", "cantor", "fileio"}),
+        (["-m", "isoprod", "check", "--function", "FUNCTION"], {"verbs_sampled", "fileio", "sampled", "continuation"}),
+        (["-m", "isoprod", "witness-unbounded", "1/2"], {"verbs_metric", "metric", "combiners", "sampled"}),
     ],
-    ids=["import", "run", "check", "witness-unbounded"],
+    ids=["import", "run", "decompose", "refute-ce-triple", "search-ce-level", "embed", "check", "witness-unbounded"],
 )
 def test_cli_start_skips_heavy_stdlib_modules(args, layers, tmp_path, monkeypatch):
     # dataclasses brings inspect (and ast, dis, tokenize) with it; hashlib is
-    # needed only by a job that digests an input file
+    # needed only by a job that digests an input file, and fileio only by a verb that reads one
     function = tmp_path / "f.json"  # isotone, so check reaches the cover table in continuation
     function.write_text('{"dim": 1, "entries": [{"point": ["0"], "value": "0"}, {"point": ["1"], "value": "1"}]}')
-    imported = _modules_imported([str(function) if arg == "FUNCTION" else arg for arg in args])
+    values = tmp_path / "set.json"
+    values.write_text('["0", "1/2", "2"]')
+    imported = _modules_imported([{"FUNCTION": str(function), "SET": str(values)}.get(arg, arg) for arg in args])
     assert {"fractions", "argparse"} <= imported
     assert {"dataclasses", "inspect"} & imported == set()
-    assert ("hashlib" in imported) == ("check" in args)
+    assert ("hashlib" in imported) == ("fileio" in (layers or ()))
     if layers is None:
         monkeypatch.syspath_prepend(str(ROOT / "bench"))
         from tracer import SPANS
@@ -135,4 +142,10 @@ def test_cli_start_skips_heavy_stdlib_modules(args, layers, tmp_path, monkeypatc
         # without bytecode caches each start compiles every isoprod module it imports,
         # so a verb loads the front end and its own layers only
         own = {name for name in imported if name.startswith("isoprod.")}
-        assert own == {f"isoprod.{name}" for name in {"verbs", "errors", "points", *layers}}
+        assert own == {f"isoprod.{name}" for name in {"verbs", "errors", "text", "points", *layers}}
+
+
+def test_text_module_imports_no_layer():
+    # a verb that reads no file parses its rationals and writes its report with this module alone
+    imported = _modules_imported(["-c", "import isoprod.text"])
+    assert {name for name in imported if name.startswith("isoprod.")} == {"isoprod.text", "isoprod.errors"}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from operator import add, mul
@@ -367,29 +366,20 @@ def _grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, parse) -
 def _scan_grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, parse) -> dict:
     """The value at each flat code of the grid entries, read entry by entry: raises the
     first fault in the order :func:`load_grid_function` gives."""
-    from .modulus import _axis_index, _code, _index_of
+    from .modulus import _code, _index_of
 
     points = [_expect(_expect(e, _OBJECT, "values", i).get("point"), _ARRAY, "values", i, "point")
               for i, e in enumerate(entries)]
-    rows, values = [], []
-    for i, (p, e) in enumerate(zip(points, entries)):
-        row = [_axis_index(_parsed(parse, c, "values", i, "point", j), bound, step) for j, c in enumerate(p)]
-        if not row or min(row) < -1:
-            PointN(tuple(map(parse, p)))  # raises the empty point or the negative coordinate
-        rows.append(row)
-        values.append(_field(e, "value", parse, "values", i))
+    # PointN raises the empty point or the negative coordinate
+    read = [(PointN(tuple(_parsed(parse, c, "values", i, "point", j) for j, c in enumerate(p))),
+             _field(e, "value", parse, "values", i)) for i, (p, e) in enumerate(zip(points, entries))]
     if bound <= 0 or step <= 0:
         raise LoadError("bound and step must be positive")
-    # fewer than 2 ** n entries fail GridFunction's dimension check once they pass theirs, and n
-    # may then be too large for flat codes: a repeat is found by the index row itself
-    code = partial(_code, m=int(bound / step) + 1) if len(entries).bit_length() > n else tuple
-    codes = {}
-    for row, value, p in zip(rows, values, points):
-        if len(row) != n or min(row) < 0:
-            _index_of(parse_point(p, parse), n, bound, step)  # raises the dimension or lattice error
-        c = code(row)
+    m, codes = int(bound / step) + 1, {}
+    for point, value in read:
+        c = _code(_index_of(point, n, bound, step), m)  # raises the dimension or lattice error
         if c in codes:
-            raise LoadError(f"duplicate lattice point {parse_point(p, parse)}")
+            raise LoadError(f"duplicate lattice point {point}")
         codes[c] = value
     return codes
 

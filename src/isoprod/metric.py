@@ -23,7 +23,7 @@ from operator import eq
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
-from .errors import CombinerDomainGapError, InvalidMetricError, IsoprodError, NotWellDefinedError
+from .errors import CombinerDomainGapError, InvalidMetricError, IsoprodError, NotWellDefinedError, OutOfRangeError
 from .points import PointN, Record, first_inversion, rat, scale_to_integers
 from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
@@ -189,8 +189,13 @@ class FiniteMetricSpace(Record):
         return self._distances
 
 
+# product points one spec may have: N = 1024 is a matrix of about 1e6 entries, which
+# product --verify builds, checks and writes in about 1 s and 70 MB
+PRODUCT_CAP = 1024
+
+
 class ProductSpec(Record):
-    """Factor spaces plus the combiner applied to coordinate distances."""
+    """Factor spaces plus the combiner applied to coordinate distances, at most PRODUCT_CAP product points."""
 
     factors: tuple[FiniteMetricSpace, ...]
     combiner: Union[Combiner, SampledFunction]
@@ -199,6 +204,10 @@ class ProductSpec(Record):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("a product needs at least one factor")
+        size = math.prod(sp.size for sp in self.factors)
+        if size > PRODUCT_CAP:
+            raise OutOfRangeError(f"product of factor sizes {size} exceeds the product cap {PRODUCT_CAP}: "
+                                  f"it would build {size}^2 matrix entries")
         if isinstance(self.combiner, SampledFunction):
             if self.combiner.dim != len(self.factors):
                 raise ValueError(
@@ -260,20 +269,26 @@ class DistanceIncreaseViolation(Record):
     large_value: Fraction
 
 
+def _require_shape(matrix, factors: tuple[FiniteMetricSpace, ...]) -> None:
+    """Raise unless the matrix has a row and a column per product point, before any code grid is built."""
+    n = math.prod(sp.size for sp in factors)
+    if len(matrix) != n:
+        raise IsoprodError(f"product of factor sizes is {n} but the matrix has {len(matrix)} rows")
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise IsoprodError(f"product of factor sizes is {n} but row {i} has {len(row)} entries")
+
+
 def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...], codes: list[list[int]]):
     """Yield each (grid index, entry) with the first product pair realizing it.
 
     A pair is two product labels, and codes[p][q] its grid index.  Pairs are
     scanned row by row over i <= j, lazily, so a caller that stops early
     reads no further.  A pair's entry is compared by ``in`` (identity first)
-    with the entries met at its grid index (:func:`_distance_codes`).
+    with the entries met at its grid index (:func:`_distance_codes`); the
+    caller has checked the matrix's shape (:func:`_require_shape`).
     """
     n = len(codes)
-    if len(matrix) != n:
-        raise IsoprodError(f"product of factor sizes is {n} but the matrix has {len(matrix)} rows")
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise IsoprodError(f"product of factor sizes is {n} but row {i} has {len(row)} entries")
     labels = product_labels(factors)
     met = [[] for _ in range(math.prod(len(sp.distance_set()) for sp in factors))]  # per grid index, the entries met
     for i, (code_row, row) in enumerate(zip(codes, matrix)):
@@ -289,6 +304,7 @@ def is_distance_increasing(
 ) -> tuple[bool, Optional[DistanceIncreaseViolation]]:
     """Check monotonicity of the product distance in the tuple of coordinate distances."""
     factors = tuple(factors)
+    _require_shape(matrix, factors)
     grid, codes = _distance_codes(factors)
     records = list(_first_pairs(matrix, factors, codes))
     ranks = list(itertools.product(*(range(len(sp.distance_set())) for sp in factors)))  # order as the grid does
@@ -312,6 +328,7 @@ def extract_product_function(
     distance, and the earliest such record is the first conflict.
     """
     factors = tuple(factors)
+    _require_shape(matrix, factors)
     grid, codes = _distance_codes(factors)
     table: dict[int, tuple] = {}  # grid index -> (distance, first pair)
     for (code, val), pair in _first_pairs(matrix, factors, codes):

@@ -151,11 +151,9 @@ def _code(idx, m: int) -> int:
 
 
 def _axis_index(c: Fraction, bound: Fraction, step: Fraction) -> int:
-    """The index of coordinate c on the axis {0, step, ..., bound}: -2 when c < 0, and -1 when
-    c is past the bound, no multiple of the step, or the step is not positive."""
-    if c < 0:
-        return -2
-    if step <= 0 or c > bound:
+    """The index of coordinate c on the axis {0, step, ..., bound}, step > 0; -1 when c is off
+    the axis or no multiple of the step."""
+    if not 0 <= c <= bound:
         return -1
     q = c / step
     return q.numerator if q.denominator == 1 else -1

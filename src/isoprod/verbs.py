@@ -202,23 +202,29 @@ def dispatch(argv) -> tuple[int, dict]:
 
     ``--help`` prints the usage text and raises SystemExit(0), as argparse does.
     """
+    return _dispatch(argv)[:2]
+
+
+def _dispatch(argv) -> tuple[int, dict, bool]:
+    """The exit code and run report of :func:`dispatch`, and whether to render them as CSV: as the
+    parse set --csv, or after a parse error, when argv leads with --csv, the flag :func:`_parse` reads."""
     try:
         args = _parse(argv)
     except IsoprodError as exc:  # raised only by _Parser.error
-        return 2, {"command": " ".join(argv), "error": str(exc)}
+        return 2, {"command": " ".join(argv), "error": str(exc)}, argv[:1] == ["--csv"]
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     command = args.command
     try:
         verdicts = _named(args.run)(args, inputs)
     except (IsoprodError, ValueError, IndexError, OSError) as exc:
-        return 2, {"command": command, "inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}
+        return 2, {"command": command, "inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}, args.csv
     except Exception as exc:
         import traceback  # only a crash pays for the import, not every start
 
         traceback.print_exc(file=sys.stderr)
         error = f"internal error: {type(exc).__name__}: {exc}"
-        return 3, {"command": command, "inputs": inputs, "error": error}
+        return 3, {"command": command, "inputs": inputs, "error": error}, args.csv
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     report = {
         "command": command,
@@ -226,8 +232,7 @@ def dispatch(argv) -> tuple[int, dict]:
         "verdicts": verdicts,
         "timing_ms": elapsed_ms,
     }
-    code = 0 if all(v["ok"] for v in verdicts) else 1
-    return code, report
+    return (0 if all(v["ok"] for v in verdicts) else 1), report, args.csv
 
 
 def render(report: dict, as_csv: bool = False) -> str:
@@ -253,8 +258,7 @@ def render(report: dict, as_csv: bool = False) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    as_csv = "--csv" in argv
-    code, report = dispatch(argv)
+    code, report, as_csv = _dispatch(argv)
     print(render(report, as_csv=as_csv))
     if "error" in report:
         print(report["error"], file=sys.stderr)

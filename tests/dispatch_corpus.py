@@ -250,10 +250,11 @@ def _seed(corpus: Corpus, seed: int) -> None:
     corpus.run(["universal", "search", "--set", files["set"][0], "--a", str(a), "--b", str(b)])
     corpus.run(["universal", "search", "--ce-level", str(seed % 4 + 1), "--a", str(a), "--b", str(b)])
     corpus.run(["embed", "--set", files["set"][0]])
-    t = str(Fraction(seed, 27))
-    for verb in ("member", "ce-member", "decompose", "ce-decompose"):
-        corpus.run(["cantor", verb, t])
-    corpus.run(["cantor", "refute-ce-triple", "--level", str(seed % 5 + 1)])
+    k = seed % 9 + 1  # besides seed/27, which passes 1 from seed 28, a t in (0, 1) of denominator 3^k
+    for t in (Fraction(seed, 27), Fraction(3 * (seed * 7_654_321 % 3 ** (k - 1)) + 1 + seed % 2, 3**k)):
+        for verb in ("member", "ce-member", "decompose", "ce-decompose"):
+            corpus.run(["cantor", verb, str(t)])
+    corpus.run(["cantor", "refute-ce-triple", "--level", str(seed % 12 + 1)])  # levels 1-12
     corpus.run(["witness-unbounded", str(Fraction(seed + 1, 3))])
     for kind in ("random-sampled-function", "random-metric-space", "named-combiner-grid", "ce-level-set"):
         corpus.run(["fixture", "--kind", kind, "--seed", str(seed), "--out", str(base / "fixture"),

@@ -143,6 +143,36 @@ def cantor_orbit_member(t) -> bool:
     return True
 
 
+def cantor_split_pair(t) -> tuple[Fraction, Fraction]:
+    """The digit-split Cantor pair at distance t, for a triadic t in (0, 1), by long division.
+
+    The base-3 digits of w = (1 + t)/2 are read one by one until the
+    remainder repeats.  Each digit splits into two digits from {0, 2} that
+    average to it (0 -> 0, 0; 1 -> 2, 0; 2 -> 2, 2), giving u and v with
+    u + v = 1 + t, and the pair is (u, 1 - v).  A period of p digits with
+    value P as a p-digit integer, after s preperiod digits, adds the
+    geometric series P/3^(s+p) * (1 + 3^-p + 3^-2p + ...) = P/(3^p - 1)/3^s.
+    """
+    w = (1 + Fraction(t)) / 2
+    digits, seen = [], {}
+    while w not in seen:  # w is the remainder, in [0, 1)
+        seen[w] = len(digits)
+        d = floor(3 * w)
+        digits.append(d)
+        w = 3 * w - d
+    start = seen[w]
+    split = {0: (0, 0), 1: (2, 0), 2: (2, 2)}
+
+    def value(ds):
+        pre = sum(Fraction(d, 3 ** (i + 1)) for i, d in enumerate(ds[:start]))
+        period = sum(d * 3 ** i for i, d in enumerate(reversed(ds[start:])))
+        return pre + Fraction(period, 3 ** len(ds[start:]) - 1) / 3**start
+
+    u = value([split[d][0] for d in digits])
+    v = value([split[d][1] for d in digits])
+    return u, 1 - v
+
+
 def isotone_pairs_hold(f: SampledFunction) -> bool:
     return all(
         f.value(x) <= f.value(y)

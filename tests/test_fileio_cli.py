@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isoprod import fileio
 from isoprod.cli import dispatch, render
-from isoprod.errors import IsoprodError, LoadError
+from isoprod.errors import IsoprodError, LoadError, OutOfRangeError
 from isoprod.fixtures import combiner_grid, fixture_generate, random_metric_space, sampled_combiner
 from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
@@ -764,6 +765,58 @@ def test_levels_past_the_cap_are_input_errors(tmp_path):
         code, report = dispatch(argv)
         assert code == 2 and report["error"] == error
     assert not list(tmp_path.iterdir())
+
+
+def test_products_past_the_cap_are_input_errors(tmp_path, monkeypatch):
+    # five 8-point factors make 32,768 product points: product refuses them at the cap and extract at
+    # the row count, each in well under 0.1 s and before a code grid is built
+    from isoprod import metric
+
+    line = FiniteMetricSpace([str(i) for i in range(8)], [[abs(i - j) for j in range(8)] for i in range(8)])
+    fileio.dump_metric_space(line, tmp_path / "line.json")
+    fileio.dump_metric_space(FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]]), tmp_path / "pair.json")
+    (tmp_path / "spec.json").write_text(json.dumps({"factors": ["line.json"] * 5, "combiner": "SUM"}))
+    factors = [arg for _ in range(5) for arg in ("--factor", str(tmp_path / "line.json"))]
+    monkeypatch.setattr(metric, "_distance_codes", lambda factors: pytest.fail("a code grid was built"))
+    cap = f"product of factor sizes 32768 exceeds the product cap {metric.PRODUCT_CAP}: it would build 32768^2 matrix entries"
+    runs = [
+        (["product", *factors, "--combiner", "SUM", "--verify"], f"OutOfRangeError: {cap}"),
+        (["product", "--spec", str(tmp_path / "spec.json")], f"LoadError: {tmp_path / 'spec.json'}: {cap}"),
+        (["extract", "--product", str(tmp_path / "pair.json"), *factors],
+         "IsoprodError: product of factor sizes is 32768 but the matrix has 2 rows"),
+    ]
+    for argv, error in runs:
+        started = time.perf_counter()
+        code, report = dispatch(argv)
+        assert (code, report["error"]) == (2, error) and time.perf_counter() - started < 0.1, argv
+    with pytest.raises(IsoprodError, match="the matrix has 2 rows"):
+        metric.is_distance_increasing([[0, 1], [1, 0]], [line] * 5)
+    # at the cap a spec is built; one point past it is refused
+    lines = {n: FiniteMetricSpace(list(map(str, range(n))), [[abs(i - j) for j in range(n)] for i in range(n)])
+             for n in (2, 5, 41)}
+    assert len(metric.ProductSpec((lines[2],) * 10, max).factors) == 10  # 1024 points
+    with pytest.raises(OutOfRangeError, match="product of factor sizes 1025 exceeds"):
+        metric.ProductSpec((lines[41], lines[5], lines[5]), max)
+
+
+def test_csv_is_rendered_as_the_parse_reads_the_flag(capsys):
+    # --cs abbreviates --csv, and a --csv after -- is a value; after a parse error only a leading
+    # --csv counts, as verbs._parse reads the flag
+    from isoprod.verbs import main
+
+    cases = [
+        (["--cs", "cantor", "member", "1/4"], 0, True),
+        (["cantor", "member", "--", "--csv"], 2, False),
+        (["--csv", "cantor", "member", "1/4", "--bogus"], 2, True),
+        (["cantor", "member", "1/4", "--csv"], 2, False),
+        (["--csv", "cantor", "member", "1/4"], 0, True),
+    ]
+    for argv, code, as_csv in cases:
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert out.startswith("check,ok,detail\n") == as_csv, argv
+        if not as_csv:
+            json.loads(out)
 
 
 def test_grid_verbs(tmp_path):

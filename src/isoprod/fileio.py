@@ -375,9 +375,11 @@ def _scan_grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, par
              _field(e, "value", parse, "values", i)) for i, (p, e) in enumerate(zip(points, entries))]
     if bound <= 0 or step <= 0:
         raise LoadError("bound and step must be positive")
-    m, codes = int(bound / step) + 1, {}
+    # below 2 ** n entries from_codes refuses n, whose flat codes may then cost O(n ** 2): key by index
+    m, flat, codes = int(bound / step) + 1, len(entries).bit_length() > n, {}
     for point, value in read:
-        c = _code(_index_of(point, n, bound, step), m)  # raises the dimension or lattice error
+        idx = _index_of(point, n, bound, step)  # raises the dimension or lattice error
+        c = _code(idx, m) if flat else idx
         if c in codes:
             raise LoadError(f"duplicate lattice point {point}")
         codes[c] = value

@@ -189,9 +189,7 @@ class FiniteMetricSpace(Record):
         return self._distances
 
 
-# product points one spec may have: N = 1024 is a matrix of about 1e6 entries, which
-# product --verify builds, checks and writes in about 1 s and 70 MB
-PRODUCT_CAP = 1024
+PRODUCT_CAP = 1024  # product points per spec: product --verify builds, checks and writes N = 1024 in 1 s, 70 MB
 
 
 class ProductSpec(Record):

@@ -769,7 +769,8 @@ def test_levels_past_the_cap_are_input_errors(tmp_path):
 
 def test_products_past_the_cap_are_input_errors(tmp_path, monkeypatch):
     # five 8-point factors make 32,768 product points: product refuses them at the cap and extract at
-    # the row count, each in well under 0.1 s and before a code grid is built
+    # the row count, before a code grid is built; each takes a few ms in-process, and 2 s leaves
+    # room for the first dispatch's imports on a slow machine
     from isoprod import metric
 
     line = FiniteMetricSpace([str(i) for i in range(8)], [[abs(i - j) for j in range(8)] for i in range(8)])
@@ -788,7 +789,7 @@ def test_products_past_the_cap_are_input_errors(tmp_path, monkeypatch):
     for argv, error in runs:
         started = time.perf_counter()
         code, report = dispatch(argv)
-        assert (code, report["error"]) == (2, error) and time.perf_counter() - started < 0.1, argv
+        assert (code, report["error"]) == (2, error) and time.perf_counter() - started < 2, argv
     with pytest.raises(IsoprodError, match="the matrix has 2 rows"):
         metric.is_distance_increasing([[0, 1], [1, 0]], [line] * 5)
     # at the cap a spec is built; one point past it is refused
@@ -843,6 +844,15 @@ def test_a_grid_dimension_beyond_its_values_is_refused_before_any_index_is_built
     assert code == 2 and len(render(report)) < 1024
     assert report["error"] == (
         f"LoadError: {path}: missing lattice values: 0 are too few for dimension n, as 2**n are needed")
+    # one entry of 1,000 coordinates 1 on an axis of 10**4000 + 1 points: flat codes, whose cost
+    # grows as n ** 2 with 13,000-bit factors, took over a minute; the index tuple takes
+    # milliseconds, and 2 s leaves room for a slow machine
+    path.write_text(json.dumps({"n": 1000, "T": "1" + "0" * 4000, "h": "1", "values": [{"point": ["1"] * 1000, "value": "0"}]}))
+    started = time.perf_counter()
+    code, report = dispatch(["lemma42", "--grid", str(path)])
+    assert time.perf_counter() - started < 2
+    assert (code, report["error"]) == (
+        2, f"LoadError: {path}: missing lattice values: 1 are too few for dimension n, as 2**n are needed")
     # three points on a line and two values: the dimension fits, and the missing index is named
     path.write_text(json.dumps({"n": 1, "T": "2", "h": "1", "values": [
         {"point": ["0"], "value": "0"}, {"point": ["2"], "value": "1"}]}))

@@ -30,11 +30,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, groupby
 from math import lcm
-from operator import add, le, mul
+from operator import add, itemgetter, le, mul
 from typing import Callable, Sequence
 
 from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
-from .points import PointN, Record, axis_vector, rat, sort_key
+from .points import PointN, Record, axis_vector, rat
 from .sampled import SampledFunction, is_amenable, require_isotone
 
 COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
@@ -282,9 +282,9 @@ def subadditive_envelopes(f: SampledFunction, probes: Sequence[PointN],
     results: list = [None] * len(probes)
     for axes, members in tables.items():
         den = lcm(f._value_den, c.denominator if axes else 1)
-        ground = _sample_ground(f, den) + [(a, c.numerator * den // c.denominator, _ceil_row(f, a.coords))
-                                           for a in axes]
-        ground.sort(key=lambda item: sort_key(item[0]))
+        # the samples come in domain order; axis points join them by their rows, which keep the points' order
+        axis_ground = [(a, c.numerator * den // c.denominator, _ceil_row(f, a.coords)) for a in axes]
+        ground = sorted(_sample_ground(f, den) + axis_ground, key=itemgetter(2)) if axes else _sample_ground(f, den)
         costs, cover = _min_cover(ground, [_ceil_row(f, probes[i].coords) for i in members])
         for k, i in enumerate(members):
             value = Fraction(costs[k], den)

@@ -3,9 +3,11 @@
 Rationals are the strings of :mod:`isoprod.text`, whose ``parse_rational``,
 ``format_rational`` and ``indented_json`` this module imports back.  A
 loader parses each distinct string of its file once: a product matrix or
-a lattice file repeats a few values many times.  A matrix is coded to its
-distinct strings at C speed, and so is a well-formed lattice file, straight
-to flat lattice codes; a faulty one is read entry by entry to name the fault.
+a lattice file repeats a few values many times.  A well-formed matrix,
+lattice, sampled-function or probe file is coded in C-level passes over its
+distinct strings: a lattice to flat codes, a sampled function to int rows
+over one denominator, whose points are built only when a report needs them.
+A JSON file is read once, and ``load_recorded`` digests the bytes parsed.
 Written files are :func:`indented_json`, ``json.dumps(obj, indent=2)``
 written by C calls.
 
@@ -13,8 +15,8 @@ A loader checks the JSON type of each object and array before reading
 into it.  An input error names the file once, as ``<file>: <json path>:
 expected ...`` (``f.json: dist[1]: expected an array``) or ``<file>:<line>:``
 in a CSV row.  A bad rational names its JSON path too (``m.json: dist[1][2]:
-bad rational ...``); a matrix, lattice or sampled function file is parsed
-without paths, and read again entry by entry only when it is faulty.
+bad rational ...``): a file that is not well formed is read entry by entry,
+which names its first fault.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import IsoprodError, LoadError
-from .points import PointN
+from .points import PointN, _numerator
 from .text import format_rational, indented_json, parse_rational
 
 if TYPE_CHECKING:  # each loader imports the record type it builds when it first runs
@@ -60,16 +62,16 @@ def parse_point_string(text: str) -> PointN:
     return PointN(tuple(parse_rational(piece) for piece in parts))
 
 
-def file_digest(path: PathLike) -> str:
+def file_digest(path: PathLike, data: Optional[bytes] = None) -> str:  # of data, the bytes read from path, if given
     import hashlib  # here, not at module top: only a job that reads a file pays for it
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes() if data is None else data).hexdigest()
 
 
 def load_recorded(loader, path: PathLike, inputs: dict):
-    """loader(path), the file's digest recorded in inputs under the path as given."""
+    """loader(path), the digest of the bytes it parsed (``_Reading.digests``) recorded in inputs under the path."""
+    _Reading.digests = {str(path): None}
     value = loader(path)
-    inputs[str(path)] = file_digest(path)
+    inputs[str(path)] = _Reading.digests.pop(str(path)) or file_digest(path)
     return value
 
 
@@ -120,6 +122,8 @@ class _Reading:
     inside the block names that file alone.  ``source.parse`` is parse_rational with
     each distinct string of the file parsed once."""
 
+    digests: dict[str, Optional[str]] = {}  # the path load_recorded loads, and json()'s digest of its bytes
+
     def __init__(self, path: PathLike):
         self.path, self.where = Path(path), str(path)
         memo = {}  # str values only: True == 1 == 1.0 hash alike, and a bool or a float must reach its own error
@@ -147,29 +151,43 @@ class _Reading:
             raise error from None
 
     def json(self):
-        return json.loads(self.path.read_text(encoding="utf-8"))
+        data = self.path.read_bytes()
+        if self.where in self.digests:  # where is still the path as given
+            self.digests[self.where] = file_digest(self.path, data)
+        text = data.decode("utf-8")
+        if b"\r" in data:  # read_text's newlines
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        del data  # the bytes go before the parse, as read_text's do
+        return json.loads(text)
 
 
 def _entries(data: dict, key: str, parse) -> list[tuple[PointN, Fraction]]:
-    """The (point, value) pairs of data[key], an array of {"point": [...], "value": ...} objects.
-    A missing value or a bad rational is found by one pass without paths, then read again entry
-    by entry in the same order to name its JSON path, as ``entries[1].point[0]: bad rational ...``."""
+    """The (point, value) pairs of data[key], an array of {"point": [...], "value": ...} objects,
+    read entry by entry: a bad rational names its JSON path, as ``entries[1].point[0]: bad rational ...``."""
     entries = _expect(data.get(key), _ARRAY, key)
     points = [_expect(_expect(e, _OBJECT, key, i).get("point"), _ARRAY, key, i, "point") for i, e in enumerate(entries)]
-    try:
-        return [(parse_point(p, parse), parse(e.get("value"))) for p, e in zip(points, entries)]
-    except LoadError:  # no point's own error came before it
-        for i, (p, e) in enumerate(zip(points, entries)):
-            _each_parsed(parse, p, key, i, "point")
-            _field(e, "value", parse, key, i)
-        raise
+    return [(PointN(tuple(_each_parsed(parse, p, key, i, "point"))), _field(e, "value", parse, key, i))
+            for i, (p, e) in enumerate(zip(points, entries))]
 
 
 def load_points(path: PathLike) -> list[PointN]:
-    """A JSON array of coordinate arrays, such as a --probes file."""
+    """A JSON array of coordinate arrays, such as a --probes file, coded in bulk; a faulty one is read point by point."""
     with _Reading(path) as source:
         points = _expect(source.json(), (list, "an array of points"))
-        return [parse_point(_expect(p, _ARRAY, i), source.parse) for i, p in enumerate(points)]
+        coords = _parsed_strings(points, source.parse)
+        if coords is None or 0 in map(len, points) or min(map(_numerator, coords.values()), default=0) < 0:
+            return [parse_point(_expect(p, _ARRAY, i), source.parse) for i, p in enumerate(points)]
+        return [PointN._trusted(tuple(map(coords.__getitem__, p))) for p in points]
+
+
+def _parsed_strings(arrays: list, parse) -> Optional[dict]:
+    """Each distinct string of the arrays parsed once, if they are arrays of rational strings; else None.
+    No other JSON value equals a string, so the distinct values are all strings when every value is."""
+    try:
+        texts = dict.fromkeys(chain.from_iterable(arrays)) if {*map(type, arrays)} <= {list} else {None: None}
+        return {t: parse(t) for t in texts} if {*map(type, texts)} <= {str} else None
+    except (TypeError, LoadError):  # an array or an object among the values, which no dict keys; no rational
+        return None
 
 
 # -- sampled functions -------------------------------------------------
@@ -191,7 +209,7 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
     with _Reading(path) as source:
         if source.path.suffix.lower() != ".csv":
             data = _expect(source.json(), (dict, "a sampled function object"))
-            f = SampledFunction(_entries(data, "entries", source.parse))
+            f = _sampled_rows(data, source.parse) or SampledFunction(_entries(data, "entries", source.parse))
             dim = _expect(data.get("dim"), _INTEGER, "dim")
             if f.dim != dim:
                 raise LoadError(f"declared dim {dim} but points have dim {f.dim}")
@@ -213,6 +231,21 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
             except csv.Error as exc:  # a field longer than csv.field_size_limit()
                 raise LoadError(f"line {reader.line_num}: {exc}") from None
         return SampledFunction(entries)
+
+
+def _sampled_rows(data: dict, parse) -> Optional[SampledFunction]:
+    """A well-formed sampled-function file's function, each distinct string parsed once and the rows coded by
+    ``SampledFunction._from_texts``; None at any fault, for the entry path to name."""
+    from .sampled import SampledFunction
+
+    entries, dim = data.get("entries"), data.get("dim")
+    if entries.__class__ is not list or not entries or dim.__class__ is not int or {*map(type, entries)} != {dict}:
+        return None
+    points, values = (list(map(dict.get, entries, repeat(key))) for key in ("point", "value"))
+    parsed = _parsed_strings([*points, values], parse)  # each distinct coordinate or value string once
+    if not parsed or dim < 1 or {*map(len, points)} != {dim} or min(map(_numerator, parsed.values())) < 0:
+        return None
+    return SampledFunction._from_texts(dim, points, values, parsed)
 
 
 def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:
@@ -240,33 +273,23 @@ def load_matrix(path: PathLike, *, square: bool = False, values=None) -> tuple[l
     """Load a labeled candidate matrix without metric validation: its rows have one
     length, as many as the rows when square is set, and its labels are distinct
     strings, one per row.  Given a list values, the rows are indices into it and the
-    parsed values are appended to it.  Each distinct string is parsed once, in row-major
-    order of first use, so the first bad entry is still the one reported."""
+    parsed values are appended to it.  A matrix of rational strings is coded by its distinct
+    strings, each parsed once; any other is read entry by entry, row-major, to name its first fault."""
     with _Reading(path) as source:
         data = _expect(source.json(), (dict, "a matrix object"))
         rows = _expect(data.get("dist"), _ARRAY, "dist")
         for i, row in enumerate(rows):
             if len(_expect(row, _ARRAY, "dist", i)) != len(rows[0]):
                 raise LoadError(f"dist[{i}]: expected {len(rows[0])} entries as in dist[0], got {len(row)}")
-        try:  # only strings are coded by value: 1, true and 1.0 hash alike, and an array not at all
-            keys = list(dict.fromkeys(chain.from_iterable(rows)))
-            strings = {*map(type, keys)} <= {str}
-        except TypeError:
-            strings = False
-        try:
-            if strings:
-                parsed = list(map(parse_rational, keys))
-            else:  # each entry is parsed in turn and coded by its place
-                parsed, width = list(map(source.parse, chain.from_iterable(rows))), len(rows[0]) if rows else 0
-                keys, rows = range(len(parsed)), [range(i * width, i * width + width) for i in range(len(rows))]
-        except LoadError:  # read again row by row to name the first bad entry
-            for i, row in enumerate(rows):
-                _each_parsed(source.parse, row, "dist", i)
-            raise
-        code = dict(zip(keys, parsed if values is None else range(len(keys)))).__getitem__
+        parsed = _parsed_strings(rows, source.parse)  # only strings are coded by value: 1, true and 1.0 hash alike
+        if parsed is None:  # each entry coded by its place, read in turn: the first bad one names its path
+            width = len(rows[0]) if rows else 0
+            parsed = dict(enumerate(v for i, row in enumerate(rows) for v in _each_parsed(source.parse, row, "dist", i)))
+            rows = [range(i * width, (i + 1) * width) for i in range(len(rows))]
+        code = dict(zip(parsed, parsed.values() if values is None else range(len(parsed)))).__getitem__
         dist = [list(map(code, row)) for row in rows]
         if values is not None:
-            values.extend(parsed)
+            values.extend(parsed.values())
         labels = [str(i) for i in range(len(dist))]
         if "labels" in data:
             labels = _expect(data["labels"], _ARRAY, "labels")
@@ -343,17 +366,11 @@ def _grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, parse) -
     if len(entries).bit_length() <= n or bound <= 0 or step <= 0 or {*map(type, entries)} != {dict}:
         return None
     points, values = (list(map(dict.get, entries, repeat(key))) for key in ("point", "value"))
-    if {*map(type, points)} != {list} or {*map(len, points)} != {n}:
+    coords, parsed = _parsed_strings(points, parse), _parsed_strings([values], parse)
+    if coords is None or parsed is None or {*map(len, points)} != {n}:
         return None
-    coords = list(chain.from_iterable(points))
-    if {*map(type, coords)} | {*map(type, values)} != {str}:
-        return None
-    try:
-        axis = {c: _axis_index(parse(c), bound, step) for c in dict.fromkeys(coords)}
-        parsed = {v: parse(v) for v in dict.fromkeys(values)}
-    except LoadError:
-        return None
-    index = list(map(axis.__getitem__, coords))
+    axis = {c: _axis_index(x, bound, step) for c, x in coords.items()}
+    index = list(map(axis.__getitem__, chain.from_iterable(points)))
     if min(index) < 0:
         return None
     codes, m = index[::n], int(bound / step) + 1

@@ -16,6 +16,7 @@ from . import fileio
 from .cantor import scaled_cantor_level_set
 from .combiners import named_combiner
 from .continuation import lower_cone_max
+from .errors import OutOfRangeError
 from .metric import FiniteMetricSpace
 from .modulus import GridFunction
 from .points import PointN, origin, rat
@@ -37,6 +38,8 @@ VALUE_GRID = (
     Fraction(3),
 )
 POSITIVE_GRID = VALUE_GRID[1:]
+POINTS_CAP = 64  # random_metric_space's max_points: 64 points close in 0.7 s, the closure's time grows as points^3
+DIM_CAP = 64  # random_sampled_function's dim: 200 amenable samples of dimension 64 build and write in 0.1 s
 
 
 def random_point(rng: random.Random, dim: int, grid=VALUE_GRID) -> PointN:
@@ -58,6 +61,8 @@ def random_sampled_function(
     """
     if mode not in ("raw", "isotone", "amenable"):
         raise ValueError(f"unknown mode {mode!r}")
+    if dim is not None and dim > DIM_CAP:
+        raise OutOfRangeError(f"dimension {dim} exceeds the fixture dimension cap {DIM_CAP}")
     dim = dim if dim is not None else rng.randint(1, 3)
     size = size if size is not None else rng.randint(1, 5)
     points = set()
@@ -80,6 +85,8 @@ def random_sampled_function(
 
 def random_metric_space(rng: random.Random, max_points: int = 4) -> FiniteMetricSpace:
     """A random finite metric: shortest-path closure of positive weights."""
+    if max_points > POINTS_CAP:
+        raise OutOfRangeError(f"{max_points} points exceed the fixture cap {POINTS_CAP} (up to {max_points}^3 steps)")
     n = rng.randint(1, max_points)
     labels = [f"p{i}" for i in range(n)]
     dist = [[Fraction(0)] * n for _ in range(n)]

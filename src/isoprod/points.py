@@ -92,6 +92,12 @@ class PointN(Record):
             raise ValueError(f"negative coordinate {next(c for c in coords if c < 0)} not allowed")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _trusted(cls, coords: tuple[Fraction, ...]) -> "PointN":  # coords nonempty and nonnegative, unchecked
+        p = object.__new__(cls)
+        object.__setattr__(p, "coords", coords)
+        return p
+
     def __eq__(self, other):  # the record's, unrolled: points are the key of every hot loop
         return self.coords == other.coords if other.__class__ is PointN else NotImplemented
 
@@ -155,8 +161,3 @@ def first_inversion(keys: Sequence[Sequence], values: Sequence) -> Optional[tupl
             if value > v and all(map(le, key, other)):
                 return i, k
     return None
-
-
-def sort_key(p: PointN) -> tuple[Fraction, ...]:
-    """Total (lexicographic) order used wherever deterministic output matters."""
-    return p.coords

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from isoprod.continuation import subadditive_envelope, sup_continuation
-from isoprod.points import PointN, leq, rat, sort_key
+from isoprod.points import PointN, leq, rat
 from isoprod.sampled import SampledFunction, require_isotone
 
 
@@ -48,7 +48,7 @@ def envelope_maximality_check(
     for a, v in f.items():
         if rat(candidate(a)) > v:
             raise ValueError(f"candidate({a}) > f({a})")
-    probe_list = sorted(set(probes), key=sort_key)
+    probe_list = sorted(set(probes), key=lambda p: p.coords)
     for p in probe_list:
         fp = rat(candidate(p))
         for q in probe_list:

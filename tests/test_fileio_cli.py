@@ -216,6 +216,15 @@ def test_loader_error_texts_are_pinned(tmp_path):
     with pytest.raises(LoadError) as info:
         fileio.load_sampled_function(csv_path)
     assert str(info.value) == f"{csv_path}:2: bad rational '1/0': Fraction(1, 0)"
+    # a file read as bytes is decoded as read_text decodes it: CR LF and a lone CR read as LF
+    raw = {b'{"dim": 1,\r\n "entries": [}': "invalid JSON: Expecting value: line 2 column 14 (char 24)",
+           b'{"dim": 1,\r\r\n"entries": "\r"}': "invalid JSON: Invalid control character at: line 3 column 13 (char 24)",
+           b'{"dim":\r1, "entries": ["\xff"]}': "'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"}
+    for content, text in raw.items():
+        csv_path.with_suffix(".json").write_bytes(content)
+        with pytest.raises(LoadError) as info:
+            fileio.load_recorded(fileio.load_sampled_function, csv_path.with_suffix(".json"), {})
+        assert str(info.value) == f"{csv_path.with_suffix('.json')}: {text}"
 
 
 # JSON entries that hash or compare alike (1, true, 1.0), that no dict can key (arrays, objects), and
@@ -798,6 +807,73 @@ def test_products_past_the_cap_are_input_errors(tmp_path, monkeypatch):
     assert len(metric.ProductSpec((lines[2],) * 10, max).factors) == 10  # 1024 points
     with pytest.raises(OutOfRangeError, match="product of factor sizes 1025 exceeds"):
         metric.ProductSpec((lines[41], lines[5], lines[5]), max)
+
+
+def test_fixture_sizes_past_their_caps_are_input_errors(tmp_path, monkeypatch):
+    # refused before the first draw (a draw raises inside dispatch, which would exit 3) and with
+    # no large allocation; each takes well under 1 ms in-process, and 2 s leaves room for a slow machine
+    import tracemalloc
+    from isoprod import fixtures
+
+    assert dispatch(["fixture", "--kind", "random-sampled-function", "--out", str(tmp_path)])[0] == 0  # imports done
+
+    class NoDraws(random.Random):
+        def random(self, *args):
+            raise AssertionError("a fixture drew before its cap check")
+
+        getrandbits = random
+
+    monkeypatch.setattr(fixtures.random, "Random", NoDraws)
+    points = "points exceed the fixture cap 64 (up to"
+    runs = [
+        (["--kind", "random-metric-space", "--max-points", "65"], f"65 {points} 65^3 steps)"),
+        (["--kind", "random-metric-space", "--max-points", str(10 ** 12)], f"{10 ** 12} {points} {10 ** 12}^3 steps)"),
+        (["--kind", "random-sampled-function", "--dim", "65"], "dimension 65 exceeds the fixture dimension cap 64"),
+        (["--kind", "random-sampled-function", "--dim", str(10 ** 9), "--size", "200", "--mode", "amenable"],
+         f"dimension {10 ** 9} exceeds the fixture dimension cap 64"),
+    ]
+    for argv, error in runs:
+        tracemalloc.start()
+        started = time.perf_counter()
+        code, report = dispatch(["fixture", *argv, "--out", str(tmp_path)])
+        elapsed, peak = time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (code, report["error"]) == (2, f"OutOfRangeError: {error}") and elapsed < 2 and peak < 1 << 20, argv
+    monkeypatch.undo()
+    # at the caps the generators run: 64 coordinates, and up to 64 points (seed 2 draws 8)
+    assert fixtures.random_sampled_function(random.Random(0), dim=fixtures.DIM_CAP, size=2).dim == 64
+    assert fixtures.random_metric_space(random.Random(2), max_points=fixtures.POINTS_CAP).size == 8
+
+
+def test_a_recorded_load_reads_its_file_once_and_digests_the_bytes_it_parsed(tmp_path, monkeypatch):
+    # the loader rewrites its file once it has parsed it: the digest recorded is that of the bytes
+    # parsed, so a second read would show; opens are counted at io.open (pathlib's) and open
+    import builtins
+    import hashlib
+
+    path = tmp_path / "f.json"
+    f = write_sum_function(path)
+    parsed, opened, real_open = path.read_bytes(), [], io.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    def loader(p):
+        loaded = fileio.load_sampled_function(p)
+        opens = opened.count(path)
+        path.write_text("{}")
+        return loaded, opens
+
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    inputs = {}
+    assert fileio.load_recorded(loader, path, inputs) == (f, 1)
+    assert inputs == {str(path): "sha256:" + hashlib.sha256(parsed).hexdigest()}
+    path.write_bytes(parsed)
+    opened.clear()
+    code, report = dispatch(["check", "--function", str(path)])
+    assert code == 0 and opened.count(path) == 1 and report["inputs"] == inputs
 
 
 def test_csv_is_rendered_as_the_parse_reads_the_flag(capsys):

@@ -23,9 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dispatch_corpus import MALFORMED, READERS, csv_of, expand, json_paths, mutated, mutated_csv, replacements, value_at
-from isoprod import fileio
-from isoprod.errors import LoadError
+from isoprod import fileio, fixtures
+from isoprod.errors import LoadError, MissingOriginError
 from isoprod.fixtures import fixture_generate
+from isoprod.sampled import is_amenable, is_isotone
 from isoprod.verbs import dispatch
 
 # the loader each reading verb calls on the file
@@ -266,3 +267,110 @@ def test_one_point_in_three_spellings_is_one_repeated_point(tmp_path, monkeypatc
     assert _bulk_and_scan(path, monkeypatch) == (f"{path}: duplicate lattice point (1/2)",) * 2 + (False,)
     path.write_text(json.dumps({"n": 1, "T": "1", "h": "1/2", "values": [values[0], values[4], values[2]]}))
     assert _bulk_and_scan(path, monkeypatch) == ((1, 1, F(1, 2), 2, 1, [1, 1, 1]),) * 2 + (True,)
+
+
+def _sampled_fields(path):
+    """The loaded function's prepared fields, items and kept verdicts, or the LoadError text."""
+    try:
+        f = fileio.load_sampled_function(path)
+    except LoadError as exc:
+        return str(exc)
+    try:
+        amenable = is_amenable(f)
+    except MissingOriginError as exc:
+        amenable = str(exc)
+    return f.dim, f._den, f._rows, f._value_den, f._int_values, f._caps, f.items(), is_isotone(f), amenable
+
+
+def _probe_fields(path):
+    try:
+        return [(p, type(p).__name__, tuple(map(type, p.coords))) for p in fileio.load_points(path)]
+    except LoadError as exc:
+        return str(exc)
+
+
+def _bulk_and_entry(fields, bulk, path, monkeypatch):
+    """fields(path) with fileio's bulk pass of that name, then with the bulk pass refusing every
+    file; and whether the bulk pass coded the file itself."""
+    coded, bulk_pass = [], getattr(fileio, bulk)
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, bulk, lambda *args: coded.append(bulk_pass(*args)) or coded[-1])
+        first = fields(path)
+        patch.setattr(fileio, bulk, lambda *args: None)
+        return first, fields(path), coded not in ([], [None])
+
+
+def _mutation(data, draw):
+    """data with one dispatch_corpus mutation at a drawn path."""
+    where = draw(st.sampled_from(list(json_paths(data))[1:]))
+    return mutated(data, where, draw(st.sampled_from(replacements(value_at(data, where)))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_bulk_sampled_function_loads_agree_with_the_entry_path(tmp_path, monkeypatch, data):
+    # 150 files, about 1 s: a fixture function of dimension 1-3, each coordinate and value in a drawn
+    # spelling (an integer sometimes a JSON number), entries shuffled, then at most one fault (a point
+    # again in another spelling, a negative value or coordinate, a point of another dimension, a
+    # declared dim that differs, a dispatch_corpus mutation); both paths give the same fields, items
+    # and kept verdicts, or the same error
+    f = fixtures.random_sampled_function(random.Random(data.draw(st.integers(0, 99))), dim=data.draw(st.integers(1, 3)),
+                                         mode=data.draw(st.sampled_from(["raw", "isotone", "amenable"])))
+    spell = lambda c: data.draw(st.sampled_from(_spellings(F(c))))  # noqa: E731
+    entries = [{"point": [spell(c) for c in p.coords], "value": spell(v)} for p, v in f.items()]
+    entries, dim = data.draw(st.permutations(entries)), f.dim
+    k = data.draw(st.integers(0, len(entries) - 1))
+    fault = data.draw(st.sampled_from(["none", "none", "repeat", "negative value", "negative coordinate",
+                                       "short point", "dim", "mutation", "mutation"]))
+    if fault == "repeat":
+        entries.append({"point": [spell(F(c)) for c in entries[k]["point"]], "value": spell(F(1))})
+    elif fault.startswith("negative"):
+        entries[k]["value" if fault == "negative value" else "point"] = "-1/2" if fault == "negative value" else ["-1"] * dim
+    elif fault == "short point":
+        entries[k]["point"] = entries[k]["point"][:-1] or ["0", "0"]
+    elif fault == "dim":
+        dim += 1
+    plain = {"dim": dim, "entries": entries}
+    content = _mutation(plain, data.draw) if fault == "mutation" else plain
+    path = tmp_path / f"f{next(_COUNTER)}.json"
+    path.write_text(json.dumps(content))
+    bulk, entry, coded = _bulk_and_entry(_sampled_fields, "_sampled_rows", path, monkeypatch)
+    assert bulk == entry
+    if fault != "mutation":  # a mutation may leave a good file; the bulk pass codes every good file of strings
+        assert isinstance(bulk, str) == (fault != "none")
+        assert coded == (fault == "none" and all(isinstance(x, str) for e in entries for x in (*e["point"], e["value"])))
+
+
+def test_one_sample_point_in_two_spellings_is_one_repeated_point(tmp_path, monkeypatch):
+    entries = [{"point": [c], "value": "1"} for c in ("0", "1/2", "2/4")]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"dim": 1, "entries": entries}))
+    assert _bulk_and_entry(_sampled_fields, "_sampled_rows", path, monkeypatch) == \
+        (f"{path}: duplicate point (1/2)",) * 2 + (False,)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_bulk_probe_loads_agree_with_the_entry_path(tmp_path, monkeypatch, data):
+    # 100 probe files, about 0.3 s: 0-4 points of dimension 1-3 in drawn spellings, at most one fault
+    # (a negative or bad coordinate, an empty point, a point that is no array, a dispatch_corpus
+    # mutation); both paths give the same points, built of Fractions, or the same error
+    dim = data.draw(st.integers(1, 3))
+    coords = st.sampled_from([F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3)])
+    points = [[data.draw(st.sampled_from(_spellings(c))) for c in data.draw(st.lists(coords, min_size=dim, max_size=dim))]
+              for _ in range(data.draw(st.integers(0, 4)))]
+    fault = data.draw(st.sampled_from(["none", "none", "negative", "bad", "empty", "no array", "mutation"]))
+    if points and fault not in ("none", "mutation"):
+        k = data.draw(st.integers(0, len(points) - 1))
+        points[k] = {"negative": ["-1/3"] * dim, "bad": ["1/0"], "empty": [], "no array": "1"}[fault]
+    content = _mutation(points, data.draw) if points and fault == "mutation" else points
+    path = tmp_path / f"p{next(_COUNTER)}.json"
+    path.write_text(json.dumps(content))
+    bulk, entry, coded = _bulk_and_entry(_probe_fields, "_parsed_strings", path, monkeypatch)
+    assert bulk == entry
+    if fault != "mutation":
+        assert isinstance(bulk, str) == (fault != "none" and bool(points))
+        if fault == "none" and all(isinstance(c, str) for p in points for c in p):
+            assert coded

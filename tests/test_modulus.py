@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import difference_bound_enumerate, modulus_enumerate
+from isoprod import fileio
 from isoprod.combiners import named_combiner
 from isoprod.errors import OffLatticeError
 from isoprod.fixtures import combiner_grid, sampled_combiner
@@ -33,7 +34,7 @@ def random_grid(rng, n=2, cells=4, step=F(1, 2)):
     return GridFunction(n, cells * step, step, values)
 
 
-def test_grid_function_validation():
+def test_grid_function_validation(tmp_path):
     with pytest.raises(ValueError, match="divide"):
         GridFunction(1, F(1), F(3, 7), {})
     with pytest.raises(ValueError, match="missing"):
@@ -50,6 +51,24 @@ def test_grid_function_validation():
     for outside in ((g.cells + 1,), (-1,), (0, 0)):
         with pytest.raises(KeyError):
             g.value_at(outside)
+    # a Record of its lattice: the fields can be neither assigned nor deleted, and equality reads the
+    # values cross-multiplied, so no grid function is hashable
+    for name in ("n", "bound", "step", "cells"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g._values() == (1, 1, F(1, 2), 2)
+    with pytest.raises(TypeError):
+        hash(g)
+    # a from_callable grid, the same grid loaded from its file, and the modulus tables of both
+    made = GridFunction.from_callable(2, "3/2", "1/2", lambda c: c[0] * c[1] + c[1] / 3)  # not its own modulus
+    fileio.dump_grid_function(made, tmp_path / "g.json")
+    loaded = fileio.load_grid_function(tmp_path / "g.json")
+    grids = [made, loaded, modulus_table(made), modulus_table(loaded)]
+    assert [h._values() for h in grids] == [(2, F(3, 2), F(1, 2), 3)] * 4
+    assert {type(h.n) for h in grids} == {type(h.cells) for h in grids} == {int} and loaded == made
+    assert modulus_table(made) == modulus_table(loaded) != made
 
 
 def test_modulus_examples():

@@ -900,6 +900,8 @@ def test_a_recorded_load_reads_its_file_once_and_digests_the_bytes_it_parsed(tmp
         code, report = dispatch(argv)
         assert code == 0 and list(map(opened.count, paths)) == [1] * len(paths), argv
         assert list(report["inputs"].items()) == [(str(p), digests[str(p)]) for p in paths], argv
+    monkeypatch.chdir(tmp_path)  # the spec under the path as given, its files under the paths they were read by
+    assert list(dispatch(["product", "--spec", "./s.json"])[1]["inputs"]) == ["./s.json", "a.json", "b.json", "f.json"]
     files[-1].write_text("{}")  # a load that fails records none of the files it read
     inputs = {}
     with pytest.raises(LoadError, match="f.json: entries"):

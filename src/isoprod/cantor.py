@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import NonTriadicDenominatorError, OutOfRangeError, RationalInputError
 from .points import RationalLike, Record, rat
 
-LEVEL_CAP = 18  # per level, the refutation's time doubles (level 17: 0.3 s), the level set's 2-3x (15 s, 70 MB)
+LEVEL_CAP = 18  # refutation at 18: 0.4 s; universal search --ce-level 18: 16 s, 180 MB, most in its line search
 
 
 def _base3_value(digits: Iterable[int]) -> int:
@@ -52,13 +52,12 @@ class Base3Expansion(Record):
             raise ValueError("integer digits must not have leading zeros")
 
     def to_fraction(self) -> Fraction:
-        value = Fraction(_base3_value(self.integer_digits))
-        scale = Fraction(1)
-        for d in self.preperiod:
-            scale /= 3
-            value += d * scale
+        """(I*3^k + P)/3^k + R/((3^m - 1)*3^k), where I, P and R are the values of the integer,
+        preperiod and period digits, k is the preperiod's length and m the period's."""
+        scale = 3 ** len(self.preperiod)
+        value = Fraction(_base3_value(self.integer_digits + self.preperiod), scale)
         if self.period:
-            value += Fraction(_base3_value(self.period), 3 ** len(self.period) - 1) * scale
+            value += Fraction(_base3_value(self.period), (3 ** len(self.period) - 1) * scale)
         return value
 
     def all_digits(self) -> tuple[int, ...]:
@@ -232,9 +231,9 @@ def scaled_cantor_level_set(level: int) -> list[Fraction]:
     The dilation union meets [0, 3] in the Cantor set plus its triple,
     so the endpoint set is the union of both endpoint families.
     """
-    starts = cantor_level_starts(level)
-    scale = Fraction(3) ** -level
-    return sorted({k * e for p in starts for e in (p * scale, (p + 1) * scale) for k in (1, 3)})
+    scale = 3**level
+    ends = {e for p in cantor_level_starts(level) for e in (p, p + 1, 3 * p, 3 * p + 3)}
+    return [Fraction(e, scale) for e in sorted(ends)]
 
 
 def three_point_search(
@@ -328,16 +327,8 @@ def scaled_cantor_triple_refutation(level: int = 10) -> TripleRefutationReport:
     rejections.sort(key=lambda item: item[0])
 
     member = set(starts)
-    combos = (
-        (0, third),
-        (third, 2 * third),
-        (2 * third, 3 * third),
-        (third, 0),
-        (2 * third, third),
-        (3 * third, 2 * third),
-    )
-    counts = {pair: 0 for pair in combos}
-    examples: dict[tuple[int, int], tuple[int, int]] = {}
+    # the matched (p, q) of each limit combination (x*, y*), in units of 3^-level
+    pairs = {(cx * third, cy * third): [] for cx, cy in ((0, 1), (1, 2), (2, 3), (1, 0), (2, 1), (3, 2))}
     strays = []
     deltas = (third - 1, third, third + 1, -(third - 1), -third, -(third + 1))
     for p in starts:
@@ -345,42 +336,24 @@ def scaled_cantor_triple_refutation(level: int = 10) -> TripleRefutationReport:
             q = p - delta
             if q not in member:
                 continue
-            matched = None
-            for cx, cy in combos:
+            for cx, cy in pairs:
                 if abs(p - cx) <= 1 and abs(q - cy) <= 1:
-                    matched = (cx, cy)
+                    pairs[cx, cy].append((p, q))
                     break
-            if matched is None:
-                strays.append((p * scale, q * scale))
             else:
-                counts[matched] += 1
-                examples.setdefault(matched, (p, q))
+                strays.append((p * scale, q * scale))
 
-    combo_evidence = tuple(
-        ComboEvidence(
-            x_star=cx * scale,
-            y_star=cy * scale,
-            pair_count=counts[(cx, cy)],
-            example=(
-                examples[(cx, cy)][0] * scale,
-                examples[(cx, cy)][1] * scale,
-            )
-            if (cx, cy) in examples
-            else (Fraction(-1), Fraction(-1)),
-        )
-        for cx, cy in combos
+    combos = tuple(
+        ComboEvidence(x_star=cx * scale, y_star=cy * scale, pair_count=len(found),
+                      example=(found[0][0] * scale, found[0][1] * scale) if found else (Fraction(-1), Fraction(-1)))
+        for (cx, cy), found in pairs.items()
     )
     gap_holds = all(p + 1 <= third or p >= 2 * third for p in starts)
-    ok = (
-        not strays
-        and all(counts[pair] > 0 for pair in combos)
-        and gap_holds
-        and len(rejections) == 5
-    )
+    ok = not strays and all(pairs.values()) and gap_holds and len(rejections) == 5
     return TripleRefutationReport(
         level=level,
         candidate_rejections=tuple(rejections),
-        combos=combo_evidence,
+        combos=combos,
         stray_pairs=tuple(strays),
         gap_holds=gap_holds,
         ok=ok,

@@ -46,8 +46,8 @@ def format_point(p: PointN) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
 
-def parse_point(values: Sequence, parse=parse_rational) -> PointN:
-    return PointN(tuple(map(parse, values)))
+def parse_point(values: Sequence) -> PointN:
+    return PointN(tuple(map(parse_rational, values)))
 
 
 def parse_point_string(text: str) -> PointN:
@@ -197,7 +197,7 @@ def load_points(path: PathLike) -> list[PointN]:
         points = _expect(source.json(), (list, "an array of points"))
         coords = _parsed_strings(points, source.parse)
         if coords is None or 0 in map(len, points) or min(map(_numerator, coords.values()), default=0) < 0:
-            return [parse_point(_expect(p, _ARRAY, i), source.parse) for i, p in enumerate(points)]
+            return [PointN(tuple(_each_parsed(source.parse, _expect(p, _ARRAY, i), i))) for i, p in enumerate(points)]
         return [PointN._trusted(tuple(map(coords.__getitem__, p))) for p in points]
 
 
@@ -233,17 +233,17 @@ def load_sampled_function(path: PathLike) -> SampledFunction:
         import csv
         import io
 
-        entries, parse = [], source.parse
+        entries, parse, name = [], source.parse, source.where
         reader = csv.reader(io.StringIO(source.text(), newline=""))
         try:
             for lineno, row in enumerate(reader, start=1):
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                source.where = f"{source.path}:{lineno}"
+                source.where = f"{name}:{lineno}"
                 if len(row) < 2:
                     raise LoadError("need n+1 columns")
                 entries.append((PointN(tuple(parse(cell.strip()) for cell in row[:-1])), parse(row[-1].strip())))
-                source.where = str(source.path)
+                source.where = name
         except csv.Error as exc:  # a field longer than csv.field_size_limit()
             raise LoadError(f"line {reader.line_num}: {exc}") from None
         return SampledFunction(entries)

@@ -2,7 +2,9 @@
 
 No pruning, no memoization, no integer scaling: plain enumeration over
 bounded multiplicity vectors in exact Fractions.  Tests compare the
-optimized library implementations against these.
+optimized library implementations against these.  One exception: the
+Cantor pair census builds its intervals in Fractions but compares the
+4^k pairs in units of 3^-k, which is exact and 30 times faster.
 """
 
 from __future__ import annotations
@@ -171,6 +173,44 @@ def cantor_split_pair(t) -> tuple[Fraction, Fraction]:
     u = value([split[d][0] for d in digits])
     v = value([split[d][1] for d in digits])
     return u, 1 - v
+
+
+def cantor_intervals(level: int) -> list[tuple[Fraction, Fraction]]:
+    """The 2^level closed intervals of the level-k Cantor set, left to right,
+    built by removing the open middle third of each interval, starting from [0, 1]."""
+    intervals = [(Fraction(0), Fraction(1))]
+    for _ in range(level):
+        intervals = [piece for a, b in intervals for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
+    return intervals
+
+
+def scaled_cantor_endpoints(level: int) -> list[Fraction]:
+    """The sorted endpoints of the level-k intervals of C and of 3C, from the Fraction intervals."""
+    return sorted({e for a, b in cantor_intervals(level) for e in (a, b, 3 * a, 3 * b)})
+
+
+def cantor_pair_census(level: int) -> tuple[dict, list]:
+    """Every ordered pair (I, J) of level-k Cantor intervals that can realize a distance of 1/3.
+
+    All 4^level pairs are scanned.  (I, J) can realize 1/3 when |x - y| = 1/3 for
+    some x in I and y in J, and it hugs the limit combination (x*, y*) when x*
+    lies in I and y* in J.  Returns {(x*, y*): [(min I, min J), ...]} over the six
+    combinations of 0, 1/3, 2/3 and 1 a third apart, pairs in scan order, and the
+    strays: the pairs that can realize 1/3 but hug no combination.
+    """
+    unit = 3**level
+    third = unit // 3
+    ends = [(int(a * unit), int(b * unit)) for a, b in cantor_intervals(level)]
+    limits = [(0, 1), (1, 2), (2, 3), (1, 0), (2, 1), (3, 2)]
+    hugging = {limit: [] for limit in limits}
+    strays = []
+    for a, b in ends:
+        for c, d in ends:
+            if not (a - d <= third <= b - c or a - d <= -third <= b - c):  # x - y ranges over [a - d, b - c]
+                continue
+            hugs = [(x, y) for x, y in limits if a <= x * third <= b and c <= y * third <= d]
+            (hugging[hugs[0]] if hugs else strays).append((Fraction(a, unit), Fraction(c, unit)))
+    return {(Fraction(x, 3), Fraction(y, 3)): found for (x, y), found in hugging.items()}, strays
 
 
 def isotone_pairs_hold(f: SampledFunction) -> bool:

@@ -12,9 +12,9 @@ search comes near ``COVER_BUDGET``.  The 200 examples, derandomized, cost about 
 The second test draws the other value arguments: ``omega --eps`` (lattice points and probe strings)
 and ``nonconstant --var`` on grids of dimension 1-3, ``cantor refute-ce-triple --level`` from -2 to
 ``LEVEL_CAP`` + 1 and odd texts, and ``verify-metric --tol`` on a metric space and on a matrix whose
-triangle fails by 1.  ``universal search --ce-level`` is left out: its level set takes about 15 s
-at level 17, within ``LEVEL_CAP``.  Its 100 examples cost about 1 s.  Every run of either test exits
-0, 1 or 2 within 2 s.
+triangle fails by 1.  ``universal search --ce-level`` is left out: its Fraction line search over the
+level set takes about 7 s at level 17 and 16 s at ``LEVEL_CAP``.  Its 100 examples cost about 1 s.
+Every run of either test exits 0, 1 or 2 within 2 s.
 """
 
 import itertools

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantor_helpers import TAU_LOWER, AmbiguousComparisonError, alternate, sign
-from oracles import cantor_orbit_member, cantor_split_pair, naive_three_point
+from oracles import cantor_orbit_member, cantor_pair_census, cantor_split_pair, naive_three_point, scaled_cantor_endpoints
 from isoprod.cantor import (
     Base3Expansion,
     SymbolicAffine,
@@ -293,6 +293,25 @@ def test_triple_refutation_report():
     assert jsonable["ok"] and len(jsonable["combos"]) == 6
     with pytest.raises(ValueError):
         scaled_cantor_triple_refutation(1)
+
+
+def test_triple_refutation_agrees_with_the_pair_census():
+    # the census scans all 4^k interval pairs; levels 2-8 take about 0.02 s
+    for level in range(2, 9):
+        report = scaled_cantor_triple_refutation(level)
+        hugging, strays = cantor_pair_census(level)
+        assert [(c.x_star, c.y_star) for c in report.combos] == list(hugging)
+        for c in report.combos:
+            found = hugging[c.x_star, c.y_star]
+            assert c.pair_count == len(found), level
+            assert c.example == (found[0] if found else (F(-1), F(-1))), level
+        assert sorted(report.stray_pairs) == sorted(strays)
+
+
+def test_scaled_cantor_level_set_is_the_endpoint_set_of_c_and_3c():
+    # Fraction-built intervals at levels 1-10: about 0.08 s
+    for level in range(1, 11):
+        assert scaled_cantor_level_set(level) == scaled_cantor_endpoints(level), level
 
 
 def test_symbolic_affine_arithmetic_and_order():

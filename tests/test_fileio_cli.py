@@ -122,7 +122,7 @@ def test_loaders_parse_each_distinct_string_once_per_call(tmp_path, monkeypatch)
             assert calls == parsed, name
 
 
-def test_loader_error_texts_are_pinned(tmp_path):
+def test_loader_error_texts_are_pinned(tmp_path, monkeypatch):
     # the per-file parse memo and the coordinate index keep every loader error text
     full = [{"point": [f"{i}/2", f"{j}/2"], "value": str(i + j)} for i in range(3) for j in range(3)]
 
@@ -184,6 +184,9 @@ def test_loader_error_texts_are_pinned(tmp_path):
          LoadError, "{path}: values[3]: bad rational 'x': Invalid literal for Fraction: 'x'"),
         (fileio.load_rational_set, {"values": ["0", False]},
          LoadError, "{path}: values[1]: expected a rational, got boolean False"),
+        # a probes file names the JSON path of its first bad rational
+        (fileio.load_points, [["0", "1/2"], ["1", "x"], ["y"]],
+         LoadError, "{path}: [1][1]: bad rational 'x': Invalid literal for Fraction: 'x'"),
         # labels that are no array; a string once split into one label per character
         (fileio.load_matrix, {"labels": 5, "dist": [["0"]]},
          LoadError, "{path}: labels: expected an array"),
@@ -216,6 +219,11 @@ def test_loader_error_texts_are_pinned(tmp_path):
     with pytest.raises(LoadError) as info:
         fileio.load_sampled_function(csv_path)
     assert str(info.value) == f"{csv_path}:2: bad rational '1/0': Fraction(1, 0)"
+    # a CSV row error names the file by the path as given, as every other load error does
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(LoadError) as info:
+        fileio.load_sampled_function("./bad.csv")
+    assert str(info.value) == "./bad.csv:2: bad rational '1/0': Fraction(1, 0)"
     # a file read as bytes is decoded as read_text decodes it: CR LF and a lone CR read as LF
     raw = {b'{"dim": 1,\r\n "entries": [}': "invalid JSON: Expecting value: line 2 column 14 (char 24)",
            b'{"dim": 1,\r\r\n"entries": "\r"}': "invalid JSON: Invalid control character at: line 3 column 13 (char 24)",

@@ -11,7 +11,8 @@ Euclidean-style combiner needs, are compared in floating point.
 
 A :class:`FiniteMetricSpace` ranks its entries in its sorted distance set
 once, when it is built; products, and the scans that take them apart, read
-those ranks as each pair's grid index in ``itertools.product(*distance sets)``.
+those ranks as each pair's grid index in ``itertools.product(*distance sets)``,
+and a product is proved a metric on its factors' distance triples (:func:`product_metric_proved`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import eq
+from operator import eq, le
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
@@ -39,32 +40,22 @@ class MetricViolation(Record):
 def verify_metric(matrix, tol=0, *, values=None, squares=None) -> tuple[bool, Optional[MetricViolation]]:
     """Check the metric axioms on a square nonnegative matrix.
 
-    Returns the first violation in axiom order (symmetry, identity of
-    indiscernibles, triangle), each scanned in lexicographic index
-    order.  A tolerance relaxes every axiom by tol: the triangle
-    d(i,k) <= d(i,j) + d(j,k) may then exceed by up to tol; tol = 0 (the
-    default) is the exact check.
+    Returns the first violation in axiom order (symmetry, identity of indiscernibles, triangle), each
+    scanned in lexicographic index order and relaxed by tol (0: exact).
 
-    With values, entry (i, j) is values[matrix[i][j]], coded by whoever made
-    the matrix (a FiniteMetricSpace by rank, a loaded file by distinct
-    string, a product by grid index); without, the matrix is its own value
-    list.  Exact values and an exact tol are scaled to integers together,
-    each row is read as ints through its codes, and the triangles (i, j, .)
-    of one row pair are asked at once: with every row packed into one int,
-    one field per column, a sum and a mask over rows i and j test every k
-    (see :func:`_packed_triangle_failures`).  Only the first failing pair is
-    scanned over k for its witness.  Float entries or a float tol (the
-    inexact SQRT_SUM_SQ closed form) scan every pair over k.  After the
-    square and negative-entry checks, a nan or negative tol and a nan or
-    infinite entry raise ValueError.
+    With values, entry (i, j) is values[matrix[i][j]], coded by rank, by distinct string or by grid
+    index; without, the matrix is its own value list.  Exact values and tol are scaled to integers
+    together, and the triangles (i, j, .) of a row pair are asked at once on rows packed into ints
+    (:func:`_packed_triangle_failures`); only the first failing pair is scanned over k for its witness.
+    Float entries or a float tol scan every pair over k.  After the square and negative-entry checks, a
+    nan or negative tol and a nan or infinite entry raise ValueError.  ``product --verify`` runs it only
+    where :func:`product_metric_proved` proves nothing.
 
-    Given squares, the exact squares of the values under the same codes
-    (the SQUARE_SUM table of a SQRT_SUM_SQ product), the verdict is decided
-    on them with tol = 0, and values only print the witness: symmetry and
-    identity hold on the roots exactly when they hold on the squares, and
-    sqrt(a) <= sqrt(b) + sqrt(c) exactly when a - b - c <= 0 or
-    (a - b - c) ** 2 <= 4bc.  A failing root triangle fails a <= b + c, so
-    the packed test on the squares flags every row pair to scan over k.
+    Given squares, the exact squares of the values under the same codes (a SQRT_SUM_SQ product's
+    SQUARE_SUM table), the verdict is decided on them with tol = 0 and values only print the witness:
+    symmetry and identity hold on the roots exactly when they hold on the squares, and sqrt(a) <=
+    sqrt(b) + sqrt(c) exactly when a - b - c <= 0 or (a - b - c) ** 2 <= 4bc.  A failing root triangle
+    fails a <= b + c, so the packed test on the squares flags every row pair to scan over k.
     """
     n = len(matrix)
     for row in matrix:
@@ -189,7 +180,8 @@ class FiniteMetricSpace(Record):
         return self._distances
 
 
-PRODUCT_CAP = 1024  # product points per spec: product --verify builds, checks and writes N = 1024 in 1 s, 70 MB
+PRODUCT_CAP = 1024  # product points per spec: product --verify at N = 1024 takes 0.3 s, 71 MB on 8x8x16 closure
+# factors (SQRT_SUM_SQ 2.8 s, 158 MB, most of it writing floats), 2.7 s on line factors, left to the packed scan (99 s)
 
 
 class ProductSpec(Record):
@@ -254,6 +246,42 @@ def product_metric(spec: ProductSpec, *, values=None) -> tuple[list[tuple[str, .
         values.extend(table)
         return product_labels(spec.factors), codes
     return product_labels(spec.factors), [list(map(table.__getitem__, row)) for row in codes]
+
+
+# Factor-path steps (a factor triple listed or a product triple tested) that cost one packed-scan
+# row pair: the median break-even on exact tables of 2-4 closure or line factors, N = 24-216.
+TRIPLES_PER_ROW_PAIR = 4
+
+
+def product_metric_proved(factors: Sequence[FiniteMetricSpace], table, squares=None) -> bool:
+    """True when the factors under the grid table of :func:`product_metric` (its roots decided on
+    squares, given those) make a metric; False leaves the verdict to :func:`verify_metric`: a failed
+    axiom, an inexact table, or more steps than TRIPLES_PER_ROW_PAIR * N**2, counted before any sum.
+
+    Symmetry holds as the factors are metrics, identity when the table is 0 at grid index 0 alone,
+    and each triangle when table[A] <= table[B] + table[C] on the sum set of the factors' rank
+    triples (d(x,z), d(x,y), d(y,z)) times their strides (Borsík and Doboš, Math. Slovaca 1981).
+    An isotone table keeps each factor's largest a per (b, c), which dominates the others.
+    """
+    budget = TRIPLES_PER_ROW_PAIR * math.prod(sp.size for sp in factors) ** 2 - sum(sp.size ** 3 for sp in factors)
+    found = [{(b, c, a) for x in sp._ranks for b, y in zip(x, sp._ranks) for a, c in zip(x, y)} for sp in factors
+             if budget >= 0]  # past the budget none, and their count 1 fails
+    top = [{(b, c): a for b, c, a in sorted(f)} for f in found]  # the largest a per (b, c)
+    if math.prod(map(len, top)) > budget or not all(isinstance(v, (Fraction, int)) for v in squares or table):
+        return False
+    _, ints = scale_to_integers(squares or table)
+    strides = [math.prod(len(sp.distance_set()) for sp in factors[j + 1:]) for j in range(len(factors))]
+    if all(all(map(le, ints[o:o + block - s], ints[o + s:o + block]))  # isotone, by unit steps
+           for s, block in zip(strides, [len(ints), *strides]) for o in range(0, len(ints), block)):
+        found = [[(b, c, a) for (b, c), a in t.items()] for t in top]
+    if ints[0] != 0 or min(ints[1:], default=1) <= 0 or math.prod(map(len, found)) > budget:
+        return False
+    left, right = [(0, 0, 0)], [(0, 0, 0)]  # two sum sets of about equal size, met pair by pair
+    for t, s in zip(found, strides):
+        half = left if len(left) <= len(right) else right
+        half[:] = [(A + a * s, B + b * s, C + c * s) for A, B, C in half for b, c, a in t]
+    return all(squares is not None and (x - y - z) ** 2 <= 4 * y * z for A, B, C in left for a, b, c in right
+               if (x := ints[A + a]) > (y := ints[B + b]) + (z := ints[C + c]))  # a > b + c: roots, if any, decide
 
 
 class DistanceIncreaseViolation(Record):

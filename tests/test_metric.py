@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -14,6 +15,8 @@ from oracles import (
     product_pairs,
     root_metric_violation,
 )
+from product_triangle_table import closure_space
+
 from isoprod import fileio, metric
 from isoprod.combiners import COMBINER_NAMES, named_combiner
 from isoprod.errors import (
@@ -279,16 +282,22 @@ def _product_argv(paths, combiner, cap, verify):
 
 def test_product_verb_matches_the_nested_row_report(tmp_path, monkeypatch):
     # the product report, coded, equals one built from the nested rows: the matrix as
-    # matrix_jsonable writes the rows, and verify_metric's verdict on them
-    packed, kernel_calls, running = metric._packed_triangle_failures, Counter(), {}
+    # matrix_jsonable writes the rows, and verify_metric's verdict on them; each passing product
+    # is proved on its factors' triples, and each failing one goes on to the packed scan
+    packed, proved, taken, running = metric._packed_triangle_failures, metric.product_metric_proved, [], {}
 
-    def recording(m, bound):
+    def recording_scan(m, bound):
         if len(m) == running.get("size"):  # the product matrix, not a factor being loaded
-            kernel_calls[running["combiner"]] += 1
+            taken.append("packed")
         return packed(m, bound)
 
-    monkeypatch.setattr(metric, "_packed_triangle_failures", recording)
-    rng, outcomes = random.Random(4242), Counter()
+    def recording_proof(*args):
+        taken.append(proved(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(metric, "_packed_triangle_failures", recording_scan)
+    monkeypatch.setattr(metric, "product_metric_proved", recording_proof)
+    rng, outcomes, deciders = random.Random(4242), Counter(), Counter()
     for trial in range(8):
         # collinear triples fail SQUARE_SUM's triangles; the product outgrows every factor
         factors = [line_space([0, 1, 2]), line_space([0, 1]),
@@ -309,7 +318,9 @@ def test_product_verb_matches_the_nested_row_report(tmp_path, monkeypatch):
             running.update(size=len(labels), combiner=combiner_name)
             for verify in (False, True):
                 target = sampled_path if combiner_name == "sampled" else combiner_name
+                taken.clear()
                 code, report = dispatch(_product_argv(paths, target, cap, verify))
+                decided = tuple(taken)
                 expected = [{"check": "product-matrix", "ok": True, "matrix": fileio.matrix_jsonable(labels, matrix)}]
                 if verify and combiner_name == "SQRT_SUM_SQ":  # decided on the exact squares
                     squares = product_metric(ProductSpec(tuple(factors), named_combiner("SQUARE_SUM")))[1]
@@ -323,9 +334,17 @@ def test_product_verb_matches_the_nested_row_report(tmp_path, monkeypatch):
                                                   "labels": ["|".join(labels[i]) for i in violation.indices]}
                     outcomes[ok] += 1
                 assert (code, report["verdicts"]) == (0 if all(v["ok"] for v in expected) else 1, expected)
-            if combiner_name == "SQRT_SUM_SQ":  # JSON floats, and the packed test on the squares
+                if verify:
+                    kind = expected[1]["witness"]["kind"] if "witness" in expected[1] else "metric"
+                    deciders[combiner_name == "SQRT_SUM_SQ", kind, decided] += 1
+            if combiner_name == "SQRT_SUM_SQ":  # JSON floats, the verdict decided on the exact squares
                 assert all(isinstance(v, float) for row in report["verdicts"][0]["matrix"]["dist"] for v in row)
-    assert kernel_calls["SQRT_SUM_SQ"] == 8 and kernel_calls["SUM"] == 2 * 8  # the verb's; and the reference's
+    # which path decided each verified product: the factor triples on every passing product;
+    # on a failing one verify_metric, whose packed scan finds each triangle witness
+    assert deciders.keys() <= {(False, "metric", (True,)), (True, "metric", (True,)),
+                               (False, "triangle", (False, "packed")), (False, "identity", (False,))}, deciders
+    assert deciders[True, "metric", (True,)] == 8 and deciders[False, "metric", (True,)] >= 10
+    assert deciders[False, "triangle", (False, "packed")] >= 10
     assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
@@ -388,6 +407,108 @@ def test_sqrt_sum_sq_is_decided_exactly_on_its_squares(tmp_path):
         ["0", "1/10000000000000"], ["1/10000000000000", "0"]]}))
     code, report = dispatch(["product", "--factor", str(tmp_path / "small.json"), "--combiner", "SQRT_SUM_SQ", "--verify"])
     assert (code, report["verdicts"][1]) == (0, {"check": "metric-axioms", "ok": True})
+
+
+def _product_table(rng, factors):
+    """A table on the factors' distance grid, its kind, and whether it holds squares of roots: random
+    values, an isotone capped sum, a capped sum with one entry lowered (seldom isotone), a capped sum
+    that vanishes at one nonzero tuple, or weighted sums of squares or of fourth powers."""
+    grid = list(itertools.product(*(sp.distance_set() for sp in factors)))
+    kind, cap = rng.choice(("random", "capped", "lowered", "vanishing", "roots")), F(rng.randint(1, 8), 2)
+    if kind == "random":
+        table = [F(rng.randint(0, 9), rng.choice([1, 3])) for _ in grid]
+    elif kind == "roots":  # a weighted Euclidean product, or roots of fourth powers, failing on (2, 1, 1)
+        power, weights = rng.choice([2, 4]), [rng.choice([1, 1, 2]) for _ in factors]
+        table = [sum((w * x ** power for w, x in zip(weights, tup)), F(0)) for tup in grid]
+    else:
+        table = [min(cap, sum(tup, F(0))) for tup in grid]
+        if len(grid) > 1 and kind != "capped":
+            g = rng.randrange(1, len(grid))
+            table[g] = F(0) if kind == "vanishing" else table[g] / rng.choice([2, 3, 5])
+    table[0] = F(0)
+    return table, kind, kind == "roots"
+
+
+def test_product_proof_agrees_with_the_matrix_scans(tmp_path, monkeypatch):
+    # 400 products of 1-3 factors (random metrics of up to 4 points, line factors), about 1 s:
+    # product_metric_proved never passes a product that verify_metric or the direct scans fail, and
+    # with no count rule it gives their verdict exactly; a third of the non-root tables also go
+    # through product --verify as sampled combiner files
+    rng, seen = random.Random(6262), Counter()
+    for trial in range(400):
+        factors = tuple(random_metric_space(rng, max_points=4) if rng.random() < 0.7
+                        else line_space(rng.sample(range(7), rng.randint(1, 3))) for _ in range(rng.randint(1, 3)))
+        table, kind, roots = _product_table(rng, factors)
+        _, codes = product_metric(ProductSpec(factors, named_combiner("SUM")), values=[])
+        squares = table if roots else None
+        values = [math.sqrt(v) for v in table] if roots else table
+        ok, _ = verify_metric(codes, values=values, squares=squares)
+        if len(codes) <= 24:
+            matrix = [[table[c] for c in row] for row in codes]
+            assert ok == ((root_metric_violation if roots else metric_violation)(matrix) is None)
+        proved = metric.product_metric_proved(factors, values, squares)
+        assert ok or not proved, (trial, kind)
+        with monkeypatch.context() as patch:
+            patch.setattr(metric, "TRIPLES_PER_ROW_PAIR", 10 ** 9)
+            assert metric.product_metric_proved(factors, values, squares) == ok, (trial, kind)
+        seen[kind, ok, proved] += 1
+        if not roots and trial % 3 == 0:
+            paths = [tmp_path / f"t{trial}f{k}.json" for k in range(len(factors))]
+            for space, path in zip(factors, paths):
+                fileio.dump_metric_space(space, path)
+            grid = itertools.product(*(sp.distance_set() for sp in factors))
+            fileio.dump_sampled_function(SampledFunction(zip(map(PointN, grid), table)), tmp_path / f"t{trial}c.json")
+            code, report = dispatch(_product_argv(paths, tmp_path / f"t{trial}c.json", 1, True))
+            assert (code, report["verdicts"][1]["ok"]) == (0 if ok else 1, ok), (trial, kind)
+    for kind in ("random", "lowered", "vanishing", "roots"):
+        assert seen[kind, False, False] >= 10, seen
+    for kind in ("random", "capped", "lowered", "roots"):
+        assert seen[kind, True, True] >= 10, seen
+
+
+def test_passing_products_never_reach_the_matrix_scan(tmp_path, monkeypatch):
+    # about 0.1 s: products of closure factors, as the bench builds them, pass product --verify
+    # with the packed scan of the product matrix raising, so a count rule that always sent them
+    # to the scan fails here; a 5x6x6 line product still goes to that scan, refused before any
+    # sum set is built (unrefused, its proof tests over a million pruned triples)
+    packed, scans = metric._packed_triangle_failures, []
+
+    def refusing(m, bound):
+        if len(m) > 8:  # the product matrix, not a factor of at most 6 points being loaded
+            scans.append(len(m))
+            if len(m) != 180:
+                raise AssertionError(f"the packed scan ran on a product of {len(m)} points")
+        return packed(m, bound)
+
+    monkeypatch.setattr(metric, "_packed_triangle_failures", refusing)
+    rng = random.Random(2024)
+
+    def verify(factors, *combiner):
+        paths = [tmp_path / f"f{len(scans)}-{k}.json" for k in range(len(factors))]
+        for space, path in zip(factors, paths):
+            fileio.dump_metric_space(space, path)
+        return dispatch(["product", *(arg for path in paths for arg in ("--factor", str(path))), *combiner, "--verify"])
+
+    for sizes, combiner in (((4, 4, 4), ["--combiner", "SUM"]), ((5, 5, 5), ["--combiner", "MAX"]),
+                            ((5, 6, 6), ["--combiner", "CAPPED_SUM", "--cap", "3"]), ((5, 5, 5), "sampled"),
+                            ((6, 6, 6), ["--combiner", "SQRT_SUM_SQ"])):
+        factors = [closure_space(rng, size) for size in sizes]
+        if combiner == "sampled":
+            grid = itertools.product(*(sp.distance_set() for sp in factors))
+            fileio.dump_sampled_function(SampledFunction({PointN(t): max(t) for t in grid}), tmp_path / "max.json")
+            combiner = ["--combiner-file", str(tmp_path / "max.json")]
+        code, report = verify(factors, *combiner)
+        assert (code, report["verdicts"][1]) == (0, {"check": "metric-axioms", "ok": True}), sizes
+    assert scans == []
+    lines = [line_space(rng.sample(range(1, 40), size - 1) + [0]) for size in (5, 6, 6)]
+    table = []
+    product_metric(ProductSpec(tuple(lines), named_combiner("SUM")), values=table)
+    tracemalloc.start()
+    assert not metric.product_metric_proved(lines, table)
+    assert tracemalloc.get_traced_memory()[1] < 200_000  # bytes: the factors' triples, no sum set
+    tracemalloc.stop()
+    code, report = verify(lines, "--combiner", "SUM")
+    assert (code, report["verdicts"][1], scans) == (0, {"check": "metric-axioms", "ok": True}, [180])
 
 
 def test_finite_metric_space_validation():

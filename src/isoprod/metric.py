@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import eq, le
+from operator import eq
 from typing import Optional, Sequence, Union
 
 from .combiners import Combiner
 from .errors import CombinerDomainGapError, InvalidMetricError, IsoprodError, NotWellDefinedError, OutOfRangeError
-from .points import PointN, Record, first_inversion, rat, scale_to_integers
+from .points import PointN, Record, first_inversion, isotone_by_unit_steps, rat, scale_to_integers
 from .sampled import SampledFunction, is_amenable, is_subadditive, require_isotone
 
 
@@ -271,8 +271,7 @@ def product_metric_proved(factors: Sequence[FiniteMetricSpace], table, squares=N
         return False
     _, ints = scale_to_integers(squares or table)
     strides = [math.prod(len(sp.distance_set()) for sp in factors[j + 1:]) for j in range(len(factors))]
-    if all(all(map(le, ints[o:o + block - s], ints[o + s:o + block]))  # isotone, by unit steps
-           for s, block in zip(strides, [len(ints), *strides]) for o in range(0, len(ints), block)):
+    if isotone_by_unit_steps(ints, [len(sp.distance_set()) for sp in factors]):
         found = [[(b, c, a) for (b, c), a in t.items()] for t in top]
     if ints[0] != 0 or min(ints[1:], default=1) <= 0 or math.prod(map(len, found)) > budget:
         return False

@@ -13,9 +13,9 @@ The values are scaled to ints over one denominator once, where a grid
 function is built (a grid file is loaded straight to codes and values,
 ``GridFunction.from_codes``); only a reported value becomes a Fraction.
 The modulus at one box is a separable window max over the values; the
-modulus at every box, ``modulus_table``, which the fixed-point test
-reads and which is the reference for the window max, and the difference
-bound scan all pairs by signed difference, one C-level max per difference.
+modulus at every box, ``modulus_table``, which the fixed-point test reads
+and which is the reference for the window max, and the difference bound
+scan all pairs by difference d, one C-level max per d (d >= 0 if isotone).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import add, attrgetter, gt, sub
 from typing import Callable, Optional
 
 from .errors import OffLatticeError
-from .points import PointN, RationalLike, Record, rat, scale_to_integers
+from .points import PointN, RationalLike, Record, isotone_by_unit_steps, rat, scale_to_integers
 
 
 class GridFunction(Record):
@@ -199,43 +199,48 @@ def _pair_rows(g: GridFunction, values: list[int]):
 
 
 def _shifts(m: int, n: int, values: list[int]):
-    """Per signed difference d = y - x with x before y in flat order: the flat code of |d|, the
-    values at every x with x + d on the lattice, in flat order, then at points that pair with
-    nothing (zip or map stop at the shorter), and the values at those x + d.  Each trailing axis,
-    the last first, keeps one slice of every block: the coordinates that d keeps on the lattice.
-    A shift by t along the leading axis is then an offset of t blocks.  Shifts run 0, 1, ...,
-    m - 1, 1 - m, ..., -1 along each axis, so the unit steps along the leading axis come first.
+    """Per signed difference d = y - x with x before y in flat order: the flat code of |d| and the
+    largest gap |values[y] - values[x]|.  Each trailing axis, the last first, keeps one slice of
+    every block: the coordinates that d keeps on the lattice.  A shift by t along the leading axis
+    is then an offset of t blocks.  Shifts run 0, 1, ..., m - 1, 1 - m, ..., -1 along each axis, so
+    the unit steps along the leading axis come first.  On isotone values (by unit steps) only the
+    d >= 0 are scanned, and their gaps take no abs.  The orthant lemma: for d = d+ - d- of mixed
+    sign, x + d+ = max(x, y) and x - d- = min(x, y) are lattice points with d+, d- <= |d|, and
+    values[y] - values[x] <= values[x + d+] - values[x] and values[x] - values[y] <= values[x] -
+    values[x - d-], gaps at d+ and d-; as values[|d|] >= values[d+], values[d-], every box max and
+    the difference bound's verdict are kept.
     """
     def cut(parts, k):  # each part, then the part with axis k cut to each nonzero shift e along it
         for xs, ys, code, sign in parts:
             inner = len(xs) // m ** (k + 1)  # codes per index of axis k
             rows = range(0, len(xs), m * inner)
             yield xs, ys, code, sign
-            for e in itertools.chain(range(1, m), range(1 - m, 0)):
+            for e in itertools.chain(range(1, m), range(1 - m, 0) if signed else ()):
                 lo, hi = max(0, -e) * inner, min(m, m - e) * inner
                 yield (list(itertools.chain.from_iterable(xs[b + lo:b + hi] for b in rows)),
                        list(itertools.chain.from_iterable(ys[b + lo + e * inner:b + hi + e * inner] for b in rows)),
                        code + abs(e) * m ** (n - 1 - k), e)
 
+    signed = not isotone_by_unit_steps(values, [m] * n)
     parts = [(values, values, 0, 0)]  # values at x and at x + d, the code of |d| and the sign of d so far
     for k in range(n - 1, 0, -1):  # a chain of n - 1 lazy stages, not a recursion
         parts = cut(parts, k)
     for xs, ys, code, sign in parts:
         width = len(xs) // m
         for t in range(sign <= 0, m):  # t = 0 only when the trailing shifts make d positive
-            yield code + t * m ** (n - 1), xs, itertools.islice(ys, t * width, None)
+            gaps = map(sub, itertools.islice(ys, t * width, None), xs)  # stops at the last x with x + d on the lattice
+            yield code + t * m ** (n - 1), max(map(abs, gaps) if signed else gaps)
 
 
 def modulus_table(g: GridFunction) -> GridFunction:
     """The modulus at every lattice box, as one grid function.
 
     The largest gap at each exact difference vector is one C-level max
-    per signed difference (:func:`_shifts`); a running max along each
-    axis then turns exact differences into boxes.
+    per difference (:func:`_shifts`; only d >= 0 on isotone values); a
+    running max along each axis then turns exact differences into boxes.
     """
     m, exact = g.cells + 1, [0] * len(g._int_values)
-    for code, xs, ys in _shifts(m, g.n, g._int_values):
-        gap = max(map(abs, map(sub, ys, xs)))
+    for code, gap in _shifts(m, g.n, g._int_values):
         if gap > exact[code]:
             exact[code] = gap
     for stride in (m ** k for k in range(g.n)):
@@ -252,14 +257,14 @@ def difference_bound_holds(
 
     The hallmark inequality of isotone metric-preserving functions; the
     difference vector of two lattice points is again a lattice point,
-    so the check is exact.  The verdict stops at the first signed
-    difference (:func:`_shifts`) whose largest gap breaks the bound.  On
+    so the check is exact.  The verdict stops at the first difference
+    (:func:`_shifts`, d >= 0 on isotone f) whose largest gap breaks it.  On
     failure, the x-major row scan, which stops at the witness's row,
     returns the lexicographically first violating ordered pair, with
     x < y as the inequality is symmetric and holds at x = y.
     """
     values = f._int_values
-    if all(max(map(abs, map(sub, ys, xs))) <= values[code] for code, xs, ys in _shifts(f.cells + 1, f.n, values)):
+    if all(gap <= values[code] for code, gap in _shifts(f.cells + 1, f.n, values)):
         return True, None
     for x, (codes, gaps) in enumerate(_pair_rows(f, values)):
         # the first k, if any, with gaps[k] > f(|x - y|) for y = x + k

@@ -8,13 +8,16 @@ there is no tolerance anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import attrgetter, le
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, OutOfRangeError
 
 RationalLike = Union[Fraction, int, str]
+# Digits of scale_to_integers' common denominator: 1,600 samples over 33 coprime 300-digit denominators (536 KB)
+# take 0.33 s, 27 MB in extend-sup and 6.5 s, 73 MB in check (Xeon, Python 3.11); unbounded, 9.9 s and 343 MB.
+DENOMINATOR_DIGITS_CAP = 10_000
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -29,9 +32,12 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def scale_to_integers(values: Iterable[Union[Fraction, int]]) -> tuple[int, list[int]]:
-    """The least common denominator of exact values, and each value times it."""
-    values = list(values)
-    den = lcm(1, *(v.denominator for v in values))
+    """The least common denominator of exact values, and each value times it; OutOfRangeError once the
+    lcm of the distinct denominators, taken in turn, has more digits than DENOMINATOR_DIGITS_CAP."""
+    values, den = list(values), 1
+    for d in {v.denominator for v in values}:  # below 2 ** (3 * cap) < 10 ** cap, den has at most cap digits
+        if (den := lcm(den, d)).bit_length() > 3 * DENOMINATOR_DIGITS_CAP and den >= 10 ** DENOMINATOR_DIGITS_CAP:
+            raise OutOfRangeError(f"the common denominator exceeds the cap of {DENOMINATOR_DIGITS_CAP} digits")
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
@@ -151,6 +157,13 @@ def axis_vector(j: int, t: RationalLike, n: int) -> PointN:
     if value <= 0:
         raise ValueError(f"axis value must be positive, got {value}")
     return PointN(tuple(value if i == j else Fraction(0) for i in range(1, n + 1)))
+
+
+def isotone_by_unit_steps(ints: Sequence, sizes: Sequence[int]) -> bool:
+    """Does no unit step along an axis decrease the flat grid values? Axis sizes run most significant first."""
+    blocks = [prod(sizes[j:]) for j in range(len(sizes) + 1)]  # the block each axis leads, then 1
+    return all(all(map(le, ints[o:o + b - s], ints[o + s:o + b])) for b, s in zip(blocks, blocks[1:])
+               for o in range(0, len(ints), b))
 
 
 def first_inversion(keys: Sequence[Sequence], values: Sequence) -> Optional[tuple[int, int]]:

@@ -68,11 +68,11 @@ _SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__,
 
 
 def indented_json(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, or the exception it raises, written by C calls:
-    json's C encoder runs only without an indent.  Open containers sit on a stack, not in a
-    recursion; each item is written with the separator after it, which the closing text of its
-    container replaces on the last one.  A list of strings (a product matrix row) is one join
-    over json's C quote function, a string, int, boolean or None is written by its class, and any
+    """Exactly ``json.dumps(obj, indent=2)``, or the exception it raises, written by C calls: json's
+    C encoder runs only without an indent.  Open containers sit on a stack, not in a recursion; each
+    item is written with the separator after it, which the closing text of its container replaces on
+    the last one.  A list of strings (a matrix row) is one join over json's C quote function, a list
+    of floats one ``json.dumps``, a string, int, boolean or None is written by its class, and any
     other value by ``json.dumps``.  A container met inside itself raises ValueError, as in json.
     """
     out, open_ids, stack = [], set(), [(iter([obj]), False, "", "", None)]
@@ -94,8 +94,11 @@ def indented_json(obj) -> str:
                 try:  # every item a string: one C-level join
                     out.append(f"{key}[{inner}{(',' + inner).join(map(_quote, value))}{inner[:-2]}]{sep}")
                     continue
-                except TypeError:
-                    pass
+                except TypeError:  # every item a float: one dumps, split at ", ", which no float's text holds
+                    if value[0].__class__ is float and all(v.__class__ is float for v in value):
+                        floats = json.dumps(value)[1:-1].split(", ")
+                        out.append(f"{key}[{inner}{(',' + inner).join(floats)}{inner[:-2]}]{sep}")
+                        continue
             pair, keyed = ("{}", True) if isinstance(value, dict) else ("[]", False)
             out.append(key + pair[0] + inner)
             stack.append((iter(value.items() if keyed else value), keyed, "," + inner, inner[:-2] + pair[1], id(value)))

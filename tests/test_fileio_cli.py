@@ -18,7 +18,7 @@ from isoprod.errors import IsoprodError, LoadError, OutOfRangeError
 from isoprod.fixtures import combiner_grid, fixture_generate, random_metric_space, sampled_combiner
 from isoprod.metric import FiniteMetricSpace
 from isoprod.modulus import is_fixed_point
-from isoprod.points import point
+from isoprod.points import DENOMINATOR_DIGITS_CAP, point
 from isoprod.sampled import SampledFunction
 from isoprod.cantor import LEVEL_CAP, three_point_search, transcendental_embed
 import random
@@ -392,6 +392,10 @@ class _Int(int):
     pass
 
 
+class _Float(float):
+    pass
+
+
 class _List(list):
     pass
 
@@ -413,7 +417,8 @@ _KEYS = st.one_of(_TEXTS, _INTS, _FLOATS, st.booleans(), st.none())
 def _containers(children, keys=_KEYS):
     lists = st.lists(children, max_size=5)
     dicts = st.dictionaries(keys, children, max_size=5)
-    return st.one_of(lists, lists.map(tuple), lists.map(_List), st.lists(_TEXTS, max_size=8), dicts, dicts.map(_Dict))
+    return st.one_of(lists, lists.map(tuple), lists.map(_List), st.lists(_TEXTS, max_size=8),
+                     st.lists(_FLOATS, min_size=1, max_size=8), dicts, dicts.map(_Dict))
 
 
 # one value in four also holds what json refuses: a set, bytes, a complex number or an object,
@@ -433,8 +438,11 @@ def _dumped(encode, obj):
 
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
 @given(_JSONISH)
+@example({"matrix": [[0.0, float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 2.5e16], [1.5, _Float(2.0)]]})
 def test_indented_json_writes_what_json_dumps_writes(obj):
-    # 250 examples, about 2 s: the bytes of json.dumps(obj, indent=2), or its exception
+    # 250 examples, about 2 s: the bytes of json.dumps(obj, indent=2), or its exception; lists of
+    # floats only (with nan and +-inf) are one branch of the containers, and a float subclass
+    # leaves a list to the item-by-item path
     assert _dumped(fileio.indented_json, obj) == _dumped(lambda o: json.dumps(o, indent=2), obj)
 
 
@@ -815,6 +823,30 @@ def test_products_past_the_cap_are_input_errors(tmp_path, monkeypatch):
     assert len(metric.ProductSpec((lines[2],) * 10, max).factors) == 10  # 1024 points
     with pytest.raises(OutOfRangeError, match="product of factor sizes 1025 exceeds"):
         metric.ProductSpec((lines[41], lines[5], lines[5]), max)
+
+
+def test_common_denominators_past_the_cap_are_input_errors(tmp_path):
+    # a 1-D function at 0 and at 1/10**3999, 1/3**8000 and 1/7**c, each valued 1: their common
+    # denominator has DENOMINATOR_DIGITS_CAP digits, and one past it with 1/7**(c + 1); every
+    # denominator has at most 4,000 digits, so each value alone parses.  The refusal takes a few
+    # ms in-process (the loads are about 20 ms each), and 2 s leaves room for a slow machine
+    low = 10 ** (DENOMINATOR_DIGITS_CAP - 4000)  # 10 ** 3999 times this has DENOMINATOR_DIGITS_CAP digits
+    sevens = 1
+    while 3 ** 8000 * sevens < low:
+        sevens *= 7
+    runs = []
+    for k, last in enumerate((sevens, 7 * sevens)):
+        path = tmp_path / f"f{k}.json"
+        dens = [10 ** 3999, 3 ** 8000, last]
+        path.write_text(json.dumps({"dim": 1, "entries": [{"point": ["0"], "value": "0"}] + [
+            {"point": [f"1/{d}"], "value": "1"} for d in dens]}))
+        started = time.perf_counter()
+        runs.append((*dispatch(["extend-sup", "--function", str(path), "--probe", "1"]), time.perf_counter() - started))
+    (code, report, _), (past, refused, seconds) = runs
+    assert code == 0 and report["verdicts"][0]["value"] == "1"
+    assert (past, refused["error"], refused["inputs"]) == (
+        2, f"LoadError: {tmp_path / 'f1.json'}: the common denominator exceeds the cap of {DENOMINATOR_DIGITS_CAP} digits", {})
+    assert seconds < 2
 
 
 def test_fixture_sizes_past_their_caps_are_input_errors(tmp_path, monkeypatch):

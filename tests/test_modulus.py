@@ -18,6 +18,7 @@ from isoprod.modulus import (
     modulus,
     modulus_table,
     nonconstant_wrt,
+    _shifts,
 )
 from isoprod.points import point
 
@@ -324,3 +325,84 @@ def test_flat_scans_agree_with_their_definitions():
 
     check()
     assert seen == {("nonconstant", True), ("nonconstant", False), ("fixed point", True), ("fixed point", False)}
+
+
+def isotone_draw(rng, n, cells, kind, axis):
+    """A grid of one of three kinds: isotone with arbitrary increments (each value the max of its
+    predecessors plus a step of 0-5 units, the origin 1-4 units), an isotone combiner grid, or the
+    first kind with one unit step along `axis` made to decrease by more than any gap of the grid:
+    at a point whose one successor is that step, raised (in the last block that the axis leads),
+    or at a point whose one predecessor is that step, lowered (in the first).  Only a scan of
+    signed differences then finds the largest gap one step along the axis."""
+    step = F(1, rng.choice([1, 2, 3]))
+    idxs = list(itertools.product(range(cells + 1), repeat=n))
+    if kind == "combiner":
+        name = rng.choice(["SUM", "MAX", "CAPPED_SUM", "SQUARE_SUM"])
+        g = combiner_grid(name, n=n, bound=cells * step, step=step, cap=step * rng.randint(1, 3))
+        return g, {idx: g.value_at(idx) for idx in idxs}
+    values, unit = {}, F(1, rng.choice([1, 2, 5]))
+    for idx in idxs:
+        below = [values[idx[:k] + (i - 1,) + idx[k + 1:]] for k, i in enumerate(idx) if i]
+        values[idx] = max(below, default=rng.randint(1, 4) * unit) + rng.choice([0, 0, 1, 2, 5]) * unit
+    if kind == "one decrease":
+        drop = max(values.values()) - min(values.values()) + rng.randint(1, 6) * unit
+        if rng.random() < 0.5:
+            p = tuple(0 if k == axis else cells for k in range(n))
+            values[p] = values[p[:axis] + (1,) + p[axis + 1:]] + drop
+        else:
+            values = {idx: v + drop for idx, v in values.items()}
+            p = tuple(cells if k == axis else 0 for k in range(n))
+            values[p] = values[p[:axis] + (cells - 1,) + p[axis + 1:]] - drop
+    return GridFunction(n, cells * step, step, values), values
+
+
+def decreasing_steps(values, n):
+    """The (point, axis) of every unit step along one axis that decreases the values."""
+    steps = ((idx, k, idx[:k] + (idx[k] + 1,) + idx[k + 1:]) for idx in values for k in range(n))
+    return [(idx, k) for idx, k, up in steps if up in values and values[up] < values[idx]]
+
+
+def test_isotone_path_agrees_with_the_oracles():
+    # 150 derandomized grids of n = 1-4 (cells up to 10, 3, 2 and 1), a third of each kind of
+    # isotone_draw, the decreasing step along each axis in turn: the table at every box (past 16
+    # points at the full box, the unit boxes and 2 drawn ones), modulus and the difference bound's
+    # verdict and witness against oracles.modulus_enumerate and difference_bound_enumerate; 0.7 s
+    rng = random.Random(3232)
+    cells_of = {1: 10, 2: 3, 3: 2, 4: 1}
+    verdicts = set()
+    for k in range(150):
+        n = k // 3 % 4 + 1
+        kind = ("arbitrary increments", "combiner", "one decrease")[k % 3]
+        g, values = isotone_draw(rng, n, rng.randint(1, cells_of[n]), kind, axis=k // 12 % n)
+        assert len(decreasing_steps(values, n)) == (kind == "one decrease"), (k, kind)
+        table, idxs = modulus_table(g), list(g.indices())
+        boxes = idxs if len(idxs) <= 16 else [idxs[-1], *(i for i in idxs if sum(i) == 1), *rng.sample(idxs, 2)]
+        for idx in boxes:
+            eps = g.point(idx)
+            assert table.value_at(idx) == modulus_enumerate(g, eps) == modulus(g, eps), (k, kind, idx)
+        witness = difference_bound_enumerate(g)
+        assert difference_bound_holds(g) == (witness is None, witness), (k, kind)
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def test_isotone_grids_scan_only_nonnegative_differences(monkeypatch):
+    # on the benchmark shapes of SUM, the table and the bound each take the (cells + 1) ** n - 1
+    # differences d >= 0, not every signed one; with the last point lowered below the points one
+    # step before it, the table takes the ((2 cells + 1) ** n - 1) / 2 signed ones
+    counts = []
+
+    def counted(*args):
+        counts.append(0)
+        for item in _shifts(*args):
+            counts[-1] += 1
+            yield item
+
+    monkeypatch.setattr("isoprod.modulus._shifts", counted)
+    for n, cells in ((2, 14), (3, 5)):
+        g = combiner_grid("SUM", n=n, bound=cells * F(1, 4), step=F(1, 4))
+        counts.clear()
+        modulus_table(g)
+        assert difference_bound_holds(g) == (True, None)
+        modulus_table(g._like([*g._int_values[:-1], 0]))
+        assert counts == [(cells + 1) ** n - 1] * 2 + [((2 * cells + 1) ** n - 1) // 2]

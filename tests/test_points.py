@@ -1,11 +1,23 @@
+import itertools
+import math
 from fractions import Fraction as F
 from math import lcm
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
 
-from isoprod.errors import DimensionMismatchError
-from isoprod.points import PointN, axis_vector, leq, origin, point, scale_to_integers
+from isoprod.errors import DimensionMismatchError, OutOfRangeError
+from isoprod.points import (
+    DENOMINATOR_DIGITS_CAP,
+    PointN,
+    axis_vector,
+    isotone_by_unit_steps,
+    leq,
+    origin,
+    point,
+    scale_to_integers,
+)
 
 rationals = st.builds(F, st.integers(0, 12), st.integers(1, 4))
 
@@ -108,3 +120,22 @@ def test_scale_to_integers(values):
     assert len(ints) == len(values)
     for k, v in enumerate(values):
         assert type(ints[k]) is int and F(ints[k], den) == v
+
+
+def test_scale_to_integers_refuses_a_denominator_past_the_cap():
+    # the cap is on the digits of the lcm: 10 ** cap - 1, a multiple of 3, has cap digits, and with
+    # a half among the values the lcm is twice that, with one digit more
+    den = 10 ** DENOMINATOR_DIGITS_CAP - 1
+    assert scale_to_integers([F(1, den), F(2), F(1, 3)]) == (den, [1, 2 * den, den // 3])
+    with pytest.raises(OutOfRangeError, match=f"^the common denominator exceeds the cap of {DENOMINATOR_DIGITS_CAP} digits$"):
+        scale_to_integers([F(1, den), F(1, 2)])
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).flatmap(
+    lambda sizes: st.tuples(st.just(sizes), st.lists(st.integers(0, 3), min_size=math.prod(sizes), max_size=math.prod(sizes)))))
+def test_isotone_by_unit_steps_is_the_coordinatewise_order(case):
+    # a flat mixed-radix grid, most significant axis first, against every ordered pair of indices
+    sizes, ints = case
+    indices = list(itertools.product(*map(range, sizes)))
+    ordered = all(a <= b for i, a in zip(indices, ints) for j, b in zip(indices, ints) if all(map(le, i, j)))
+    assert isotone_by_unit_steps(ints, sizes) == ordered

@@ -83,14 +83,7 @@ def amenable_continuation_precheck(f: SampledFunction) -> tuple[bool, dict]:
     ok, witness = is_amenable(f)
     if not ok:
         raise NotAmenableError(f"not amenable: offending point {witness}")
-    return True, {
-        "reduction": (
-            "the origin is the unique zero of an amenable function, so any "
-            "sample subset with infimum value 0 contains it and all its "
-            "projections are 0"
-        ),
-        "subsets_scanned": 0,
-    }
+    return True, {"subsets_scanned": 0}
 
 
 def amenable_isotone_continuation(f: SampledFunction, y: PointN) -> Fraction:

@@ -142,30 +142,22 @@ def fixture_generate(kind: str, seed: int, outdir, **params) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
     if kind == "random-sampled-function":
-        f = random_sampled_function(
-            rng,
-            dim=params.get("dim"),
-            size=params.get("size"),
-            mode=params.get("mode", "raw"),
-        )
-        path = outdir / f"{kind}-seed{seed}.json"
-        fileio.dump_sampled_function(f, path)
-        return [path]
-    if kind == "random-metric-space":
-        space = random_metric_space(rng, max_points=params.get("max_points", 4))
-        path = outdir / f"{kind}-seed{seed}.json"
-        fileio.dump_metric_space(space, path)
-        return [path]
-    if kind == "named-combiner-grid":
-        name = params.get("combiner", "SUM")
-        grid = combiner_grid(name, cap=params.get("cap", Fraction(1)))
-        path = outdir / f"{kind}-{name}-seed{seed}.json"
-        fileio.dump_grid_function(grid, path)
-        return [path]
-    if kind == "ce-level-set":
+        value = random_sampled_function(
+            rng, dim=params.get("dim"), size=params.get("size"), mode=params.get("mode", "raw"))
+        name, dump = f"{kind}-seed{seed}", fileio.dump_sampled_function
+    elif kind == "random-metric-space":
+        value = random_metric_space(rng, max_points=params.get("max_points", 4))
+        name, dump = f"{kind}-seed{seed}", fileio.dump_metric_space
+    elif kind == "named-combiner-grid":
+        combiner = params.get("combiner", "SUM")
+        value = combiner_grid(combiner, cap=params.get("cap", Fraction(1)))
+        name, dump = f"{kind}-{combiner}-seed{seed}", fileio.dump_grid_function
+    elif kind == "ce-level-set":
         level = params.get("level", 8)
-        values = scaled_cantor_level_set(level)
-        path = outdir / f"{kind}-k{level}.json"
-        fileio.dump_rational_set(values, path)
-        return [path]
-    raise ValueError(f"unknown fixture kind {kind!r}; expected one of {GENERATOR_KINDS}")
+        value = scaled_cantor_level_set(level)
+        name, dump = f"{kind}-k{level}", fileio.dump_rational_set
+    else:
+        raise ValueError(f"unknown fixture kind {kind!r}; expected one of {GENERATOR_KINDS}")
+    path = outdir / f"{name}.json"
+    dump(value, path)
+    return [path]

@@ -294,14 +294,17 @@ class DistanceIncreaseViolation(Record):
     large_value: Fraction
 
 
-def _require_shape(matrix, factors: tuple[FiniteMetricSpace, ...]) -> None:
-    """Raise unless the matrix has a row and a column per product point, before any code grid is built."""
+def _shaped_codes(matrix, factors: Sequence[FiniteMetricSpace]):
+    """The factors as a tuple, their distance grid and the pairs' codes (:func:`_distance_codes`); raises
+    unless the matrix has a row and a column per product point, before any code grid is built."""
+    factors = tuple(factors)
     n = math.prod(sp.size for sp in factors)
     if len(matrix) != n:
         raise IsoprodError(f"product of factor sizes is {n} but the matrix has {len(matrix)} rows")
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise IsoprodError(f"product of factor sizes is {n} but row {i} has {len(row)} entries")
+    return factors, *_distance_codes(factors)
 
 
 def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...], codes: list[list[int]]):
@@ -311,7 +314,7 @@ def _first_pairs(matrix, factors: tuple[FiniteMetricSpace, ...], codes: list[lis
     scanned row by row over i <= j, lazily, so a caller that stops early
     reads no further.  A pair's entry is compared by ``in`` (identity first)
     with the entries met at its grid index (:func:`_distance_codes`); the
-    caller has checked the matrix's shape (:func:`_require_shape`).
+    caller has checked the matrix's shape (:func:`_shaped_codes`).
     """
     n = len(codes)
     labels = product_labels(factors)
@@ -328,9 +331,7 @@ def is_distance_increasing(
     matrix, factors: Sequence[FiniteMetricSpace]
 ) -> tuple[bool, Optional[DistanceIncreaseViolation]]:
     """Check monotonicity of the product distance in the tuple of coordinate distances."""
-    factors = tuple(factors)
-    _require_shape(matrix, factors)
-    grid, codes = _distance_codes(factors)
+    factors, grid, codes = _shaped_codes(matrix, factors)
     records = list(_first_pairs(matrix, factors, codes))
     ranks = list(itertools.product(*(range(len(sp.distance_set())) for sp in factors)))  # order as the grid does
     _, ints = scale_to_integers(Fraction(v) for (_, v), _ in records)  # Fraction(v): a float compares exactly
@@ -352,9 +353,7 @@ def extract_product_function(
     first record of a tuple met again is its first pair with another
     distance, and the earliest such record is the first conflict.
     """
-    factors = tuple(factors)
-    _require_shape(matrix, factors)
-    grid, codes = _distance_codes(factors)
+    factors, grid, codes = _shaped_codes(matrix, factors)
     table: dict[int, tuple] = {}  # grid index -> (distance, first pair)
     for (code, val), pair in _first_pairs(matrix, factors, codes):
         if code in table:

@@ -5,10 +5,10 @@ from .errors import IsoprodError, MissingOriginError
 from .sampled import is_amenable, is_isotone, is_subadditive
 
 
-def _probes(args) -> list:
+def _probes(args, inputs) -> list:
     probes = [fileio.parse_point_string(s) for s in args.probe]
     if args.probes:
-        probes.extend(fileio.load_points(args.probes))
+        probes.extend(fileio.load_recorded(fileio.load_points, args.probes, inputs))
     if not probes:
         raise IsoprodError("no probes given; use --probe or --probes")
     return probes
@@ -44,13 +44,13 @@ def run_continuation(args, inputs):
     f = fileio.load_recorded(fileio.load_sampled_function, args.function, inputs)
     return [
         {"check": f"{args.command}{probe}", "ok": True, "value": fileio.format_rational(extend(f, probe))}
-        for probe in _probes(args)
+        for probe in _probes(args, inputs)
     ]
 
 
 def run_envelope(args, inputs):
     f = fileio.load_recorded(fileio.load_sampled_function, args.function, inputs)
-    probes = _probes(args)
+    probes = _probes(args, inputs)
     envelopes = continuation.subadditive_envelopes(f, probes, fileio.parse_rational(args.c))
     return [{"check": f"envelope{probe}", "ok": True, "value": fileio.format_rational(value),
              "certificate": fileio.certificate_jsonable(cert)} for probe, (value, cert) in zip(probes, envelopes)]

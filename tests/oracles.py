@@ -105,6 +105,21 @@ def modulus_enumerate(g, eps: PointN) -> Fraction:
     return best
 
 
+def modulus_by_difference(g) -> dict:
+    """Modulus at every box {index: modulus at g.point(index)}, from one scan of the lattice pairs.
+
+    Each unordered pair is read once and its gap |g(x) - g(y)| kept as the largest of its index
+    difference |x - y|; the modulus at a box is the largest gap over the differences inside it.
+    O(size^2) per grid, where :func:`modulus_enumerate` at every box is O(size^3).
+    """
+    pts = [(idx, g.value_at(idx)) for idx in g.indices()]
+    gaps = {}
+    for (x, gx), (y, gy) in itertools.combinations_with_replacement(pts, 2):
+        d = tuple(abs(a - b) for a, b in zip(x, y))
+        gaps[d] = max(gaps.get(d, Fraction(0)), abs(gx - gy))
+    return {box: max(gap for d, gap in gaps.items() if all(a <= b for a, b in zip(d, box))) for box, _ in pts}
+
+
 def naive_three_point(values, a, b):
     """Three-point line search over every ordered triple."""
     vals = sorted(values)

@@ -889,19 +889,22 @@ def test_a_recorded_load_reads_its_file_once_and_digests_the_bytes_it_parsed(tmp
     # each loader rewrites its files once it has parsed them: the digests recorded are those of the
     # bytes parsed, so a second read would show; opens are counted at io.open (pathlib's) and open.
     # A JSON function, a CSV function and a product spec with two factors and a combiner file: each
-    # file is opened once, and recorded under the path it was read by, in read order
+    # file is opened once, and recorded under the path it was read by, in read order; so is a
+    # --probes file, after its function
     import builtins
     import hashlib
 
     f = write_sum_function(tmp_path / "f.json")
     csv_path = tmp_path / "f.csv"
     csv_path.write_text("".join(",".join([*fileio.format_point(p), str(v)]) + "\r\n" for p, v in f.items()), newline="")
+    probes = tmp_path / "p.json"
+    probes.write_text(json.dumps([["1", "1/2"], ["3", "0"]]))
     for name, dist in (("a.json", [[0, 1], [1, 0]]), ("b.json", [[0, 2], [2, 0]])):
         fileio.dump_metric_space(FiniteMetricSpace(["0", "1"], dist), tmp_path / name)
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"factors": ["a.json", "b.json"], "combiner": {"file": "f.json"}}))
     files = [spec, tmp_path / "a.json", tmp_path / "b.json", tmp_path / "f.json"]
-    parsed, opened, real_open = {p: p.read_bytes() for p in [*files, csv_path]}, [], io.open
+    parsed, opened, real_open = {p: p.read_bytes() for p in [*files, csv_path, probes]}, [], io.open
     digests = {str(p): "sha256:" + hashlib.sha256(data).hexdigest() for p, data in parsed.items()}
 
     def counted(file, *args, **kwargs):
@@ -934,7 +937,8 @@ def test_a_recorded_load_reads_its_file_once_and_digests_the_bytes_it_parsed(tmp
     assert paths == files and opens == [1] * 4 and product.combiner == f
     assert list(inputs.items()) == [(str(p), digests[str(p)]) for p in files]
     runs = [(["check", "--function", str(files[-1])], [files[-1]]), (["check", "--function", str(csv_path)], [csv_path]),
-            (["product", "--spec", str(spec), "--verify"], files)]
+            (["product", "--spec", str(spec), "--verify"], files),
+            (["extend-sup", "--function", str(files[-1]), "--probes", str(probes)], [files[-1], probes])]
     for argv, paths in runs:
         restore()
         code, report = dispatch(argv)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import difference_bound_enumerate, modulus_enumerate
+from oracles import difference_bound_enumerate, modulus_by_difference, modulus_enumerate
 from isoprod import fileio
 from isoprod.combiners import named_combiner
 from isoprod.errors import OffLatticeError
@@ -176,8 +176,11 @@ def test_difference_bound_agrees_with_full_square_scan_on_larger_grids():
 
 def test_flat_code_table_agrees_with_enumeration_at_every_box():
     # 159 grids, n = 1-4, cells from 1 up (n = 1 up to 40, n = 2 up to 8), values of mixed
-    # denominators; the oracle scans every pair at every box, so the larger shapes are few
+    # denominators; the oracle scans each grid's pairs once and takes every box from their
+    # largest gaps per index difference; it is checked against the scan of every pair at every
+    # box on the first grid of each shape of at most 27 points
     rng = random.Random(1203)
+    checked = set()
     shapes = (
         [(1, cells) for cells in range(1, 21)] * 3
         + [(2, cells) for cells in range(1, 4)] * 17 + [(2, 4), (2, 5), (2, 8)]
@@ -191,10 +194,14 @@ def test_flat_code_table_agrees_with_enumeration_at_every_box():
             for idx in itertools.product(range(cells + 1), repeat=n)
         }
         g = GridFunction(n, cells * step, step, values)
-        table = modulus_table(g)
+        table, by_box = modulus_table(g), modulus_by_difference(g)
         for idx in g.indices():
             eps = g.point(idx)
-            assert table.value_at(idx) == modulus_enumerate(g, eps) == modulus(g, eps), (n, cells, idx)
+            assert table.value_at(idx) == by_box[idx] == modulus(g, eps), (n, cells, idx)
+        if (cells + 1) ** n <= 27 and (n, cells) not in checked:
+            checked.add((n, cells))
+            assert all(by_box[idx] == modulus_enumerate(g, g.point(idx)) for idx in g.indices()), (n, cells)
+    assert len(checked) == 27
 
 
 @st.composite

@@ -15,7 +15,6 @@ before any of their 2^level intervals is built.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -23,14 +22,6 @@ from .errors import NonTriadicDenominatorError, OutOfRangeError, RationalInputEr
 from .points import RationalLike, Record, rat
 
 LEVEL_CAP = 18  # refutation at 18: 0.4 s; universal search --ce-level 18: 16 s, 180 MB, most in its line search
-
-
-def _base3_value(digits: Iterable[int]) -> int:
-    """The integer written by base-3 digits, most significant first."""
-    value = 0
-    for d in digits:
-        value = value * 3 + d
-    return value
 
 
 class Base3Expansion(Record):
@@ -55,9 +46,9 @@ class Base3Expansion(Record):
         """(I*3^k + P)/3^k + R/((3^m - 1)*3^k), where I, P and R are the values of the integer,
         preperiod and period digits, k is the preperiod's length and m the period's."""
         scale = 3 ** len(self.preperiod)
-        value = Fraction(_base3_value(self.integer_digits + self.preperiod), scale)
+        value = Fraction(int("0" + "".join(map(str, self.integer_digits + self.preperiod)), 3), scale)
         if self.period:
-            value += Fraction(_base3_value(self.period), (3 ** len(self.period) - 1) * scale)
+            value += Fraction(int("".join(map(str, self.period)), 3), (3 ** len(self.period) - 1) * scale)
         return value
 
     def all_digits(self) -> tuple[int, ...]:
@@ -222,7 +213,10 @@ def cantor_level_starts(level: int) -> list[int]:
         raise ValueError("level must be at least 1")
     if level > LEVEL_CAP:
         raise OutOfRangeError(f"level {level} exceeds the level cap {LEVEL_CAP}: it would build 2^{level} intervals")
-    return [_base3_value(digits) for digits in itertools.product((0, 2), repeat=level)]
+    starts = [0]
+    for _ in range(level):  # each start s of a level splits into 3s and 3s + 2, in order
+        starts = [3 * s + d for s in starts for d in (0, 2)]
+    return starts
 
 
 def scaled_cantor_level_set(level: int) -> list[Fraction]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 from operator import add, mul
@@ -44,10 +45,6 @@ PathLike = Union[str, Path]
 
 def format_point(p: PointN) -> list[str]:
     return [format_rational(c) for c in p.coords]
-
-
-def parse_point(values: Sequence) -> PointN:
-    return PointN(tuple(map(parse_rational, values)))
 
 
 def parse_point_string(text: str) -> PointN:
@@ -131,18 +128,9 @@ class _Reading:
 
     def __init__(self, path: PathLike):
         self.path, self.where = Path(path), str(path)
-        memo = {}  # str values only: True == 1 == 1.0 hash alike, and a bool or a float must reach its own error
-        get = memo.get
-
-        def parse(value) -> Fraction:
-            if value.__class__ is not str:
-                return parse_rational(value)
-            result = get(value)
-            if result is None:
-                result = memo[value] = parse_rational(value)
-            return result
-
-        self.parse = parse
+        # str values only: True, 1 and 1.0 hash alike but parse apart, and an unhashable list must reach its LoadError
+        cached = cache(parse_rational)
+        self.parse = lambda value: cached(value) if value.__class__ is str else parse_rational(value)
 
     def __enter__(self) -> "_Reading":
         return self

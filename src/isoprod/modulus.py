@@ -182,22 +182,6 @@ def modulus(g: GridFunction, eps: PointN) -> Fraction:
     return Fraction(max(map(sub, box, values)), g._value_den)
 
 
-def _pair_rows(g: GridFunction, values: list[int]):
-    """Per flat index x, the codes of |x - y| and the gaps |values[x] - values[y]| for every y >= x."""
-    m, size = g.cells + 1, len(values)
-    axes = []
-    for w in (m ** k for k in range(g.n)):  # one weight per axis
-        # |t| * w for t = 1 - m .. m - 1, each w times: the window from (m - 1 - a) * w holds the
-        # axis part of the codes over m * w flat indices, seen from axis coordinate a
-        axes.append((w, [abs(t) * w for t in range(1 - m, m) for _ in range(w)], size // (m * w)))
-    for x, vx in enumerate(values):
-        axis_rows = []
-        for w, distances, periods in axes:
-            start = (m - 1 - x // w % m) * w
-            axis_rows.append((distances[start:start + m * w] * periods)[x:])
-        yield list(reduce(partial(map, add), axis_rows)), list(map(abs, map(vx.__sub__, values[x:])))
-
-
 def _shifts(m: int, n: int, values: list[int]):
     """Per signed difference d = y - x with x before y in flat order: the flat code of |d| and the
     largest gap |values[y] - values[x]|.  Each trailing axis, the last first, keeps one slice of
@@ -263,10 +247,14 @@ def difference_bound_holds(
     returns the lexicographically first violating ordered pair, with
     x < y as the inequality is symmetric and holds at x = y.
     """
-    values = f._int_values
-    if all(gap <= values[code] for code, gap in _shifts(f.cells + 1, f.n, values)):
+    m, values = f.cells + 1, f._int_values
+    if all(gap <= values[code] for code, gap in _shifts(m, f.n, values)):
         return True, None
-    for x, (codes, gaps) in enumerate(_pair_rows(f, values)):
+    # each flat code's part along each axis; the code of |x - y| sums |part(x) - part(y)| over the axes
+    parts = [[c // w % m * w for c in range(len(values))] for w in (m ** k for k in range(f.n))]
+    for x, vx in enumerate(values):
+        codes = reduce(partial(map, add), (map(abs, map(sub, p[x:], itertools.repeat(p[x]))) for p in parts))
+        gaps = map(abs, map(sub, values[x:], itertools.repeat(vx)))
         # the first k, if any, with gaps[k] > f(|x - y|) for y = x + k
         k = next(itertools.compress(itertools.count(), map(gt, gaps, map(values.__getitem__, codes))), None)
         if k is not None:

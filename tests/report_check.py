@@ -1,8 +1,10 @@
-"""Certificates checked from a JSON report and its input file alone.
+"""Certificates and grid witnesses checked from a JSON report and its input file alone.
 
-:func:`check_certificates` reads a ``check`` or ``envelope`` report as the CLI
-prints it, and the JSON sampled-function file it was run on, with nothing but
-``json`` and ``fractions``, and re-derives every covering certificate in it:
+Each checker reads a report as the CLI prints it, and the JSON file it was
+run on, with nothing but ``json`` and ``fractions``.
+
+:func:`check_certificates` reads a ``check`` or ``envelope`` report and its
+sampled-function file, and re-derives every covering certificate in it:
 
 - each part is a sample point of the file or, in an envelope only, an axis
   point whose single positive coordinate lies on an axis where no sample is
@@ -13,8 +15,21 @@ prints it, and the JSON sampled-function file it was run on, with nothing but
   and an ``envelope`` value equals its certificate's cost.
 
 A ``subadditive`` verdict that is not skipped carries a certificate exactly
-when it is false.  Any fault raises AssertionError.  Pytest does not collect
-this file.
+when it is false.
+
+:func:`check_grid_verdicts` reads a ``lemma42`` or ``fixed-point`` report and
+its grid file:
+
+- a ``difference-bound`` verdict carries a witness exactly when it is false,
+  and the witness is two lattice points of the file, the first before the
+  second in lattice order, with |f(x) - f(y)| > f(|x - y|);
+- a ``fixed-point`` verdict's ``max_deviation`` is the largest |omega - f|
+  over the boxes, where the lattice modulus omega at a box is the largest
+  gap |f(x) - f(y)| over the pairs whose index difference lies inside it;
+  ``at`` is the first box in lattice order that attains it, absent when it
+  is 0, and ``ok`` holds exactly when it is 0.
+
+Any fault raises AssertionError.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -71,3 +86,38 @@ def check_certificates(report_text: str, function_path, c="1") -> int:
             assert Fraction(verdict["value"]) == cost, f"value {verdict['value']} is not its certificate's cost"
             checked += 1
     return checked
+
+
+def check_grid_verdicts(report_text: str, grid_path) -> int:
+    """Check the verdicts of a lemma42 or fixed-point report against its grid file; returns how many."""
+    report = json.loads(report_text)
+    with open(grid_path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    f = {_point(e["point"]): Fraction(e["value"]) for e in data["values"]}
+    boxes = sorted(f)  # the lexicographic order of the coordinates is the lattice order
+    for verdict in report["verdicts"]:
+        if verdict["check"] == "difference-bound":
+            assert ("witness" in verdict) != verdict["ok"], f"difference-bound is {verdict['ok']} with {verdict}"
+            if "witness" in verdict:
+                x, y = map(_point, verdict["witness"])
+                assert x in f and y in f and x < y, f"witness {verdict['witness']} is no lattice pair in order"
+                d = tuple(abs(a - b) for a, b in zip(x, y))
+                assert abs(f[x] - f[y]) > f[d], f"witness {verdict['witness']} keeps the bound"
+        else:
+            assert verdict["check"] == "fixed-point", f"unexpected verdict {verdict}"
+            h = Fraction(data["h"])
+            lattice = [(tuple(int(c / h) for c in x), f[x]) for x in boxes]  # (index, value) in lattice order
+            gaps = {}  # the largest gap per index difference
+            for i, (x, fx) in enumerate(lattice):
+                for y, fy in lattice[i:]:
+                    d, gap = tuple(abs(a - b) for a, b in zip(x, y)), abs(fx - fy)
+                    if gap > gaps.get(d, -1):
+                        gaps[d] = gap
+            deviations = [abs(max(gap for d, gap in gaps.items() if all(map(int.__le__, d, box))) - fbox)
+                          for box, fbox in lattice]
+            worst = max(deviations)
+            assert Fraction(verdict["max_deviation"]) == worst, f"max_deviation {verdict['max_deviation']} != {worst}"
+            assert verdict["ok"] == (worst == 0), f"fixed-point is {verdict['ok']} at deviation {worst}"
+            at = boxes[deviations.index(worst)] if worst else None
+            assert (_point(verdict["at"]) if "at" in verdict else None) == at, f"at {verdict.get('at')} is not {at}"
+    return len(report["verdicts"])

@@ -613,7 +613,7 @@ def test_envelope_verb_matches_library(tmp_path):
     # witness re-verifies against the referenced input
     loaded = fileio.load_sampled_function(path)
     cost = sum(
-        loaded.value(fileio.parse_point(part["point"])) * part["count"]
+        loaded.value(point(*part["point"])) * part["count"]
         for part in verdict["certificate"]["parts"]
     )
     assert str(cost) == verdict["value"]

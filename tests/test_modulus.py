@@ -140,6 +140,19 @@ def bound_test_grid(rng, k, n, cells):
     return GridFunction(n, cells * step, step, values)
 
 
+# (n, cells, cap, flat code of the first violating x) of each late_witness_grid
+LATE_WITNESSES = [(1, 40, 10, 38), (2, 14, 10, 194), (3, 5, 6, 143)]
+
+
+def late_witness_grid(n, cells, cap):
+    """The capped sum min(sum of the index, cap) on the index lattice, its last point lowered to
+    cap - 3: the first pair that breaks the difference bound comes late in x-major order."""
+    idxs = list(itertools.product(range(cells + 1), repeat=n))
+    values = {idx: F(min(sum(idx), cap)) for idx in idxs}
+    values[idxs[-1]] = F(cap - 3)
+    return GridFunction(n, F(cells), F(1), values)
+
+
 def test_difference_bound_agrees_with_full_square_scan():
     # verdict and witness against the x-major Fraction scan of every ordered pair; after 240
     # random shapes of n = 1-3, n = 4, where the shift scan recurses deepest, and lines up to 40 cells
@@ -162,7 +175,8 @@ def test_difference_bound_agrees_with_full_square_scan():
 
 
 def test_difference_bound_agrees_with_full_square_scan_on_larger_grids():
-    # the lattice sizes of the benchmark grids and beyond: late first witnesses and full walks
+    # the lattice sizes of the benchmark grids and beyond: full walks, and the late first
+    # witnesses of the capped-sum grids, whose x is at the stated flat code
     rng = random.Random(4243)
     shapes = [(1, 40), (1, 25), (2, 14), (2, 9), (3, 5), (3, 4)]
     outcomes = set()
@@ -172,6 +186,11 @@ def test_difference_bound_agrees_with_full_square_scan_on_larger_grids():
         assert difference_bound_holds(g) == (witness is None, witness)
         outcomes.add(witness is None if witness is None else witness[0].is_origin())
     assert outcomes == {True, False}  # passing grids, and failing ones whose witness is not at the origin
+    for n, cells, cap, code in LATE_WITNESSES:
+        g = late_witness_grid(n, cells, cap)
+        witness = difference_bound_enumerate(g)
+        assert difference_bound_holds(g) == (False, witness)
+        assert list(g.indices()).index(witness[0].coords) == code, (n, cells, cap)
 
 
 def test_flat_code_table_agrees_with_enumeration_at_every_box():
@@ -308,7 +327,7 @@ def grids_with_values(draw):
 def test_flat_scans_agree_with_their_definitions():
     # nonconstant_wrt for every i against a line-by-line check of the dict the grid
     # was built from, and is_fixed_point against the first largest deviation from
-    # oracles.modulus_enumerate; 200 derandomized examples, about 2 s
+    # oracles.modulus_by_difference, read once per grid; 200 derandomized examples, about 0.5 s
     seen = set()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -321,9 +340,9 @@ def test_flat_scans_agree_with_their_definitions():
             expected = any(len({values[rest[:i - 1] + (k,) + rest[i - 1:]] for k in range(m)}) > 1 for rest in lines)
             assert nonconstant_wrt(g, i) == expected
             seen.add(("nonconstant", expected))
-        worst, at = F(0), None
+        worst, at, by_box = F(0), None, modulus_by_difference(g)
         for idx in itertools.product(range(m), repeat=g.n):
-            deviation = abs(modulus_enumerate(g, g.point(idx)) - values[idx])
+            deviation = abs(by_box[idx] - values[idx])
             if deviation > worst:
                 worst, at = deviation, g.point(idx)
         ok, report = is_fixed_point(g)
